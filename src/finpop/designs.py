@@ -36,6 +36,7 @@ __all__ = [
     "draw_partition_batch",
     "multinomial_count",
     "enumeration_cap",
+    "enumerate_partition_blocks",
     "enumerate_partitions",
     "indicator_cov",
     "FactorialSpec",
@@ -143,35 +144,71 @@ def enumeration_cap(cap: int | None = None) -> int:
     return cap
 
 
-def enumerate_partitions(sizes, cap: int | None = None) -> Iterator[np.ndarray]:
-    """Yield every assignment exactly once, in lexicographic label order.
+def _unrank_partitions(sizes: list[int], count: int, ranks: np.ndarray) -> np.ndarray:
+    """The assignments at the given 0-based lexicographic ranks, one row each.
+
+    This is the recursion on the first label, taken one position at a time:
+    the assignments that start with label q come after those starting with
+    1..q-1, and there are count * n_q / N of them, so the first label is the
+    one whose cumulative range holds the rank, and the rest is the rank
+    within that sub-enumeration.
+    """
+    b, n = ranks.size, sum(sizes)
+    rank = ranks.astype(np.int64)
+    # (Q, B) layout: every step below is a whole-row operation over B
+    remaining = np.repeat(np.asarray(sizes, dtype=np.int64)[:, np.newaxis], b, axis=1)
+    sub_count = np.full(b, count, dtype=np.int64)
+    arms = np.arange(len(sizes))[:, np.newaxis]
+    out = np.empty((n, b), dtype=np.int64)
+    for pos in range(n):
+        per_label = sub_count * remaining
+        per_label //= n - pos
+        upper = per_label.copy()
+        for q in range(1, len(sizes)):
+            upper[q] += upper[q - 1]
+        below = upper <= rank
+        label = np.count_nonzero(below, axis=0)
+        chosen = arms == label
+        rank -= (per_label * below).sum(axis=0)
+        sub_count = (per_label * chosen).sum(axis=0)
+        remaining -= chosen
+        out[pos] = label + 1
+    return np.ascontiguousarray(out.T)
+
+
+def enumerate_partition_blocks(
+    sizes, cap: int | None = None, block: int = 4096
+) -> Iterator[np.ndarray]:
+    """Yield every assignment exactly once as (B, N) label blocks of at most
+    `block` rows, rows in lexicographic label order across blocks.
 
     Refuses up front (with the exact count) when the multinomial count exceeds
-    the cap; see `enumeration_cap` for how the cap is resolved.
+    the cap; see `enumeration_cap` for how the cap is resolved. Each block is a
+    fresh array, so callers may keep or modify it.
     """
     sizes = _check_sizes(sizes)
     count = multinomial_count(sizes)
-    cap_value = enumeration_cap(cap)
+    # the per-position sub-counts times an arm size must fit in int64
+    cap_value = min(enumeration_cap(cap), np.iinfo(np.int64).max // sum(sizes))
     if count > cap_value:
         raise EnumerationCapError(count, cap_value)
+    block = int(block)
+    if block < 1:
+        raise ValidationError(f"block size must be >= 1, got {block}")
 
     def generate() -> Iterator[np.ndarray]:
-        a = _label_template(sizes).tolist()  # ascending, the lex minimum
-        n = len(a)
-        while True:
-            yield np.asarray(a, dtype=np.int64)
-            i = n - 2
-            while i >= 0 and a[i] >= a[i + 1]:
-                i -= 1
-            if i < 0:
-                return
-            j = n - 1
-            while a[j] <= a[i]:
-                j -= 1
-            a[i], a[j] = a[j], a[i]
-            a[i + 1 :] = a[:i:-1]
+        for start in range(0, count, block):
+            ranks = np.arange(start, min(start + block, count))
+            yield _unrank_partitions(sizes, count, ranks)
 
     return generate()
+
+
+def enumerate_partitions(sizes, cap: int | None = None) -> Iterator[np.ndarray]:
+    """Yield every assignment exactly once, in lexicographic label order: the
+    rows of `enumerate_partition_blocks`, one at a time."""
+    blocks = enumerate_partition_blocks(sizes, cap)
+    return (row for labels in blocks for row in labels)
 
 
 def indicator_cov(sizes, i: int, j: int, q: int, r: int) -> float:

@@ -254,17 +254,6 @@ def _cmd_estimate(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # test
 
-def _two_arm_normal(observed: float, var0: float, alternative: str) -> float:
-    if var0 <= 0.0:
-        raise ValidationError("constant outcomes: the null variance is zero")
-    z = observed / np.sqrt(var0)
-    if alternative == "greater":
-        return 1.0 - distlib.std_normal_cdf(z)
-    if alternative == "less":
-        return distlib.std_normal_cdf(z)
-    return min(1.0, 2.0 * (1.0 - distlib.std_normal_cdf(abs(z))))
-
-
 def _randomized(stat_fn, data, method, alternative, args):
     if method == "mc":
         if args.seed is None:
@@ -278,87 +267,53 @@ def _randomized(stat_fn, data, method, alternative, args):
     )
 
 
+def _normal_reference(stat, labels, values, doses, alternative, args):
+    if stat in ("diff", "wilcoxon"):
+        return randtests.diff_normal_test(labels, values, alternative)
+    if stat == "dose":
+        observed = randtests.dose_rank_stat(labels, values, doses)
+    else:
+        largest, spread = randtests.extreme_rank_stats(labels, values)
+        observed = spread if stat == "range" else largest
+    if args.seed is None:
+        raise ValidationError("--seed is required for the simulated normal reference")
+    return randtests.rank_stat_normal_pvalue(
+        estimators.arm_sizes(labels), observed, stat, args.reps, args.seed, doses=doses)
+
+
 def _cmd_test(args) -> tuple[dict, int]:
     data = ingest.ingest_csv(args.data, "arm")
     _check_design(args.design, estimators.arm_sizes(data.labels))
-    labels, y = data.labels, data.y
-    n = data.n_units
     stat, method = args.stat, args.method
-    max_type = stat in ("max", "range", "dose")
-    alternative = args.alternative or ("greater" if max_type or stat == "kw"
-                                       else "two_sided")
-    if (max_type or stat == "kw") and alternative != "greater":
+    upper_tailed = stat in ("kw", "max", "range", "dose")
+    alternative = args.alternative or ("greater" if upper_tailed else "two_sided")
+    if upper_tailed and alternative != "greater":
         raise ValidationError(f"--stat {stat} is upper-tailed; drop --alternative")
 
-    if stat == "kw":
-        if method == "normal":
-            result = randtests.kruskal_wallis(labels, y, args.ties)
-        else:
-            def stat_fn(lab, yy):
-                return randtests.kruskal_wallis(lab, yy, args.ties).statistic
-            result = _randomized(stat_fn, data, method, "greater", args)
-    elif stat == "diff":
-        if method == "normal":
-            observed = randtests.diff_in_means_stat(labels, y)
-            counts = estimators.arm_sizes(labels, 2)
-            var0 = n / (int(counts[0]) * int(counts[1])) * popstats.pop_moments(y).variance
-            result = randtests.TestResult(
-                statistic=observed,
-                p_value=_two_arm_normal(observed, var0, alternative),
-                method="normal_approx",
-                alternative=alternative,
-                null_variance=var0,
-            )
-        else:
-            result = _randomized(randtests.diff_in_means_stat, data, method,
-                                 alternative, args)
-    elif stat == "wilcoxon":
-        ranks = randtests.rank_transform(y, args.ties)
-        observed = randtests.diff_in_means_stat(labels, ranks)
-        if method == "normal":
-            counts = estimators.arm_sizes(labels, 2)
-            var0 = n / (int(counts[0]) * int(counts[1])) * popstats.pop_moments(ranks).variance
-            result = randtests.TestResult(
-                statistic=observed,
-                p_value=_two_arm_normal(observed, var0, alternative),
-                method="normal_approx",
-                alternative=alternative,
-                null_variance=var0,
-            )
-        else:
-            def stat_fn(lab, _yy):
-                return randtests.diff_in_means_stat(lab, ranks)
-            result = _randomized(stat_fn, data, method, alternative, args)
-    elif max_type:
-        ranks = randtests.rank_transform(y, args.ties)
+    if stat == "hyper":
+        if method == "mc":
+            raise ValidationError("--stat hyper supports --method exact or normal")
+        result = randtests.hypergeom_test(data.labels, data.y, mode=method,
+                                          alternative=alternative)
+    elif stat == "kw" and method == "normal":
+        result = randtests.kruskal_wallis(data.labels, data.y, args.ties)
+    else:
+        values = data.y if stat == "diff" else randtests.rank_transform(data.y, args.ties)
         doses = None
         if stat == "dose":
             if args.doses is None:
                 raise ValidationError("--stat dose requires --doses")
             doses = np.asarray(_parse_floats(args.doses, "--doses"))
-
-        def stat_fn(lab, _yy):
-            if stat == "max":
-                return randtests.extreme_rank_stats(lab, ranks)[0]
-            if stat == "range":
-                return randtests.extreme_rank_stats(lab, ranks)[1]
-            return randtests.dose_rank_stat(lab, ranks, doses)
-
-        observed = stat_fn(labels, None)
         if method == "normal":
-            if args.seed is None:
-                raise ValidationError(
-                    "--seed is required for the simulated normal reference")
-            sizes = estimators.arm_sizes(labels)
-            result = randtests.rank_stat_normal_pvalue(
-                sizes, observed, stat, args.reps, args.seed, doses=doses)
+            result = _normal_reference(stat, data.labels, values, doses, alternative, args)
         else:
-            result = _randomized(stat_fn, data, method, "greater", args)
-    else:  # hyper
-        if method == "mc":
-            raise ValidationError("--stat hyper supports --method exact or normal")
-        result = randtests.hypergeom_test(labels, y, mode=method,
-                                          alternative=alternative)
+            if stat == "kw":
+                # the dual-form check, on the observed assignment only
+                randtests.kruskal_wallis(data.labels, data.y, args.ties)
+            kind = "diff" if stat == "wilcoxon" else stat
+            q = 2 if kind == "diff" else data.q_arms
+            statistic = randtests.sum_statistic(kind, values, q, doses)
+            result = _randomized(statistic, data, method, alternative, args)
 
     payload = {
         "stat": stat,

@@ -7,6 +7,12 @@ provides the statistics (difference in means, rank statistics, counts), the
 three reference-distribution engines, and the joint-test rule based on the
 maximum of two correlated standardized statistics.
 
+Every statistic the CLI tests is a reduction of the Q arm sums of a vector
+that does not change across assignments (the outcomes, or their ranks).
+`arm_sums` computes those sums for a whole block of assignments at once, and
+`SumStatistic` pairs it with the reduction, so the exact and Monte Carlo
+engines evaluate a block of assignments per call instead of one.
+
 Ranks default to the strict no-ties policy. Midranks are opt-in; with ties
 present the rank-variance identities that the no-ties theory relies on (for
 example the closed-form null variance N(N+1)/12) no longer hold verbatim, so
@@ -23,7 +29,12 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import distlib
-from .designs import as_rng, draw_partition_batch, enumerate_partitions, multinomial_count
+from .designs import (
+    as_rng,
+    draw_partition_batch,
+    enumerate_partition_blocks,
+    multinomial_count,
+)
 from .errors import (
     DegenerateInputError,
     InternalCheckError,
@@ -31,11 +42,15 @@ from .errors import (
     ValidationError,
 )
 from .estimators import arm_sizes
+from .popstats import pop_moments
 
 __all__ = [
     "TestResult",
     "JointTestResult",
     "rank_transform",
+    "arm_sums",
+    "SumStatistic",
+    "sum_statistic",
     "diff_in_means_stat",
     "wilcoxon_stat",
     "standardized_rank_means",
@@ -46,11 +61,21 @@ __all__ = [
     "dose_rank_stat",
     "rank_stat_normal_pvalue",
     "hypergeom_test",
+    "diff_normal_test",
     "mc_randomization_pvalue",
     "exact_randomization_pvalue",
 ]
 
+_ALTERNATIVES = ("two_sided", "greater", "less")
 _MC_CHUNK = 1024
+_EXACT_BLOCK = 4096
+# label cells per exact-enumeration block (8 MB of int64); caps the block
+# rows for large N so block temporaries stay small
+_EXACT_BLOCK_CELLS = 1 << 20
+# a reference statistic within this distance of the observed one, relative
+# to max(1, |observed|), counts as a tie: statistics that are equal in exact
+# arithmetic can differ by round-off, and dropping them is anti-conservative
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,6 +116,113 @@ def rank_transform(y, policy: str = "strict") -> np.ndarray:
     if policy == "strict" and np.any(counts > 1):
         raise TieError(values[counts > 1].tolist())
     return rankdata(y, method="average")
+
+
+def arm_sums(label_block, values, q: int) -> np.ndarray:
+    """Arm sums of the fixed (N, k) matrix `values` under every row of a
+    (B, N) block of labels 1..q, as a (B, q, k) array.
+
+    One offset bincount per column: label l of row b goes to bin b q + l - 1,
+    so every row's sums accumulate in unit order whatever the block size, and
+    a row gives the same sums alone as inside any block.
+    """
+    labels = np.asarray(label_block, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    if labels.ndim != 2 or values.ndim != 2 or values.shape[0] != labels.shape[1]:
+        raise ValidationError(
+            f"need a (B, N) label block and (N, k) values, got shapes "
+            f"{labels.shape} and {values.shape}"
+        )
+    if labels.size and (labels.min() < 1 or labels.max() > q):
+        raise ValidationError(f"arm labels must lie in 1..{q}")
+    b, n = labels.shape
+    bins = (labels - 1 + q * np.arange(b)[:, np.newaxis]).ravel()
+    out = np.empty((b, q, values.shape[1]))
+    for j in range(values.shape[1]):
+        weights = np.broadcast_to(values[:, j], (b, n)).ravel()
+        out[:, :, j] = np.bincount(bins, weights, minlength=b * q).reshape(b, q)
+    return out
+
+
+class SumStatistic:
+    """A statistic that is a reduction of the arm sums of a fixed matrix.
+
+    Under the sharp null the outcomes, or their ranks, do not change across
+    assignments, so the statistic of every row of a (B, N) label block is
+    `reduce(arm_sums(block, values, q), sizes)` with `sizes` the float arm
+    sizes the rows share; `reduce` returns a length-B vector. Calling the
+    object evaluates one assignment through the same kernel, so it is also a
+    valid `stat_fn(labels, y)` for the engines; `y` is ignored, the values
+    are fixed at construction. `sum_statistic` builds the CLI statistics.
+    """
+
+    def __init__(self, values, q: int, reduce):
+        values = np.asarray(values, dtype=float)
+        self.values = values[:, np.newaxis] if values.ndim == 1 else values
+        self.q = int(q)
+        self.reduce = reduce
+
+    def block(self, label_block, sizes) -> np.ndarray:
+        """The statistic of every row of a label block with the given sizes."""
+        sums = arm_sums(label_block, self.values, self.q)
+        return self.reduce(sums, np.asarray(sizes, dtype=float))
+
+    def __call__(self, labels, y=None) -> float:
+        labels = np.asarray(labels)
+        return float(self.block(labels[np.newaxis], arm_sizes(labels, self.q))[0])
+
+
+def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
+    """The statistics the CLI tests, as arm-sum reductions of `values`
+    (outcomes, or ranks for the rank statistics), centered once here:
+
+    - 'diff': mean of arm 1 minus mean of arm 2, as `diff_in_means_stat`
+      (on ranks, `wilcoxon_stat`); two arms;
+    - 'kw': the analysis-of-variance form of `kruskal_wallis`,
+      (N - 1) sum_q S_q^2 / n_q / sum_i (v_i - vbar)^2 with S_q the arm sums
+      of centered values; 0 for constant values;
+    - 'max', 'range': the two values of `extreme_rank_stats`;
+    - 'dose': `dose_rank_stat`, sum_q dose_q (arm mean)_q.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValidationError("statistic values must be a non-empty 1-d array")
+    center = float(values.mean())
+    centered = values - center
+    if kind == "diff":
+        if q != 2:
+            raise ValidationError(f"'diff' compares two arms, got q={q}")
+
+        def reduce(sums, sizes):
+            return sums[:, 0, 0] / sizes[0] - sums[:, 1, 0] / sizes[1]
+    elif kind == "kw":
+        constant = values.min() == values.max()
+        ss_total = float(centered @ centered)
+
+        def reduce(sums, sizes):
+            if constant:
+                return np.zeros(sums.shape[0])
+            return (values.size - 1.0) * np.sum(sums[:, :, 0] ** 2 / sizes, axis=1) / ss_total
+    elif kind == "max":
+        def reduce(sums, sizes):
+            return (sums[:, :, 0] / sizes).max(axis=1) + center
+    elif kind == "range":
+        def reduce(sums, sizes):
+            means = sums[:, :, 0] / sizes
+            return means.max(axis=1) - means.min(axis=1)
+    elif kind == "dose":
+        doses = np.asarray(doses, dtype=float)
+        if doses.shape != (q,):
+            raise ValidationError(f"need one dose per arm ({q}), got shape {doses.shape}")
+        offset = center * float(doses.sum())
+
+        def reduce(sums, sizes):
+            return sums[:, :, 0] / sizes @ doses + offset
+    else:
+        raise ValidationError(
+            f"kind must be 'diff', 'kw', 'max', 'range' or 'dose', got {kind!r}"
+        )
+    return SumStatistic(centered, q, reduce)
 
 
 def _two_arm_means(labels, y) -> tuple[float, float, int, int]:
@@ -392,14 +524,73 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     )
 
 
-def _is_extreme(ref: np.ndarray, observed: float, alternative: str) -> np.ndarray:
+def _two_arm_normal(observed: float, var0: float, alternative: str) -> float:
+    if var0 <= 0.0:
+        raise ValidationError("constant outcomes: the null variance is zero")
+    z = observed / np.sqrt(var0)
     if alternative == "greater":
-        return ref >= observed
+        return 1.0 - distlib.std_normal_cdf(z)
     if alternative == "less":
-        return ref <= observed
-    if alternative == "two_sided":
-        return np.abs(ref) >= abs(observed)
-    raise ValidationError(f"unknown alternative {alternative!r}")
+        return distlib.std_normal_cdf(z)
+    return min(1.0, 2.0 * (1.0 - distlib.std_normal_cdf(abs(z))))
+
+
+def diff_normal_test(labels, values, alternative: str = "two_sided") -> TestResult:
+    """Normal-reference test of the difference in arm means of `values` (the
+    outcomes, or their ranks for the Wilcoxon form) in a two-arm experiment.
+
+    Under the sharp null the difference has mean zero and variance
+    N / (n_1 n_0) S^2, with S^2 the variance of `values` (divisor N - 1).
+    """
+    labels = np.asarray(labels)
+    observed = diff_in_means_stat(labels, values)
+    counts = arm_sizes(labels, 2)
+    var0 = labels.size / (int(counts[0]) * int(counts[1])) * pop_moments(values).variance
+    return TestResult(
+        statistic=observed,
+        p_value=_two_arm_normal(observed, var0, alternative),
+        method="normal_approx",
+        alternative=alternative,
+        null_variance=var0,
+    )
+
+
+def _check_alternative(alternative: str) -> None:
+    if alternative not in _ALTERNATIVES:
+        raise ValidationError(f"unknown alternative {alternative!r}")
+
+
+def _is_extreme(ref: np.ndarray, observed: float, alternative: str) -> np.ndarray:
+    """Reference statistics as or more extreme than the observed one, ties
+    judged within _TIE_RTOL."""
+    tol = _TIE_RTOL * max(1.0, abs(observed))
+    if alternative == "greater":
+        return ref >= observed - tol
+    if alternative == "less":
+        return ref <= observed + tol
+    return np.abs(ref) >= abs(observed) - tol
+
+
+def _block_evaluator(stat_fn, labels: np.ndarray, y):
+    """(arm sizes, function from a (B, N) label block to its B statistics).
+
+    A SumStatistic evaluates the block through the arm-sum kernel; any other
+    callable `stat_fn(labels, y)` is called once per row.
+    """
+    if isinstance(stat_fn, SumStatistic):
+        sizes = arm_sizes(labels, stat_fn.q)
+        return sizes.tolist(), lambda block: stat_fn.block(block, sizes)
+    y = np.asarray(y)
+    return arm_sizes(labels).tolist(), lambda block: np.array(
+        [float(stat_fn(row, y)) for row in block]
+    )
+
+
+def _count_extreme(evaluate, blocks, observed: float, alternative: str) -> int:
+    return sum(
+        int(np.count_nonzero(_is_extreme(evaluate(block), observed, alternative)))
+        for block in blocks
+    )
 
 
 def mc_randomization_pvalue(
@@ -409,30 +600,34 @@ def mc_randomization_pvalue(
     p = (1 + #{reference stats as or more extreme}) / (B + 1), which is valid
     (super-uniform) at any B.
 
-    `stat_fn(labels, y)` must be a pure function. Two-sided ordering is by
-    absolute value, appropriate for statistics centered at zero under the
-    null; max-type statistics should use alternative='greater'.
+    The B reference assignments are drawn in chunks of 1024 rows by
+    `draw_partition_batch`, so a seed gives the same draws whatever the
+    statistic. A `SumStatistic` evaluates each chunk through the arm-sum
+    kernel; any other `stat_fn(labels, y)` must be a pure function and is
+    called once per drawn assignment. A reference statistic within 1e-12
+    (relative to max(1, |observed|)) of the observed one counts as a tie.
+    Two-sided ordering is by absolute value, appropriate for statistics
+    centered at zero under the null; max-type statistics should use
+    alternative='greater'.
     """
     if b < 1:
         raise ValidationError(f"replication count must be >= 1, got {b}")
+    _check_alternative(alternative)
+    b = int(b)
     labels = np.asarray(labels)
-    y = np.asarray(y)
-    sizes = arm_sizes(labels).tolist()
-    observed = float(stat_fn(labels, y))
+    sizes, evaluate = _block_evaluator(stat_fn, labels, y)
+    observed = float(evaluate(labels[np.newaxis])[0])
     rng = as_rng(seed)
-    count = 0
-    remaining = int(b)
-    while remaining > 0:
-        chunk = min(_MC_CHUNK, remaining)
-        batch = draw_partition_batch(sizes, chunk, rng)
-        ref = np.array([stat_fn(batch[i], y) for i in range(chunk)])
-        count += int(np.sum(_is_extreme(ref, observed, alternative)))
-        remaining -= chunk
+    chunks = (
+        draw_partition_batch(sizes, min(_MC_CHUNK, b - start), rng)
+        for start in range(0, b, _MC_CHUNK)
+    )
+    count = _count_extreme(evaluate, chunks, observed, alternative)
     seed_tag = seed if isinstance(seed, (int, np.integer)) else "external"
     return TestResult(
         statistic=observed,
         p_value=(1 + count) / (b + 1),
-        method=f"monte_carlo(B={int(b)}, seed={seed_tag})",
+        method=f"monte_carlo(B={b}, seed={seed_tag})",
         alternative=alternative,
     )
 
@@ -441,24 +636,26 @@ def exact_randomization_pvalue(
     stat_fn, labels, y, alternative: str = "two_sided", cap: int | None = None
 ) -> TestResult:
     """Exact randomization p-value: the proportion of all assignments whose
-    statistic is as or more extreme than the observed one (the observed
-    assignment is part of the enumeration, so p > 0 always)."""
-    if alternative not in ("two_sided", "greater", "less"):
-        raise ValidationError(f"unknown alternative {alternative!r}")
+    statistic is as or more extreme than the observed one.
+
+    Assignments are enumerated in blocks of at most 4096 rows (fewer when
+    N > 256, keeping a block near 2^20 labels) by
+    `enumerate_partition_blocks`, which refuses counts above the cap. A
+    `SumStatistic` evaluates each block through the arm-sum kernel; any other
+    `stat_fn(labels, y)` is called once per assignment. The observed value is
+    the statistic evaluated the same way on the observed assignment, and a
+    reference statistic within 1e-12 (relative to max(1, |observed|)) of it
+    counts as a tie, so the observed assignment always counts itself and
+    p >= 1 / #assignments.
+    """
+    _check_alternative(alternative)
     labels = np.asarray(labels)
-    y = np.asarray(y)
-    sizes = arm_sizes(labels).tolist()
-    observed = float(stat_fn(labels, y))
-    count = 0
+    sizes, evaluate = _block_evaluator(stat_fn, labels, y)
+    observed = float(evaluate(labels[np.newaxis])[0])
+    block = max(1, min(_EXACT_BLOCK, _EXACT_BLOCK_CELLS // labels.size))
+    blocks = enumerate_partition_blocks(sizes, cap, block)
     total = multinomial_count(sizes)
-    for assignment in enumerate_partitions(sizes, cap):
-        ref = float(stat_fn(assignment, y))
-        if alternative == "greater":
-            count += ref >= observed
-        elif alternative == "less":
-            count += ref <= observed
-        else:
-            count += abs(ref) >= abs(observed)
+    count = _count_extreme(evaluate, blocks, observed, alternative)
     return TestResult(
         statistic=observed,
         p_value=count / total,

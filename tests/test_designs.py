@@ -73,6 +73,46 @@ def test_enumerate_partitions_cap():
     assert info.value.cap == 10
 
 
+def _next_permutation_rows(sizes):
+    """Reference enumerator: the per-row lexicographic next-permutation walk
+    from the ascending template."""
+    a = [q for q, s in enumerate(sizes, start=1) for _ in range(s)]
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+
+
+@pytest.mark.parametrize(
+    "sizes, block",
+    [(s, 4096) for s in [(1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 4), (10, 10)]]
+    + [((3, 1, 2), 1), ((4, 4), 7), ((10, 10), 1000)],
+)
+def test_enumerate_partition_blocks_match_row_walk(sizes, block):
+    blocks = list(designs.enumerate_partition_blocks(sizes, block=block))
+    assert all(1 <= b.shape[0] <= block for b in blocks)
+    rows = [tuple(row) for b in blocks for row in b.tolist()]
+    assert rows == list(_next_permutation_rows(sizes))
+    assert [tuple(r) for r in designs.enumerate_partitions(sizes)] == rows
+
+
+def test_enumerate_partition_blocks_cap_before_first_block():
+    with pytest.raises(EnumerationCapError) as info:
+        designs.enumerate_partition_blocks((5, 5), cap=10)  # raises on the call
+    assert info.value.count == 252
+    with pytest.raises(ValidationError):
+        designs.enumerate_partition_blocks((2, 2), block=0)
+
+
 def test_enumeration_cap_from_environment(monkeypatch):
     monkeypatch.setenv("FINPOP_ENUM_CAP", "5")
     with pytest.raises(EnumerationCapError):

@@ -382,6 +382,19 @@ def test_cli_test_kw_normal(tmp_path, capsys):
     assert payload["statistic"] == pytest.approx(2.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", [["--method", "exact"], ["--method", "mc", "--seed", "3"]])
+def test_cli_test_kw_reference_engines_on_tied_outcomes(tmp_path, capsys, method):
+    path = _write(tmp_path / "t.csv", "arm,y\n" + "".join(
+        f"{arm},5.0\n" for arm in (1, 1, 1, 2, 2, 2, 3, 3)))
+    # strict ranks still refuse ties before any assignment is evaluated
+    assert main(["test", "--data", path, "--stat", "kw", *method]) == 1
+    assert "tied values" in capsys.readouterr().err
+    # midranks of an all-tied outcome: statistic 0 and p = 1, not NaN
+    assert main(["test", "--data", path, "--stat", "kw", "--ties", "midrank", *method]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["statistic"], payload["p_value"]) == (0.0, 1.0)
+
+
 def test_cli_test_max_normal_requires_seed(tmp_path, capsys):
     path = _write(tmp_path / "m.csv", "arm,y\n1,1.0\n1,2.0\n2,3.0\n2,4.0\n")
     assert main(["test", "--data", path, "--stat", "max"]) == 1

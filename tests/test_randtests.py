@@ -6,6 +6,8 @@ against full enumeration; Monte Carlo p-values against the exact ones at the
 resolution the replication count supports.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -411,3 +413,148 @@ def test_engines_reject_bad_arguments():
         randtests.exact_randomization_pvalue(
             randtests.diff_in_means_stat, _LAB4, _Y4, alternative="sideways"
         )
+
+
+# =========================================================================
+# Arm-sum kernel and block engines
+# =========================================================================
+
+
+def test_arm_sums_matches_masked_sums():
+    rng = np.random.default_rng(31)
+    block = designs.draw_partition_batch((3, 2, 4), 50, rng)
+    values = rng.normal(size=(9, 2))
+    sums = randtests.arm_sums(block, values, 3)
+    assert sums.shape == (50, 3, 2)
+    for b, lab in enumerate(block):
+        for q in (1, 2, 3):
+            assert sums[b, q - 1] == pytest.approx(values[lab == q].sum(axis=0), abs=1e-12)
+    with pytest.raises(ValidationError):
+        randtests.arm_sums(block, values, 2)  # label 3 outside 1..2
+    with pytest.raises(ValidationError):
+        randtests.arm_sums(block, values[:8], 3)
+
+
+def _scalar_and_kernel(stat, y, q, ties="strict"):
+    """(public scalar function of (labels, y), the same statistic as a
+    SumStatistic) for each CLI statistic."""
+    ranks = randtests.rank_transform(y, ties)
+    doses = np.linspace(-1.0, 2.0, q)
+    if stat == "diff":
+        return randtests.diff_in_means_stat, randtests.sum_statistic("diff", y)
+    if stat == "wilcoxon":
+        return (lambda lab, yy: randtests.wilcoxon_stat(lab, yy, ties),
+                randtests.sum_statistic("diff", ranks))
+    if stat == "kw":
+        return (lambda lab, yy: randtests.kruskal_wallis(lab, yy, ties).statistic,
+                randtests.sum_statistic("kw", ranks, q))
+    if stat == "dose":
+        return (lambda lab, yy: randtests.dose_rank_stat(lab, ranks, doses),
+                randtests.sum_statistic("dose", ranks, q, doses))
+    index = 0 if stat == "max" else 1
+    return (lambda lab, yy: randtests.extreme_rank_stats(lab, ranks)[index],
+            randtests.sum_statistic(stat, ranks, q))
+
+
+@pytest.mark.parametrize(
+    "stat, sizes, ties",
+    [("diff", (4, 4), "strict"), ("wilcoxon", (4, 4), "strict")]
+    + [(stat, sizes, "strict") for stat in ("kw", "max", "range", "dose")
+       for sizes in ((3, 3, 2), (4, 4))]
+    + [("kw", (3, 3, 2), "midrank"), ("kw", (4, 4), "midrank"),
+       ("wilcoxon", (4, 4), "midrank")],
+)
+def test_block_kernel_equals_scalar_statistic_on_every_assignment(stat, sizes, ties):
+    rng = np.random.default_rng(32)
+    n = sum(sizes)
+    y = rng.normal(size=n) + 50.0
+    if ties == "midrank":
+        y = np.round(rng.normal(size=n))  # a handful of distinct values
+    scalar, kernel = _scalar_and_kernel(stat, y, len(sizes), ties)
+    labs = np.array(list(designs.enumerate_partitions(sizes)))
+    got = kernel.block(labs, sizes)
+    want = np.array([scalar(lab, y) for lab in labs])
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    # one assignment through __call__ is the same kernel row, bit for bit
+    assert kernel(labs[17], y) == got[17]
+
+
+def test_kw_kernel_all_tied_outcome_gives_zero_and_unit_pvalue():
+    labels = designs.draw_partition((3, 3, 2), 33)
+    y = np.full(8, 2.5)
+    statistic = randtests.sum_statistic("kw", randtests.rank_transform(y, "midrank"), 3)
+    assert np.array_equal(statistic.block(labels[np.newaxis], (3, 3, 2)), [0.0])
+    exact = randtests.exact_randomization_pvalue(statistic, labels, y, alternative="greater")
+    mc = randtests.mc_randomization_pvalue(statistic, labels, y, 500, 3, alternative="greater")
+    assert (exact.statistic, exact.p_value) == (0.0, 1.0)
+    assert (mc.statistic, mc.p_value) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("stat, sizes", [("diff", (4, 3)), ("wilcoxon", (4, 3)),
+                                         ("kw", (3, 3, 2)), ("max", (3, 3, 2)),
+                                         ("range", (3, 3, 2)), ("dose", (3, 3, 2))])
+def test_engines_agree_between_block_path_and_scalar_adapter(stat, sizes):
+    rng = np.random.default_rng(34)
+    labels = designs.draw_partition(sizes, rng)
+    y = rng.normal(size=sum(sizes))
+    scalar, kernel = _scalar_and_kernel(stat, y, len(sizes))
+    alternative = "two_sided" if stat in ("diff", "wilcoxon") else "greater"
+    exact = randtests.exact_randomization_pvalue(kernel, labels, y, alternative)
+    mc = randtests.mc_randomization_pvalue(kernel, labels, y, 2500, 35, alternative)
+    # the public scalar function, and the kernel itself as a plain callable
+    for stat_fn in (scalar, lambda lab, yy: kernel(lab, yy)):
+        assert randtests.exact_randomization_pvalue(
+            stat_fn, labels, y, alternative).p_value == exact.p_value
+        assert randtests.mc_randomization_pvalue(
+            stat_fn, labels, y, 2500, 35, alternative).p_value == mc.p_value
+
+
+def test_exact_diff_counts_round_off_ties():
+    # sizes (5,5), seed 0; y on a 0.1 grid, so many assignments tie the
+    # observed |diff| in exact arithmetic. Rational enumeration counts 148 of
+    # 252; a raw float comparison drops two of them (146).
+    labels = designs.draw_partition((5, 5), 0)
+    assert labels.tolist() == [2, 1, 1, 2, 2, 1, 1, 2, 1, 2]
+    y = np.array([0.6, 0.3, 0.0, 0.0, 0.8, 0.9, 0.6, 0.7, 0.5, 0.9])
+    for stat_fn in (randtests.diff_in_means_stat, randtests.sum_statistic("diff", y)):
+        result = randtests.exact_randomization_pvalue(stat_fn, labels, y)
+        assert result.p_value == 148 / 252
+
+
+def _fraction_oracle_pvalue(labels, y, alternative):
+    """Exact p-value of the difference in means in rational arithmetic."""
+    y = [Fraction(str(v)) for v in y]
+    sizes = (labels.count(1), labels.count(2))
+
+    def diff(lab):
+        arm1 = sum(v for v, a in zip(y, lab) if a == 1)
+        arm2 = sum(v for v, a in zip(y, lab) if a == 2)
+        return arm1 / sizes[0] - arm2 / sizes[1]
+
+    observed = diff(labels)
+    refs = [diff(lab) for lab in designs.enumerate_partitions(sizes)]
+    if alternative == "greater":
+        count = sum(r >= observed for r in refs)
+    elif alternative == "less":
+        count = sum(r <= observed for r in refs)
+    else:
+        count = sum(abs(r) >= abs(observed) for r in refs)
+    return count / len(refs)
+
+
+@given(
+    data=st.data(),
+    sizes=st.sampled_from([(3, 3), (4, 3)]),
+    alternative=st.sampled_from(["two_sided", "greater", "less"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_diff_matches_rational_enumeration(data, sizes, alternative):
+    n = sum(sizes)
+    labels = data.draw(st.permutations([1] * sizes[0] + [2] * sizes[1]))
+    y = data.draw(st.lists(st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+                           min_size=n, max_size=n))
+    want = _fraction_oracle_pvalue(list(labels), y, alternative)
+    y_arr, lab_arr = np.array(y), np.array(labels)
+    for stat_fn in (randtests.sum_statistic("diff", y_arr), randtests.diff_in_means_stat):
+        result = randtests.exact_randomization_pvalue(stat_fn, lab_arr, y_arr, alternative)
+        assert result.p_value == want
