@@ -6,14 +6,16 @@ value c solving P(max of a correlated standard-normal pair > c) = alpha.
 
 The normal and gamma primitives wrap scipy.special; the orthant probability
 is a one-dimensional adaptive quadrature, which is all the equal-threshold
-case needs.
+case needs. scipy.integrate and scipy.optimize are imported inside the two
+functions that use them, so importing this module loads only scipy.special.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import integrate, optimize, special
+import numpy as np
+from scipy import special
 
 from .errors import ValidationError
 
@@ -22,9 +24,17 @@ from .errors import ValidationError
 _RHO_DEGENERATE = 1.0 - 1e-12
 
 
-def std_normal_cdf(x: float) -> float:
-    """P(Z <= x) for Z standard normal, accurate to 1e-12 absolute."""
-    return float(special.ndtr(x))
+def _float_or_array(value):
+    """A 0-d result as a float; an array result as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def std_normal_cdf(x):
+    """P(Z <= x) for Z standard normal, accurate to 1e-12 absolute.
+
+    x may be an array; each element equals the scalar call bit for bit.
+    """
+    return _float_or_array(special.ndtr(x))
 
 
 def std_normal_quantile(p: float) -> float:
@@ -34,13 +44,15 @@ def std_normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-def chi2_cdf(x: float, df: int) -> float:
-    """P(X <= x) for X chi-square with df degrees of freedom."""
+def chi2_cdf(x, df: int):
+    """P(X <= x) for X chi-square with df degrees of freedom.
+
+    x may be an array; each element equals the scalar call bit for bit.
+    """
     if df < 1:
         raise ValidationError(f"degrees of freedom must be >= 1, got {df}")
-    if x <= 0.0:
-        return 0.0
-    return float(special.gammainc(df / 2.0, x / 2.0))
+    x = np.asarray(x, dtype=float)
+    return _float_or_array(np.where(x <= 0.0, 0.0, special.gammainc(df / 2.0, x / 2.0)))
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -76,6 +88,8 @@ def bvn_lower_orthant(c: float, rho: float) -> float:
     if rho <= -_RHO_DEGENERATE:
         # Y = -X almost surely: P(-c <= X <= c).
         return max(0.0, 2.0 * std_normal_cdf(c) - 1.0)
+    from scipy import integrate
+
     denom = math.sqrt(1.0 - rho * rho)
 
     def integrand(x: float) -> float:
@@ -116,4 +130,6 @@ def solve_gamma_c(rho: float, alpha: float) -> float:
         return lo
     if gap(hi) <= 0.0:
         return hi
+    from scipy import optimize
+
     return float(optimize.brentq(gap, lo, hi, xtol=1e-10, rtol=8.9e-16))

@@ -22,14 +22,6 @@ from .reports import SCHEMA_VERSION, as_jsonable
 
 __all__ = ["main", "build_parser"]
 
-_KIND_DEFAULTS = {
-    # kind -> (population, ns, reps, tol)
-    "clt": ("ranks", (16, 64, 256, 1024), 20000, 0.02),
-    "rerand": ("ranks", (256,), 20000, 0.02),
-    "coverage": ("additive", (200,), 10000, 0.01),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, but this tool reserves 2 for
     # verification failures, so usage problems exit 1.
@@ -389,15 +381,9 @@ def _cmd_factorial(args) -> tuple[dict, int]:
 # simulate and verify
 
 def _experiment_config(args, kind: str) -> experiments.ExperimentConfig:
-    pop_default, ns_default, reps_default, tol_default = _KIND_DEFAULTS[kind]
-    return experiments.ExperimentConfig(
-        kind=kind,
-        seed=args.seed,
-        reps=reps_default if args.reps is None else args.reps,
-        alpha=args.alpha,
-        population=args.pop or pop_default,
-        ns=ns_default if args.ns is None else _parse_ints(args.ns, "--ns"),
-        tol=tol_default if args.tol is None else args.tol,
+    return experiments.default_config(
+        kind, args.seed, reps=args.reps, alpha=args.alpha, population=args.pop,
+        ns=None if args.ns is None else _parse_ints(args.ns, "--ns"), tol=args.tol,
     )
 
 

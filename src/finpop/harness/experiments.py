@@ -33,6 +33,7 @@ from .reports import MetricResult, Report
 
 __all__ = [
     "ExperimentConfig",
+    "default_config",
     "synthetic_population",
     "coverage_table",
     "run_oracle_suite",
@@ -368,7 +369,7 @@ def synthetic_population(name: str, n: int) -> np.ndarray:
 def _ks_distance(sample: np.ndarray, cdf) -> float:
     x = np.sort(np.asarray(sample, dtype=float))
     b = x.size
-    f = np.array([cdf(v) for v in x])
+    f = cdf(x)
     return float(np.max(np.maximum(f - np.arange(b) / b,
                                    np.arange(1, b + 1) / b - f)))
 
@@ -595,36 +596,43 @@ def run_coverage_experiment(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 # suite composition
 
-def _suite_configs(suite, seed, reps, alpha, population, ns, cap):
-    def cfg(kind, default_reps, default_ns, default_pop):
-        return ExperimentConfig(
-            kind=kind,
-            seed=seed,
-            reps=default_reps if reps is None else reps,
-            alpha=alpha,
-            population=default_pop if population is None else population,
-            ns=default_ns if ns is None else tuple(ns),
-            cap=cap,
-        )
+# kind -> (population, ns, reps, tol), the defaults of `finpop simulate` and of
+# the verify suites. The coverage suite runs every table in COVERAGE_TABLES
+# unless a population is given.
+KIND_DEFAULTS = {
+    "oracle": ("ranks", (16,), 1, 0.02),
+    "clt": ("ranks", (16, 64, 256, 1024), 20000, 0.02),
+    "rerand": ("ranks", (256,), 20000, 0.02),
+    "coverage": ("additive", (200,), 10000, 0.01),
+}
 
-    if suite == "oracle":
-        return [("oracle", cfg("oracle", 1, (16,), "ranks"))]
-    if suite == "clt":
-        return [("clt", cfg("clt", 20000, (16, 64, 256, 1024), "ranks"))]
-    if suite == "rerand":
-        return [("rerand", cfg("rerand", 20000, (256,), "ranks"))]
+
+def default_config(kind: str, seed: int, reps: int | None = None, alpha: float = 0.05,
+                   population: str | None = None, ns=None, tol: float | None = None,
+                   cap: int | None = None) -> ExperimentConfig:
+    """ExperimentConfig of `kind` with every field left as None taken from
+    KIND_DEFAULTS."""
+    pop_default, ns_default, reps_default, tol_default = KIND_DEFAULTS[kind]
+    return ExperimentConfig(
+        kind=kind,
+        seed=seed,
+        reps=reps_default if reps is None else reps,
+        alpha=alpha,
+        population=pop_default if population is None else population,
+        ns=ns_default if ns is None else tuple(ns),
+        tol=tol_default if tol is None else tol,
+        cap=cap,
+    )
+
+
+def _suite_configs(suite, seed, reps, alpha, population, ns, cap):
     if suite == "coverage":
-        runs = []
-        for pop in COVERAGE_TABLES if population is None else (population,):
-            label = "coverage_" + pop
-            runs.append((label, ExperimentConfig(
-                kind="coverage", seed=seed,
-                reps=10000 if reps is None else reps,
-                alpha=alpha, population=pop,
-                ns=(200,) if ns is None else tuple(ns),
-                tol=0.01,
-            )))
-        return runs
+        return [
+            ("coverage_" + pop, default_config("coverage", seed, reps, alpha, pop, ns))
+            for pop in (COVERAGE_TABLES if population is None else (population,))
+        ]
+    if suite in KIND_DEFAULTS:
+        return [(suite, default_config(suite, seed, reps, alpha, population, ns, cap=cap))]
     raise ValidationError(f"unknown suite {suite!r}; choose from {list(SUITES)}")
 
 

@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import distlib
 from .designs import (
@@ -106,16 +105,24 @@ class JointTestResult:
 
 def rank_transform(y, policy: str = "strict") -> np.ndarray:
     """Ascending ranks of y. `strict` raises on ties; `midrank` averages the
-    positions of tied values."""
+    positions of tied values.
+
+    Every value must be finite: a NaN or infinite entry raises
+    ValidationError under either policy.
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("rank transform expects a non-empty 1-d array")
     if policy not in ("strict", "midrank"):
         raise ValidationError(f"tie policy must be 'strict' or 'midrank', got {policy!r}")
-    values, counts = np.unique(y, return_counts=True)
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("rank transform expects finite values")
+    values, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
     if policy == "strict" and np.any(counts > 1):
         raise TieError(values[counts > 1].tolist())
-    return rankdata(y, method="average")
+    # A group of c ties ending at position e takes the mean position
+    # e - (c - 1) / 2, a half-integer, so the midranks are exact.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def arm_sums(label_block, values, q: int) -> np.ndarray:

@@ -57,6 +57,20 @@ def test_normal_cdf_frozen_values():
     assert distlib.std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_cdfs_accept_arrays_equal_to_scalar_calls():
+    x = np.array([-np.inf, -40.0, -3.0, -0.0, 0.0, 1e-300, 0.3, 2.5, 37.0, np.inf])
+    normal = distlib.std_normal_cdf(x)
+    assert isinstance(normal, np.ndarray)
+    assert np.array_equal(normal, [distlib.std_normal_cdf(float(v)) for v in x])
+    for df in (1, 2, 7):
+        chi2 = distlib.chi2_cdf(x, df)
+        assert isinstance(chi2, np.ndarray)
+        assert np.array_equal(chi2, [distlib.chi2_cdf(float(v), df) for v in x])
+    assert type(distlib.std_normal_cdf(0.3)) is float
+    assert type(distlib.chi2_cdf(0.3, 2)) is float
+    assert distlib.chi2_cdf(-1.0, 2) == 0.0
+
+
 def test_normal_cdf_symmetry():
     for x in (0.3, 1.7, 4.2):
         total = distlib.std_normal_cdf(x) + distlib.std_normal_cdf(-x)

@@ -26,6 +26,8 @@ from finpop.harness import (
     run_oracle_suite,
     run_suite,
 )
+from finpop import distlib
+from finpop.harness import cli, experiments
 from finpop.harness.cli import main
 from finpop.harness.experiments import synthetic_population
 from finpop.harness.reports import as_jsonable
@@ -475,6 +477,31 @@ def test_cli_simulate_clt(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     names = [m["name"] for m in payload["metrics"]]
     assert "ks_n16" in names
+
+
+@pytest.mark.parametrize("kind", ["clt", "rerand", "coverage"])
+def test_simulate_and_verify_share_experiment_defaults(kind):
+    args = cli.build_parser().parse_args(["simulate", "--kind", kind, "--seed", "4"])
+    (_, suite_config), *_ = experiments._suite_configs(kind, 4, None, 0.05, None, None, None)
+    assert cli._experiment_config(args, kind) == suite_config
+
+
+def _ks_distance_loop(sample, cdf):
+    # reference: one scalar cdf call per draw
+    x = np.sort(np.asarray(sample, dtype=float))
+    b = x.size
+    f = np.array([cdf(v) for v in x])
+    return float(np.max(np.maximum(f - np.arange(b) / b, np.arange(1, b + 1) / b - f)))
+
+
+@pytest.mark.parametrize("cdf", [
+    distlib.std_normal_cdf,
+    lambda v: distlib.chi2_cdf(v, 1),
+    lambda v: distlib.chi2_cdf(v, 3),
+])
+def test_ks_distance_matches_scalar_cdf_loop(cdf):
+    sample = np.random.default_rng(7).standard_normal(2000) * 2.0 + 0.5
+    assert experiments._ks_distance(sample, cdf) == _ks_distance_loop(sample, cdf)
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):

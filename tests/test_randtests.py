@@ -50,6 +50,25 @@ def test_rank_transform_rejects_unknown_policy():
         randtests.rank_transform([1.0, 2.0], "dense")
 
 
+@pytest.mark.parametrize("policy", ["strict", "midrank"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_transform_rejects_non_finite(bad, policy):
+    # a NaN would otherwise fall into one finite tie group and rank silently
+    with pytest.raises(ValidationError, match="finite"):
+        randtests.rank_transform([1.0, bad, 2.0, bad], policy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                min_size=1, max_size=40))
+def test_rank_transform_midrank_matches_scipy_rankdata(values):
+    from scipy.stats import rankdata
+
+    y = np.array(values)
+    assert np.array_equal(randtests.rank_transform(y, "midrank"),
+                          rankdata(y, method="average"))
+
+
 # =========================================================================
 # Two-arm statistics
 # =========================================================================
