@@ -301,6 +301,24 @@ def inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
+def _imbalance_root(x, n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates as an (N, K) array and the inverse root
+    (N / (n_1 n_0) * S2_X)^(-1/2) of the imbalance covariance, after checking
+    that there are N = n_1 + n_0 rows and that the columns are centered."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, np.newaxis]
+    n_total = n1 + n0
+    if x.shape[0] != n_total:
+        raise ValidationError(f"covariates have {x.shape[0]} rows, expected {n_total}")
+    col_means = x.mean(axis=0)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    if np.max(np.abs(col_means)) > 1e-8 * scale:
+        raise ValidationError("covariates must be centered (column means zero)")
+    s2_x = x.T @ x / (n_total - 1)
+    return x, inv_sqrt_psd(n_total / (n1 * n0) * s2_x)
+
+
 def compute_delta(labels, x) -> np.ndarray:
     """Standardized covariate imbalance of a two-arm assignment:
     delta = (N / (n_1 n_0) * S2_X)^(-1/2) (Xbar_1 - Xbar_0),
@@ -308,39 +326,35 @@ def compute_delta(labels, x) -> np.ndarray:
     the centered covariates (divisor N - 1).
     """
     labels = np.asarray(labels)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, np.newaxis]
-    n_total = labels.shape[0]
-    if x.shape[0] != n_total:
-        raise ValidationError(f"covariates have {x.shape[0]} rows, expected {n_total}")
     treated = labels == 1
     control = labels == 2
     n1, n0 = int(treated.sum()), int(control.sum())
-    if n1 + n0 != n_total or n1 == 0 or n0 == 0:
+    if n1 + n0 != labels.shape[0] or n1 == 0 or n0 == 0:
         raise ValidationError("imbalance is defined for two-arm assignments with labels 1 and 2")
-    col_means = x.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(col_means)) > 1e-8 * scale:
-        raise ValidationError("covariates must be centered (column means zero)")
-    s2_x = x.T @ x / (n_total - 1)
+    x, root = _imbalance_root(x, n1, n0)
     tau_x = x[treated].mean(axis=0) - x[control].mean(axis=0)
-    root = inv_sqrt_psd(n_total / (n1 * n0) * s2_x)
     return root @ tau_x
 
 
 def draw_rerandomized(sizes, x, threshold: float, seed, max_tries: int = 100_000):
     """Rejection-sample assignments until the squared imbalance delta'delta
-    falls at or below `threshold`; returns (assignment, tries used)."""
+    falls at or below `threshold`; returns (assignment, tries used).
+
+    The inverse root of the imbalance covariance depends only on x and the
+    arm sizes, so it is computed once; each try then costs one draw and the
+    arm means of x. The result equals a loop of compute_delta calls.
+    """
     sizes = _check_sizes(sizes)
     if len(sizes) != 2:
         raise ValidationError("rerandomization is defined for two-arm designs")
     if max_tries < 1:
         raise ValidationError(f"max_tries must be >= 1, got {max_tries}")
+    x, root = _imbalance_root(x, *sizes)
     rng = as_rng(seed)
     for tries in range(1, max_tries + 1):
         labels = draw_partition(sizes, rng)
-        delta = compute_delta(labels, x)
+        tau_x = x[labels == 1].mean(axis=0) - x[labels == 2].mean(axis=0)
+        delta = root @ tau_x
         if float(delta @ delta) <= threshold:
             return labels, tries
     raise RejectionLimitError(max_tries, accepted=0)

@@ -625,14 +625,14 @@ def default_config(kind: str, seed: int, reps: int | None = None, alpha: float =
     )
 
 
-def _suite_configs(suite, seed, reps, alpha, population, ns, cap):
+def _suite_configs(suite, seed, reps, alpha, population, ns, cap, tol=None):
     if suite == "coverage":
         return [
-            ("coverage_" + pop, default_config("coverage", seed, reps, alpha, pop, ns))
+            ("coverage_" + pop, default_config("coverage", seed, reps, alpha, pop, ns, tol))
             for pop in (COVERAGE_TABLES if population is None else (population,))
         ]
     if suite in KIND_DEFAULTS:
-        return [(suite, default_config(suite, seed, reps, alpha, population, ns, cap=cap))]
+        return [(suite, default_config(suite, seed, reps, alpha, population, ns, tol, cap))]
     raise ValidationError(f"unknown suite {suite!r}; choose from {list(SUITES)}")
 
 
@@ -645,15 +645,17 @@ _RUNNERS = {
 
 
 def run_suite(suite: str, seed: int, reps: int | None = None, alpha: float = 0.05,
-              population: str | None = None, ns=None, cap: int | None = None) -> Report:
-    """Run a named verification suite and merge its component reports."""
+              population: str | None = None, ns=None, cap: int | None = None,
+              tol: float | None = None) -> Report:
+    """Run a named verification suite and merge its component reports; reps,
+    population, ns and tol left as None take their KIND_DEFAULTS values."""
     start = time.perf_counter()
     if suite == "all":
         parts = []
         for name in ("oracle", "clt", "rerand", "coverage"):
-            parts.extend(_suite_configs(name, seed, reps, alpha, population, ns, cap))
+            parts.extend(_suite_configs(name, seed, reps, alpha, population, ns, cap, tol))
     else:
-        parts = _suite_configs(suite, seed, reps, alpha, population, ns, cap)
+        parts = _suite_configs(suite, seed, reps, alpha, population, ns, cap, tol)
     metrics: list[MetricResult] = []
     echoes = []
     for label, config in parts:

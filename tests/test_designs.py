@@ -306,6 +306,29 @@ def test_draw_rerandomized_is_seeded():
     assert np.array_equal(a, b)
 
 
+def _draw_rerandomized_loop(sizes, x, threshold, seed):
+    # reference: the full compute_delta on every try
+    rng = designs.as_rng(seed)
+    tries = 0
+    while True:
+        tries += 1
+        labels = designs.draw_partition(sizes, rng)
+        delta = designs.compute_delta(labels, x)
+        if float(delta @ delta) <= threshold:
+            return labels, tries
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_draw_rerandomized_matches_compute_delta_loop(seed):
+    x = _center(np.random.default_rng(57).normal(size=(30, 3)))
+    threshold = 0.02  # P(chi2_3 <= 0.02) is about 1/1000
+    labels, tries = designs.draw_rerandomized((14, 16), x, threshold, seed)
+    ref_labels, ref_tries = _draw_rerandomized_loop((14, 16), x, threshold, seed)
+    assert tries > 50
+    assert tries == ref_tries
+    assert np.array_equal(labels, ref_labels)
+
+
 def test_draw_rerandomized_gives_up_with_tiny_threshold():
     rng = np.random.default_rng(19)
     x = _center(rng.normal(size=(10, 2)))

@@ -126,6 +126,31 @@ def test_chi2_quantile_sf_roundtrip(df, p):
     assert distlib.chi2_sf(x, df) == pytest.approx(1.0 - p, abs=1e-9)
 
 
+@pytest.mark.parametrize("df", [2.5, 3.0, "2", None])
+def test_chi2_rejects_non_integer_df(df):
+    with pytest.raises(ValidationError):
+        distlib.chi2_cdf(1.0, df)
+    with pytest.raises(ValidationError):
+        distlib.chi2_sf(1.0, df)
+    with pytest.raises(ValidationError):
+        distlib.chi2_quantile(df, 0.5)
+
+
+def test_chi2_accepts_numpy_integer_df():
+    assert distlib.chi2_sf(2.4, np.int64(2)) == distlib.chi2_sf(2.4, 2)
+
+
+def test_chi2_edge_arguments():
+    for df in (1, 2, 5):
+        assert distlib.chi2_sf(-3.0, df) == 1.0
+        assert distlib.chi2_sf(np.inf, df) == 0.0
+        assert np.isnan(distlib.chi2_sf(np.nan, df))
+        assert distlib.chi2_cdf(np.inf, df) == 1.0
+        assert np.isnan(distlib.chi2_cdf(np.nan, df))
+        assert np.array_equal(distlib.chi2_cdf(np.array([-1.0, 0.0, np.inf]), df),
+                              [0.0, 0.0, 1.0])
+
+
 def test_chi2_rejects_bad_df_and_p():
     with pytest.raises(ValidationError):
         distlib.chi2_quantile(0, 0.5)
@@ -243,3 +268,73 @@ def test_oracle_recomputation_with_mpmath():
 
     assert orthant(1.0, 0.3) == pytest.approx(0.72814734065268986242, abs=1e-12)
     assert orthant(-0.5, -0.7) == pytest.approx(0.015152041515459820431, abs=1e-12)
+
+
+# =========================================================================
+# Accuracy against mpmath at 40 digits, on grids
+# =========================================================================
+
+CHI2_DFS = (1, 2, 3, 7, 40, 1000, 4095)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    return mpmath
+
+
+def _chi2_grid(df):
+    # lower tail, body and upper tail out to where the sf nears 1e-300
+    return np.unique(np.concatenate([
+        df * np.logspace(-4.0, 0.0, 12),
+        df * np.linspace(0.05, 3.0, 40),
+        df + np.sqrt(2.0 * df) * np.linspace(0.0, 60.0, 25) + np.linspace(0.0, 1400.0, 25),
+    ]))
+
+
+def test_normal_cdf_accuracy(mp):
+    for x in np.linspace(-8.0, 8.0, 641):
+        ref = mp.ncdf(mp.mpf(float(x)))
+        assert abs(distlib.std_normal_cdf(float(x)) - ref) <= 1e-15, x
+    for x in np.linspace(-37.0, 0.0, 1481):
+        ref = mp.ncdf(mp.mpf(float(x)))
+        assert abs(distlib.std_normal_cdf(float(x)) - ref) <= 1e-13 * ref, x
+
+
+def test_normal_quantile_accuracy(mp):
+    tail = np.logspace(-12.0, np.log10(0.5), 120)
+    for p in np.concatenate([tail, np.linspace(0.01, 0.99, 99), 1.0 - tail]):
+        p = float(p)
+        ref = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1)
+        assert abs(distlib.std_normal_quantile(p) - ref) <= 1e-14, p
+
+
+@pytest.mark.parametrize("df", CHI2_DFS)
+def test_chi2_tails_accuracy(mp, df):
+    a = mp.mpf(df) / 2
+    checked = 0
+    for x in _chi2_grid(df):
+        x = float(x)
+        t = mp.mpf(x) / 2
+        sf = mp.gammainc(a, t, mp.inf, regularized=True)
+        cdf = mp.gammainc(a, 0, t, regularized=True)
+        assert abs(distlib.chi2_cdf(x, df) - cdf) <= 1e-14, x
+        if sf > mp.mpf("1e-300"):
+            assert abs(distlib.chi2_sf(x, df) - sf) <= 1e-12 * sf, x
+            checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("df", CHI2_DFS)
+def test_chi2_quantile_accuracy(mp, df):
+    # the error in x is (F(x) - p) / f(x), from mpmath's F and density f at x
+    a = mp.mpf(df) / 2
+    tail = np.logspace(-6.0, np.log10(0.5), 14)
+    for p in np.concatenate([tail, np.linspace(0.1, 0.9, 9), 1.0 - tail]):
+        p = float(p)
+        x = distlib.chi2_quantile(df, p)
+        t = mp.mpf(x) / 2
+        cdf = mp.gammainc(a, 0, t, regularized=True)
+        density = mp.exp((a - 1) * mp.log(t) - t - mp.loggamma(a)) / 2
+        assert abs((cdf - p) / (density * x)) <= 1e-10, p

@@ -469,6 +469,21 @@ def test_cli_verify_reports_are_reproducible(tmp_path):
     assert payload_a == payload_b
 
 
+def test_cli_verify_tol_reaches_the_gates(capsys):
+    argv = ["verify", "--suite", "coverage", "--seed", "1", "--reps", "200", "--tol", "0.5"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {run["tol"] for run in payload["experiment"]["runs"]} == {0.5}
+    gated = [m for m in payload["metrics"] if m["tolerance"] is not None]
+    assert gated and {m["tolerance"] for m in gated} == {0.5}
+
+
+def test_cli_simulate_rejects_cap(capsys):
+    argv = ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--cap", "10"]
+    assert main(argv) == 1
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_cli_simulate_clt(tmp_path, capsys):
     code = main(
         ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--ns", "16,32"]

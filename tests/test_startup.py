@@ -1,8 +1,9 @@
 """Start-up tests: what importing the CLI loads, checked in fresh interpreters.
 
-Every CLI call pays the import once, so the heavy scipy subpackages stay off
-that path: scipy.stats is not used at all, and scipy.integrate and
-scipy.optimize load on the first call that needs them.
+Every CLI call pays the import once, so scipy stays off that path: the normal
+and chi-square functions come from the standard library, scipy.stats is not
+used at all, and scipy.integrate and scipy.optimize load on the first call
+that needs them (the joint test's orthant probability and critical value).
 """
 
 import os
@@ -14,7 +15,6 @@ import finpop
 from finpop import distlib, randtests
 
 _SRC = str(Path(finpop.__file__).resolve().parents[1])
-_LAZY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
 
 def _fresh_python(code: str) -> str:
@@ -27,10 +27,11 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # no scipy module at all, not only the heavy subpackages
     loaded = _fresh_python(
         "import sys\n"
         "import finpop.harness.cli\n"
-        f"print(sorted(m for m in sys.modules if m.startswith({_LAZY!r})))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     assert loaded == "[]"
 
@@ -41,7 +42,7 @@ def test_lazily_imported_solvers_match_in_process_values():
     out = _fresh_python(
         "import sys\n"
         "from finpop import distlib, randtests\n"
-        f"assert not any(m.startswith({_LAZY!r}) for m in sys.modules)\n"
+        "assert not any(m.startswith('scipy') for m in sys.modules)\n"
         "print(repr(distlib.solve_gamma_c(0.3, 0.05)))\n"
         f"print(repr(randtests.joint_test({labels!r}, {y!r}).p_value))"
     )
@@ -49,3 +50,34 @@ def test_lazily_imported_solvers_match_in_process_values():
         repr(distlib.solve_gamma_c(0.3, 0.05)),
         repr(randtests.joint_test(labels, y).p_value),
     ]
+
+
+def test_cli_calls_without_the_joint_test_load_no_scipy(tmp_path):
+    three_arm = tmp_path / "three.csv"
+    three_arm.write_text("arm,y\n" + "".join(
+        f"{arm},{0.7 * i + arm}\n" for i, arm in enumerate((1, 2, 3) * 4)
+    ))
+    two_arm = tmp_path / "two.csv"
+    two_arm.write_text("arm,y\n" + "".join(
+        f"{arm},{0.3 * i - arm}\n" for i, arm in enumerate((1, 2) * 4)
+    ))
+    iv = tmp_path / "iv.csv"
+    iv.write_text("z,d,y\n" + "".join(
+        f"{z},{d},{1.5 * d + 0.1 * i}\n"
+        for i, (z, d) in enumerate(((1, 1), (1, 1), (1, 0), (0, 0), (0, 1), (0, 0)) * 2)
+    ))
+    calls = [
+        ["estimate", "--data", str(three_arm)],
+        ["test", "--data", str(three_arm), "--stat", "kw", "--method", "normal"],
+        ["test", "--data", str(two_arm), "--stat", "diff", "--method", "exact"],
+        ["iv-ci", "--data", str(iv)],
+    ]
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from finpop.harness import cli\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert out == "[]"
