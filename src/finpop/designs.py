@@ -38,10 +38,13 @@ __all__ = [
     "enumeration_cap",
     "enumerate_partition_blocks",
     "enumerate_partitions",
+    "ArmBlock",
+    "arm_sums",
     "indicator_cov",
     "FactorialSpec",
     "factorial_contrasts",
     "inv_sqrt_psd",
+    "check_centered",
     "compute_delta",
     "draw_rerandomized",
     "cluster_expand",
@@ -211,6 +214,59 @@ def enumerate_partitions(sizes, cap: int | None = None) -> Iterator[np.ndarray]:
     return (row for labels in blocks for row in labels)
 
 
+class ArmBlock:
+    """A (B, N) block of assignments to arms 1..q (q defaults to the largest
+    label; one assignment is a block of one row), indexed once for any number
+    of arm sums, with its (B, q) arm sizes in `counts`.
+
+    Every estimator of a completely randomized design reduces arm sums. Label
+    l of row b goes to bin b q + l - 1 and each sum is one bincount over the
+    bins, so a row's sums accumulate in unit order: they are the same alone
+    as inside any block.
+    """
+
+    def __init__(self, label_block, q: int | None = None):
+        labels = np.asarray(label_block, dtype=np.int64)
+        if labels.ndim not in (1, 2) or labels.size == 0:
+            raise ValidationError(
+                "labels must be a non-empty 1-d vector of arm labels or a (B, N) block of them"
+            )
+        labels = labels.reshape(-1, labels.shape[-1])
+        q = int(labels.max()) if q is None else int(q)
+        if labels.min() < 1 or labels.max() > q:
+            raise ValidationError(f"arm labels must lie in 1..{q}")
+        self.shape = labels.shape
+        self.q = q
+        self.bins = (labels + (q * np.arange(labels.shape[0]) - 1)[:, np.newaxis]).ravel()
+        self.counts = np.bincount(self.bins, minlength=labels.shape[0] * q).reshape(-1, q)
+
+    def sums(self, values) -> np.ndarray:
+        """Arm sums of `values` under every row, (B, q, k): `values` is one
+        (N, k) matrix that every row shares, or a (B, N, k) stack with one
+        matrix per row."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (2, 3) or values.shape[:-1] not in (self.shape[1:], self.shape):
+            raise ValidationError(f"need (N, k) or (B, N, k) values for {self.shape} labels, "
+                                  f"got shape {values.shape}")
+        b, n = self.shape
+        values = np.broadcast_to(values, (b, n, values.shape[-1]))
+        out = np.empty((b, self.q, values.shape[-1]))
+        for j in range(values.shape[-1]):
+            sums = np.bincount(self.bins, values[:, :, j].ravel(), b * self.q)
+            out[:, :, j] = sums.reshape(b, self.q)
+        return out
+
+    def spread(self, arm_values) -> np.ndarray:
+        """(B, q, k) values per arm as (B, N, k), the value of each unit's arm."""
+        flat = np.reshape(arm_values, (self.shape[0] * self.q, -1))
+        return np.take(flat, self.bins, axis=0).reshape(self.shape + (-1,))
+
+
+def arm_sums(label_block, values, q: int) -> np.ndarray:
+    """(B, q, k) arm sums of `values`: `ArmBlock(label_block, q).sums(values)`."""
+    return ArmBlock(label_block, q).sums(values)
+
+
 def indicator_cov(sizes, i: int, j: int, q: int, r: int) -> float:
     """Exact covariance of the arm-membership indicators 1{L_i = q} and
     1{L_j = r} under a uniform random partition.
@@ -301,6 +357,13 @@ def inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
+def check_centered(x: np.ndarray, what: str = "covariates") -> None:
+    """Raise unless every column mean of x is within 1e-8 max(1, max |x|) of 0."""
+    scale = max(1.0, float(np.max(np.abs(x))))
+    if np.max(np.abs(x.mean(axis=0))) > 1e-8 * scale:
+        raise ValidationError(f"{what} must be centered (column means zero)")
+
+
 def _imbalance_root(x, n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     """Covariates as an (N, K) array and the inverse root
     (N / (n_1 n_0) * S2_X)^(-1/2) of the imbalance covariance, after checking
@@ -311,12 +374,15 @@ def _imbalance_root(x, n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     n_total = n1 + n0
     if x.shape[0] != n_total:
         raise ValidationError(f"covariates have {x.shape[0]} rows, expected {n_total}")
-    col_means = x.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(col_means)) > 1e-8 * scale:
-        raise ValidationError("covariates must be centered (column means zero)")
+    check_centered(x)
     s2_x = x.T @ x / (n_total - 1)
     return x, inv_sqrt_psd(n_total / (n1 * n0) * s2_x)
+
+
+def _imbalance(arms: ArmBlock, x, root, n1: int, n0: int) -> np.ndarray:
+    """root (Xbar_1 - Xbar_0) for every row of a two-arm block, (B, K)."""
+    sums = arms.sums(x)
+    return (sums[:, 0] / n1 - sums[:, 1] / n0) @ root.T
 
 
 def compute_delta(labels, x) -> np.ndarray:
@@ -324,16 +390,18 @@ def compute_delta(labels, x) -> np.ndarray:
     delta = (N / (n_1 n_0) * S2_X)^(-1/2) (Xbar_1 - Xbar_0),
     with the symmetric PSD inverse root and S2_X the population covariance of
     the centered covariates (divisor N - 1).
+
+    Length K for one assignment, (B, K) for a block with equal arm sizes.
     """
-    labels = np.asarray(labels)
-    treated = labels == 1
-    control = labels == 2
-    n1, n0 = int(treated.sum()), int(control.sum())
-    if n1 + n0 != labels.shape[0] or n1 == 0 or n0 == 0:
+    arms = ArmBlock(labels, 2)
+    if np.any(arms.counts == 0):
         raise ValidationError("imbalance is defined for two-arm assignments with labels 1 and 2")
+    if np.any(arms.counts != arms.counts[0]):
+        raise ValidationError("every assignment of a block must have the same arm sizes")
+    n1, n0 = (int(c) for c in arms.counts[0])
     x, root = _imbalance_root(x, n1, n0)
-    tau_x = x[treated].mean(axis=0) - x[control].mean(axis=0)
-    return root @ tau_x
+    delta = _imbalance(arms, x, root, n1, n0)
+    return delta[0] if np.ndim(labels) == 1 else delta
 
 
 def draw_rerandomized(sizes, x, threshold: float, seed, max_tries: int = 100_000):
@@ -342,7 +410,7 @@ def draw_rerandomized(sizes, x, threshold: float, seed, max_tries: int = 100_000
 
     The inverse root of the imbalance covariance depends only on x and the
     arm sizes, so it is computed once; each try then costs one draw and the
-    arm means of x. The result equals a loop of compute_delta calls.
+    arm sums of x. The result equals a loop of compute_delta calls.
     """
     sizes = _check_sizes(sizes)
     if len(sizes) != 2:
@@ -353,8 +421,7 @@ def draw_rerandomized(sizes, x, threshold: float, seed, max_tries: int = 100_000
     rng = as_rng(seed)
     for tries in range(1, max_tries + 1):
         labels = draw_partition(sizes, rng)
-        tau_x = x[labels == 1].mean(axis=0) - x[labels == 2].mean(axis=0)
-        delta = root @ tau_x
+        delta = _imbalance(ArmBlock(labels, 2), x, root, *sizes)[0]
         if float(delta @ delta) <= threshold:
             return labels, tries
     raise RejectionLimitError(max_tries, accepted=0)

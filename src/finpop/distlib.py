@@ -115,7 +115,7 @@ def _stirlerr(k: float) -> float:
 def _bd0(k: float, t: np.ndarray) -> np.ndarray:
     """k log(k / t) + t - k elementwise, by a series without cancellation
     where k is near t."""
-    # k / t overflows only for subnormal t, where log(inf) gives a zero term
+    # t >= 2^-1022 here, so k / t overflows only where t^k underflows anyway
     with np.errstate(over="ignore"):
         out = k * _array(_LOG(k / t)) + t - k
     near = np.abs(k - t) < 0.1 * (k + t)
@@ -172,13 +172,20 @@ def _poisson_sum(k: float, t: np.ndarray, up: bool) -> np.ndarray:
 
 def _chi2_tails(x, df: int) -> tuple[np.ndarray, np.ndarray]:
     """(P(X <= x), P(X > x)) elementwise for X chi-square with integer df >= 1."""
-    t = 0.5 * np.array(x, dtype=float, ndmin=1)
+    x = np.array(x, dtype=float, ndmin=1)
+    t = 0.5 * x
     # x <= 0, x = +inf and NaN are set here; the two sums fill the rest
-    lower = np.where(t <= 0.0, 0.0, np.where(t == np.inf, 1.0, np.nan))
+    lower = np.where(x <= 0.0, 0.0, np.where(x == np.inf, 1.0, np.nan))
     upper = 1.0 - lower
     a = 0.5 * df
-    small = (t > 0.0) & (t < a)
-    lower[small] = _poisson_sum(a, t[small], up=True)
+    small = (x > 0.0) & (t < a)
+    # Below 2^-1021 the halving x / 2 is inexact (the smallest subnormal
+    # halves to 0), and the lower series is its first term t^a / Gamma(a + 1)
+    # to double precision, so that term is formed from log x instead.
+    tiny = small & (x < 2.0**-1021)
+    lower[tiny] = _array(_EXP(a * (_array(_LOG(x[tiny])) - math.log(2.0)) - math.lgamma(a + 1.0)))
+    series = small & ~tiny
+    lower[series] = _poisson_sum(a, t[series], up=True)
     upper[small] = 1.0 - lower[small]
     large = (t >= a) & (t < np.inf)
     tl = t[large]

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distlib
-from .designs import FactorialSpec
+from .designs import ArmBlock, FactorialSpec, check_centered
 from .errors import SingularMatrixError, ValidationError
-from .popstats import as_contrast, as_table, pot_cov_structure, unit_contrasts
+from .popstats import as_contrast, as_table, pot_cov_structure, sample_cov
 
 __all__ = [
     "EstimateReport",
@@ -80,42 +80,65 @@ class WaldRegion:
 
 
 def _check_labels(labels, q_arms: int | None = None) -> tuple[np.ndarray, int]:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
+    if np.ndim(labels) != 1:
         raise ValidationError("labels must be a non-empty 1-d vector of arm labels")
-    if q_arms is None:
-        q_arms = int(labels.max())
-    if labels.min() < 1 or labels.max() > q_arms:
-        raise ValidationError(f"arm labels must lie in 1..{q_arms}")
-    return labels.astype(np.int64), q_arms
+    return np.asarray(labels, dtype=np.int64), ArmBlock(labels, q_arms).q
+
+
+def _arm_block(labels, q_arms: int | None = None) -> ArmBlock:
+    """Labels (one assignment, a block or its ArmBlock) as an ArmBlock whose
+    arms are all nonempty in every assignment."""
+    arms = labels if isinstance(labels, ArmBlock) else ArmBlock(labels, q_arms)
+    if q_arms is not None and arms.q != q_arms:
+        raise ValidationError(f"the labels are for {arms.q} arms, expected {q_arms}")
+    if np.any(arms.counts == 0):
+        empty = np.flatnonzero(np.any(arms.counts == 0, axis=0)) + 1
+        raise ValidationError(f"arms {empty.tolist()} have no observations")
+    return arms
 
 
 def arm_sizes(labels, q_arms: int | None = None) -> np.ndarray:
-    """Counts per arm, length Q; every arm must be nonempty."""
-    labels, q_arms = _check_labels(labels, q_arms)
-    counts = np.bincount(labels, minlength=q_arms + 1)[1:]
-    if np.any(counts == 0):
-        empty = np.flatnonzero(counts == 0) + 1
-        raise ValidationError(f"arms {empty.tolist()} have no observations")
-    return counts
+    """Counts per arm: length Q for one assignment, (B, Q) for a (B, N)
+    block or an ArmBlock; every arm of every assignment must be nonempty."""
+    counts = _arm_block(labels, q_arms).counts
+    return counts[0] if np.ndim(labels) == 1 else counts
 
 
-def _as_outcomes(y) -> np.ndarray:
+def _scalar_outcomes(y, what: str) -> np.ndarray:
+    """y as a finite (N, 1) column; `what` starts the error for p > 1."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, np.newaxis]
     if y.ndim != 2 or y.shape[0] == 0:
         raise ValidationError("outcomes must have shape (N,) or (N, p)")
+    if y.shape[1] != 1:
+        raise ValidationError(f"{what} defined for scalar outcomes")
     if not np.all(np.isfinite(y)):
         raise ValidationError("outcomes contain non-finite values")
     return y
 
 
-def _arm_means(labels: np.ndarray, y: np.ndarray, q_arms: int) -> np.ndarray:
-    means = np.empty((q_arms, y.shape[1]))
-    for q in range(1, q_arms + 1):
-        means[q - 1] = y[labels == q].mean(axis=0)
-    return means
+def _block_means(labels, y, contrast):
+    """Checked inputs of the contrast estimators as a block (B = 1 for one
+    assignment): the ArmBlock of the labels, the (B, N, p) outcomes, the
+    (Q, K, p) contrast and the (B, Q, p) arm means."""
+    q_arms = np.asarray(contrast).shape[0]
+    arms = _arm_block(labels, q_arms)
+    lead = np.shape(labels) if np.ndim(labels) == 1 else arms.shape
+    y = np.asarray(y, dtype=float)
+    if y.shape[:len(lead)] != lead or y.ndim > len(lead) + 1:
+        raise ValidationError(f"outcomes must have shape {lead} or {lead} + (p,), got {y.shape}")
+    a = as_contrast(contrast, q_arms)
+    y = y.reshape(arms.shape + (-1,))
+    if a.shape[2] != y.shape[2]:
+        raise ValidationError(
+            f"contrast outcome dimension {a.shape[2]} != data dimension {y.shape[2]}"
+        )
+    means = arms.sums(y) / arms.counts[:, :, np.newaxis]
+    # a non-finite outcome makes its arm's sum non-finite
+    if not np.all(np.isfinite(means)):
+        raise ValidationError("outcomes contain non-finite values or their arm sums overflow")
+    return arms, y, a, means
 
 
 def tau_true(table, contrast) -> np.ndarray:
@@ -126,17 +149,15 @@ def tau_true(table, contrast) -> np.ndarray:
 
 
 def tau_hat(labels, y, contrast) -> np.ndarray:
-    """Plug-in contrast estimate from one realized assignment."""
-    y = _as_outcomes(y)
-    q_arms = np.asarray(contrast).shape[0]
-    labels, _ = _check_labels(labels, q_arms)
-    a = as_contrast(contrast, q_arms)
-    if a.shape[2] != y.shape[1]:
-        raise ValidationError(
-            f"contrast outcome dimension {a.shape[2]} != data dimension {y.shape[1]}"
-        )
-    arm_sizes(labels, q_arms)  # rejects empty arms
-    return np.einsum("qkp,qp->k", a, _arm_means(labels, y, q_arms))
+    """Plug-in contrast estimate sum_q A_q Ybar_hat(q).
+
+    Length K for one assignment (labels (N,), outcomes (N,) or (N, p));
+    (B, K) for a (B, N) label block, or its `designs.ArmBlock`, with outcomes
+    (B, N) or (B, N, p).
+    """
+    _, _, a, means = _block_means(labels, y, contrast)
+    out = np.einsum("qkp,bqp->bk", a, means)
+    return out[0] if np.ndim(labels) == 1 else out
 
 
 def neyman_cov_true(table, contrast, sizes) -> np.ndarray:
@@ -157,35 +178,32 @@ def neyman_cov_true(table, contrast, sizes) -> np.ndarray:
     return cov
 
 
-def _arm_sample_cov(y_arm: np.ndarray) -> np.ndarray:
-    dev = y_arm - y_arm.mean(axis=0)
-    return dev.T @ dev / (y_arm.shape[0] - 1)
-
-
 def cov_estimator(labels, y, contrast) -> np.ndarray:
     """Observable covariance estimator sum_q A_q s2_q A_q' / n_q, with
     arm-wise sample covariances (divisor n_q - 1).
 
     Its expectation exceeds the true covariance by exactly S2_tau / N, so
-    intervals built from it are conservative.
+    intervals built from it are conservative. Inputs are as for `tau_hat`;
+    the result is K x K, or (B, K, K) for a block. Two passes of arm sums,
+    the second over deviations from the arm means, so that a common offset
+    in y cancels before squaring.
     """
-    y = _as_outcomes(y)
-    q_arms = np.asarray(contrast).shape[0]
-    labels, _ = _check_labels(labels, q_arms)
-    a = as_contrast(contrast, q_arms)
-    counts = arm_sizes(labels, q_arms)
+    arms, y, a, means = _block_means(labels, y, contrast)
+    counts = arms.counts
     if np.any(counts < 2):
-        small = np.flatnonzero(counts < 2) + 1
+        small = np.flatnonzero(np.any(counts < 2, axis=0)) + 1
         raise ValidationError(
             f"arms {small.tolist()} have fewer than 2 observations; "
             "sample covariances are undefined"
         )
-    k = a.shape[1]
-    out = np.zeros((k, k))
-    for q in range(1, q_arms + 1):
-        s2 = _arm_sample_cov(y[labels == q])
-        out += a[q - 1] @ s2 @ a[q - 1].T / counts[q - 1]
-    return out
+    b, n, p = y.shape
+    dev = arms.spread(means)
+    np.subtract(y, dev, out=dev)
+    products = np.einsum("bnp,bnr->bnpr", dev, dev).reshape(b, n, p * p)
+    s2 = arms.sums(products).reshape(counts.shape + (p, p))
+    s2 /= (counts * (counts - 1))[:, :, np.newaxis, np.newaxis]
+    out = np.einsum("qkp,bqpr,qlr->bkl", a, s2, a)
+    return out[0] if np.ndim(labels) == 1 else out
 
 
 def wald_region(report: EstimateReport, alpha: float) -> WaldRegion:
@@ -211,27 +229,13 @@ def wald_region(report: EstimateReport, alpha: float) -> WaldRegion:
 def neyman_ci(labels, y, alpha: float) -> tuple[float, float]:
     """Two-arm scalar confidence interval
     tau_hat +/- Phi^{-1}(1 - alpha/2) (s2_1/n_1 + s2_0/n_0)^{1/2}."""
-    y = _as_outcomes(y)
-    if y.shape[1] != 1:
-        raise ValidationError("this interval is defined for scalar outcomes")
-    labels, q_arms = _check_labels(labels)
-    if q_arms != 2:
-        raise ValidationError("this interval is defined for two-arm data")
+    y = _scalar_outcomes(y, "this interval is")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    counts = arm_sizes(labels, 2)
-    if np.any(counts < 2):
-        raise ValidationError("both arms need at least 2 observations")
     point = float(tau_hat(labels, y, [1.0, -1.0])[0])
     v = float(cov_estimator(labels, y, [1.0, -1.0])[0, 0])
     half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * float(np.sqrt(v))
     return point - half, point + half
-
-
-def _check_centered(x: np.ndarray, what: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(x.mean(axis=0))) > 1e-8 * scale:
-        raise ValidationError(f"{what} must be centered (column means zero)")
 
 
 def _as_covariates(x, n: int) -> np.ndarray:
@@ -257,35 +261,41 @@ def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
     is justified asymptotically (not exactly) and tagged accordingly by
     callers that do so.
     """
-    y = _as_outcomes(y)
-    if y.shape[1] != 1:
-        raise ValidationError("regression adjustment is defined for scalar outcomes")
+    y = _scalar_outcomes(y, "regression adjustment is")
     labels, q_arms = _check_labels(labels)
     if q_arms != 2:
         raise ValidationError("regression adjustment is defined for two-arm data")
     x = _as_covariates(x, y.shape[0])
-    _check_centered(x, "covariates")
-    beta1 = np.atleast_1d(np.asarray(beta1, dtype=float))
-    beta0 = np.atleast_1d(np.asarray(beta0, dtype=float))
-    if beta1.shape != (x.shape[1],) or beta0.shape != (x.shape[1],):
-        raise ValidationError(f"coefficients must have length {x.shape[1]}")
+    check_centered(x)
     counts = arm_sizes(labels, 2)
     if np.any(counts < 2):
         raise ValidationError("both arms need at least 2 observations")
-    adj1 = y[:, 0] - x @ beta1
-    adj0 = y[:, 0] - x @ beta0
-    treated = labels == 1
-    control = labels == 2
-    point = adj1[treated].mean() - adj0[control].mean()
-    var = float(np.var(adj1[treated], ddof=1)) / counts[0] + float(
-        np.var(adj0[control], ddof=1)
-    ) / counts[1]
+    point, var = _adjusted_difference(labels, y[:, 0], x, beta1, beta0, counts)
     return EstimateReport(
         point=np.array([point]),
         cov=np.array([[var]]),
         sizes=(int(counts[0]), int(counts[1])),
         method="regression_adjusted",
     )
+
+
+def _adjusted_difference(labels, y, x, beta1, beta0, counts) -> tuple[float, float]:
+    """The two-arm core of regression_adjusted and cluster_adjusted on checked
+    inputs: the difference in arm means of y - x beta1 (arm 1) and y - x beta0
+    (arm 2), and its variance estimate s2_1(beta1)/n_1 + s2_0(beta0)/n_0."""
+    beta1 = np.atleast_1d(np.asarray(beta1, dtype=float))
+    beta0 = np.atleast_1d(np.asarray(beta0, dtype=float))
+    if beta1.shape != (x.shape[1],) or beta0.shape != (x.shape[1],):
+        raise ValidationError(f"coefficients must have length {x.shape[1]}")
+    adj1 = y - x @ beta1
+    adj0 = y - x @ beta0
+    treated = labels == 1
+    control = labels == 2
+    point = adj1[treated].mean() - adj0[control].mean()
+    var = float(np.var(adj1[treated], ddof=1)) / counts[0] + float(
+        np.var(adj0[control], ddof=1)
+    ) / counts[1]
+    return point, var
 
 
 def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what: str) -> np.ndarray:
@@ -301,9 +311,7 @@ def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what: str) -> np.ndarray:
 def fit_ls_coefs(labels, y, x) -> tuple[np.ndarray, np.ndarray]:
     """Arm-wise least-squares slopes of Y on X:
     beta_z = (arm sample cov of X)^{-1} (arm sample cov of X with Y)."""
-    y = _as_outcomes(y)
-    if y.shape[1] != 1:
-        raise ValidationError("least-squares adjustment is defined for scalar outcomes")
+    y = _scalar_outcomes(y, "least-squares adjustment is")
     labels, q_arms = _check_labels(labels)
     if q_arms != 2:
         raise ValidationError("least-squares adjustment is defined for two-arm data")
@@ -316,12 +324,7 @@ def fit_ls_coefs(labels, y, x) -> tuple[np.ndarray, np.ndarray]:
     coefs = []
     for q in (1, 2):
         mask = labels == q
-        dev_x = x[mask] - x[mask].mean(axis=0)
-        dev_y = y[mask, 0] - y[mask, 0].mean()
-        n_q = int(mask.sum())
-        s_xx = dev_x.T @ dev_x / (n_q - 1)
-        s_xy = dev_x.T @ dev_y / (n_q - 1)
-        coefs.append(_ls_solve(s_xx, s_xy, f"arm {q}"))
+        coefs.append(_ls_solve(sample_cov(x[mask]), sample_cov(x[mask], y[mask, 0]), f"arm {q}"))
     return coefs[0], coefs[1]
 
 
@@ -332,12 +335,7 @@ def finite_pop_ls(y_col, x) -> np.ndarray:
     if y_col.ndim != 1 or y_col.size < 2:
         raise ValidationError("need a 1-d outcome column with N >= 2")
     x = _as_covariates(x, y_col.size)
-    dev_x = x - x.mean(axis=0)
-    dev_y = y_col - y_col.mean()
-    n = y_col.size
-    s_xx = dev_x.T @ dev_x / (n - 1)
-    s_xy = dev_x.T @ dev_y / (n - 1)
-    return _ls_solve(s_xx, s_xy, "population")
+    return _ls_solve(sample_cov(x), sample_cov(x, y_col), "population")
 
 
 def cluster_adjusted(
@@ -363,29 +361,21 @@ def cluster_adjusted(
         raise ValidationError(f"unit count {n_units} below cluster count {m_clusters}")
     if x_totals is None:
         x = np.zeros((m_clusters, 1))
-        gamma1 = gamma1 if gamma1 is not None else np.zeros(1)
-        gamma0 = gamma0 if gamma0 is not None else np.zeros(1)
     else:
         x = _as_covariates(x_totals, m_clusters)
-        _check_centered(x, "cluster covariate totals")
-        gamma1 = np.zeros(x.shape[1]) if gamma1 is None else np.atleast_1d(np.asarray(gamma1, float))
-        gamma0 = np.zeros(x.shape[1]) if gamma0 is None else np.atleast_1d(np.asarray(gamma0, float))
+        check_centered(x, "cluster covariate totals")
+    zeros = np.zeros(x.shape[1])
     counts = arm_sizes(cluster_labels, 2)
     if np.any(counts < 2):
         raise ValidationError("both cluster arms need at least 2 clusters")
-    adj1 = y_totals - x @ gamma1
-    adj0 = y_totals - x @ gamma0
-    treated = cluster_labels == 1
-    control = cluster_labels == 2
-    scale = m_clusters / n_units
-    point = scale * (adj1[treated].mean() - adj0[control].mean())
-    var = scale**2 * (
-        float(np.var(adj1[treated], ddof=1)) / counts[0]
-        + float(np.var(adj0[control], ddof=1)) / counts[1]
+    point, var = _adjusted_difference(
+        cluster_labels, y_totals, x,
+        zeros if gamma1 is None else gamma1, zeros if gamma0 is None else gamma0, counts,
     )
+    scale = m_clusters / n_units
     return EstimateReport(
-        point=np.array([point]),
-        cov=np.array([[var]]),
+        point=np.array([scale * point]),
+        cov=np.array([[scale**2 * var]]),
         sizes=(int(counts[0]), int(counts[1])),
         method="cluster_adjusted",
     )
@@ -394,13 +384,8 @@ def cluster_adjusted(
 def factorial_effects(labels, y, spec: FactorialSpec) -> np.ndarray:
     """All 2^K - 1 factorial effect estimates:
     tau_hat_k = 2^{-(K-1)} sum_q g_kq Ybar_hat(q)."""
-    y = _as_outcomes(y)
-    if y.shape[1] != 1:
-        raise ValidationError("factorial effects are defined for scalar outcomes")
-    labels, _ = _check_labels(labels, spec.q_arms)
-    arm_sizes(labels, spec.q_arms)
-    means = _arm_means(labels, y, spec.q_arms)[:, 0]
-    return 2.0 ** (-(spec.k - 1)) * (spec.generators.T @ means)
+    y = _scalar_outcomes(y, "factorial effects are")
+    return tau_hat(labels, y, 2.0 ** (-(spec.k - 1)) * spec.generators)
 
 
 def factorial_null_moments(v_n: float, sizes, spec: FactorialSpec):

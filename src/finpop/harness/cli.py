@@ -188,23 +188,18 @@ def _estimate_regression(data: ingest.ObservedData, alpha: float) -> dict:
 
 
 def _cluster_totals(data: ingest.ObservedData):
-    m = int(data.clusters.max())
-    arm_of = np.zeros(m, dtype=np.int64)
-    for j in range(1, m + 1):
-        arms = np.unique(data.labels[data.clusters == j])
-        if arms.size != 1:
-            raise ValidationError(f"cluster {j} spans arms {arms.tolist()}")
-        arm_of[j - 1] = arms[0]
-    y_tot = np.bincount(data.clusters, weights=data.y)[1:]
-    x_tot = None
-    if data.x is not None:
-        x_tot = np.stack(
-            [np.bincount(data.clusters, weights=data.x[:, k])[1:]
-             for k in range(data.x.shape[1])],
-            axis=1,
-        )
-        x_tot = x_tot - x_tot.mean(axis=0)
-    return arm_of, y_tot, x_tot
+    # clusters are the arms of one assignment: their totals are arm sums
+    clusters = designs.ArmBlock(data.clusters)
+    columns = [data.labels, data.labels**2, data.y] + ([] if data.x is None else [data.x])
+    totals = clusters.sums(np.column_stack(columns))[0]
+    sizes = clusters.counts[0]
+    # a cluster lies in one arm when its labels have zero variance
+    mixed = np.flatnonzero(totals[:, 0] ** 2 != sizes * totals[:, 1])
+    if mixed.size:
+        arms = np.unique(data.labels[data.clusters == mixed[0] + 1])
+        raise ValidationError(f"cluster {mixed[0] + 1} spans arms {arms.tolist()}")
+    x_tot = None if data.x is None else totals[:, 3:] - totals[:, 3:].mean(axis=0)
+    return (totals[:, 0] / sizes).astype(np.int64), totals[:, 2], x_tot
 
 
 def _estimate_cluster(data: ingest.ObservedData, alpha: float) -> dict:

@@ -14,6 +14,11 @@ Three campaign families:
 * run_coverage_experiment: empirical coverage of the two-arm normal interval
   and the chi-square Wald region over random assignments of a fixed table.
 
+The campaigns check the code that ships: every estimate, variance estimate
+and imbalance is computed by `estimators`, `designs` or `randtests` on whole
+blocks of enumerated or drawn assignments (their block forms reduce
+`designs.arm_sums`), never by a copy of the formula here.
+
 Randomness is drawn from generators derived as (seed, stream ints) per chunk
 of at most 4096 replicates, so any chunk is reproducible in isolation and a
 replicate-parallel run reduces to the same metric values as a serial one.
@@ -167,20 +172,31 @@ _REG_TABLE = np.array([
 ])
 
 
+def _slices(labels: np.ndarray) -> list[np.ndarray]:
+    # slices of 2^17 labels keep an estimator call's temporaries in cache
+    rows = max(1, (1 << 17) // labels.shape[1])
+    return np.split(labels, range(rows, labels.shape[0], rows))
+
+
+def _observed(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Observed outcomes table[i, labels[b, i] - 1] of a (B, N) label block."""
+    n, q_arms = table.shape
+    return table.ravel()[labels + (q_arms * np.arange(n) - 1)]
+
+
 def _enumerated_estimates(table, sizes, contrast, cap, with_vhat: bool):
     """Stack tau_hat (and optionally the variance estimate) over every
     assignment of the design."""
     table = np.asarray(table, dtype=float)
-    n = table.shape[0]
-    idx = np.arange(n)
     taus, vhats = [], []
-    for labels in designs.enumerate_partitions(sizes, cap):
-        y = table[idx, labels - 1]
-        taus.append(estimators.tau_hat(labels, y, contrast))
+    for labels in designs.enumerate_partition_blocks(sizes, cap):
+        arms = designs.ArmBlock(labels, len(sizes))
+        y = _observed(table, labels)
+        taus.append(estimators.tau_hat(arms, y, contrast))
         if with_vhat:
-            vhats.append(estimators.cov_estimator(labels, y, contrast))
-    taus = np.stack(taus)
-    vhats = np.stack(vhats) if with_vhat else None
+            vhats.append(estimators.cov_estimator(arms, y, contrast))
+    taus = np.concatenate(taus)
+    vhats = np.concatenate(vhats) if with_vhat else None
     return taus, vhats
 
 
@@ -219,23 +235,17 @@ def _indicator_metric(metrics, sizes, cap):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     q_arms = len(sizes)
-    inds = np.stack([
-        (labels[:, np.newaxis] == np.arange(1, q_arms + 1)).astype(float)
-        for labels in designs.enumerate_partitions(sizes, cap)
-    ])  # (count, N, Q)
+    labels = np.concatenate(list(designs.enumerate_partition_blocks(sizes, cap)))
+    inds = (labels[:, :, np.newaxis] == np.arange(1, q_arms + 1)).astype(float)  # (count, N, Q)
     count = inds.shape[0]
     emp_mean = inds.mean(axis=0)
     flat = inds.reshape(count, n * q_arms)
     emp_cov = flat.T @ flat / count - np.outer(emp_mean.ravel(), emp_mean.ravel())
-    gap = 0.0
-    for i in range(n):
-        for q in range(1, q_arms + 1):
-            gap = max(gap, abs(emp_mean[i, q - 1] - sizes[q - 1] / n))
-            for j in range(n):
-                for r in range(1, q_arms + 1):
-                    truth = designs.indicator_cov(sizes, i, j, q, r)
-                    emp = emp_cov[i * q_arms + q - 1, j * q_arms + r - 1]
-                    gap = max(gap, abs(emp - truth))
+    cells = [(i, q) for i in range(n) for q in range(1, q_arms + 1)]  # columns of flat
+    truth = np.array([[designs.indicator_cov(sizes, i, j, q, r) for j, r in cells]
+                      for i, q in cells])
+    gap = max(np.max(np.abs(emp_mean - np.asarray(sizes) / n)),
+              np.max(np.abs(emp_cov - truth)))
     metrics.append(_gap_metric(
         "indicator_cov_gap", gap, _INDICATOR_TOL,
         "membership-indicator means and covariances over all assignments vs "
@@ -247,9 +257,9 @@ def _rank_cov_metric(metrics, sizes, cap):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     ranks = np.arange(1.0, n + 1.0)  # sharp null: ranks are fixed over assignments
-    stats = np.stack([
+    stats = np.concatenate([
         randtests.standardized_rank_means(labels, ranks)
-        for labels in designs.enumerate_partitions(sizes, cap)
+        for labels in designs.enumerate_partition_blocks(sizes, cap)
     ])
     mean_gap = np.max(np.abs(stats.mean(axis=0)))
     cov_gap = np.max(np.abs(_pop_cov(stats) - randtests.rank_null_cov(sizes)))
@@ -262,25 +272,18 @@ def _rank_cov_metric(metrics, sizes, cap):
 
 def _regression_metric(metrics, cap):
     table, x = _REG_TABLE, _REG_X
-    sizes = (3, 3)
-    n = table.shape[0]
-    idx = np.arange(n)
     beta_fixed = (np.zeros(1), np.zeros(1))
     beta_opt = (
         estimators.finite_pop_ls(table[:, 0], x),
         estimators.finite_pop_ls(table[:, 1], x),
     )
-    fixed_vals, opt_vals = [], []
-    for labels in designs.enumerate_partitions(sizes, cap):
-        y = table[idx, labels - 1]
-        fixed_vals.append(
-            estimators.regression_adjusted(labels, y, x, *beta_fixed).point[0]
-        )
-        opt_vals.append(
-            estimators.regression_adjusted(labels, y, x, *beta_opt).point[0]
-        )
-    fixed_vals = np.asarray(fixed_vals)
-    opt_vals = np.asarray(opt_vals)
+    labels = np.concatenate(list(designs.enumerate_partition_blocks((3, 3), cap)))
+    observed = _observed(table, labels)
+    fixed_vals, opt_vals = np.array([
+        [estimators.regression_adjusted(lab, y, x, *beta).point[0]
+         for lab, y in zip(labels, observed)]
+        for beta in (beta_fixed, beta_opt)
+    ])
     var_gap = abs(
         (np.var(fixed_vals) - np.var(opt_vals)) - np.var(fixed_vals - opt_vals)
     )
@@ -454,15 +457,11 @@ def _run_clt_rerand(config: ExperimentConfig, metrics: list) -> None:
         x = _rerand_covariates(n_total, k, config.seed, n_index)
         n1 = n_total // 2
         n0 = n_total - n1
-        s2_x = x.T @ x / (n_total - 1)
-        root = designs.inv_sqrt_psd(n_total / (n1 * n0) * s2_x)
         q_stats = np.empty(config.reps)
         done = 0
         for m, rng in _batched(config.reps, config.seed, _STREAM_ASSIGN, n_index):
-            labels = designs.draw_partition_batch((n1, n0), m, rng)
-            mask = labels == 1
-            tau_x = (mask @ x) / n1 - ((~mask) @ x) / n0
-            delta = tau_x @ root.T
+            drawn = designs.draw_partition_batch((n1, n0), m, rng)
+            delta = np.concatenate([designs.compute_delta(labels, x) for labels in _slices(drawn)])
             q_stats[done:done + m] = np.einsum("ij,ij->i", delta, delta)
             done += m
         ks = _ks_distance(q_stats, lambda v: distlib.chi2_cdf(v, k))
@@ -525,28 +524,21 @@ def coverage_table(kind: str, n: int) -> np.ndarray:
 
 def _coverage_counts(table, n1, reps, seed, n_index, alpha):
     n_total = table.shape[0]
-    n0 = n_total - n1
-    y1, y0 = table[:, 0], table[:, 1]
-    tau = float(y1.mean() - y0.mean())
+    contrast = [1.0, -1.0]
+    tau = float(estimators.tau_true(table, contrast)[0])
     z_half = distlib.std_normal_quantile(1.0 - alpha / 2.0)
     chi_q = distlib.chi2_quantile(1, 1.0 - alpha)
     neyman_hits = 0
     wald_hits = 0
     for m, rng in _batched(reps, seed, _STREAM_ASSIGN, n_index):
-        labels = designs.draw_partition_batch((n1, n0), m, rng)
-        mask = labels == 1
-        s1 = mask @ y1
-        s0 = (~mask) @ y0
-        m1, m0 = s1 / n1, s0 / n0
-        sq1 = mask @ (y1 * y1)
-        sq0 = (~mask) @ (y0 * y0)
-        var1 = (sq1 - n1 * m1 * m1) / (n1 - 1)
-        var0 = (sq0 - n0 * m0 * m0) / (n0 - 1)
-        tau_hat = m1 - m0
-        v_hat = var1 / n1 + var0 / n0
-        err = np.abs(tau_hat - tau)
-        neyman_hits += int(np.sum(err <= z_half * np.sqrt(v_hat)))
-        wald_hits += int(np.sum(err * err <= chi_q * v_hat))
+        drawn = designs.draw_partition_batch((n1, n_total - n1), m, rng)
+        for labels in _slices(drawn):
+            arms = designs.ArmBlock(labels, 2)
+            y = _observed(table, labels)
+            err = np.abs(estimators.tau_hat(arms, y, contrast)[:, 0] - tau)
+            v_hat = estimators.cov_estimator(arms, y, contrast)[:, 0, 0]
+            neyman_hits += int(np.sum(err <= z_half * np.sqrt(v_hat)))
+            wald_hits += int(np.sum(err * err <= chi_q * v_hat))
     return neyman_hits / reps, wald_hits / reps, tau
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import distlib
 from .errors import DegenerateInputError, InternalCheckError, ValidationError
+from .popstats import sample_cov
 
 __all__ = [
     "IVSummary",
@@ -111,10 +112,6 @@ def _check_iv(z, d, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     return z.astype(bool), d, y, n1, n0
 
 
-def _pooled_cov(u: np.ndarray, v: np.ndarray) -> float:
-    return float((u - u.mean()) @ (v - v.mean()) / (u.size - 1))
-
-
 def iv_summary(z, d, y, alpha: float) -> IVSummary:
     """Pooled moments and the eta threshold used by the confidence set."""
     if not 0.0 < alpha < 1.0:
@@ -127,9 +124,9 @@ def iv_summary(z, d, y, alpha: float) -> IVSummary:
     return IVSummary(
         tau_hat_y=float(y[z].mean() - y[~z].mean()),
         tau_hat_d=float(d[z].mean() - d[~z].mean()),
-        s2_y=_pooled_cov(y, y),
-        s2_d=_pooled_cov(d, d),
-        s_yd=_pooled_cov(y, d),
+        s2_y=sample_cov(y),
+        s2_d=sample_cov(d),
+        s_yd=sample_cov(y, d),
         eta=n / (n1 * n0) * quantile**2,
         n1=n1,
         n0=n0,
@@ -158,7 +155,7 @@ def adjusted_stat(z, d, y, beta: float) -> tuple[float, float]:
         raise InternalCheckError(
             f"adjusted-statistic forms disagree: {form1!r}, {form2!r}, {form3!r}"
         )
-    s2_a = _pooled_cov(y, y) + beta**2 * _pooled_cov(d, d) - 2.0 * beta * _pooled_cov(y, d)
+    s2_a = sample_cov(y) + beta**2 * sample_cov(d) - 2.0 * beta * sample_cov(y, d)
     return form1, n / (n1 * n0) * s2_a
 
 
@@ -227,9 +224,9 @@ def iv_condition_stat(z, d, y) -> IVConditionStat:
     z, d, y, n1, n0 = _check_iv(z, d, y)
     if n1 + n0 < 2:
         raise ValidationError("need at least two units")
-    s2_y = _pooled_cov(y, y)
-    s2_d = _pooled_cov(d, d)
-    s_yd = _pooled_cov(y, d)
+    s2_y = sample_cov(y)
+    s2_d = sample_cov(d)
+    s_yd = sample_cov(y, d)
     if s2_y == 0.0 or s2_d == 0.0:
         return IVConditionStat(value=float("nan"), degenerate=True)
     den_y = s2_y - s_yd**2 / s2_d

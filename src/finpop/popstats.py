@@ -20,6 +20,7 @@ __all__ = [
     "CovStructure",
     "CREConditionStats",
     "pop_moments",
+    "sample_cov",
     "srs_mean_var",
     "hajek_condition_stat",
     "partition_condition_stat",
@@ -97,6 +98,16 @@ def pop_moments(values) -> PopMoments:
         return PopMoments(mean=mean, variance=0.0, max_sq_dev=0.0)
     variance = float(dev @ dev / (n - 1))
     return PopMoments(mean=mean, variance=variance, max_sq_dev=float(np.max(dev * dev)))
+
+
+def sample_cov(u, v=None):
+    """Covariance (divisor N - 1) of the columns of u with those of v
+    (default u): an array for (N, K) inputs, a float for two vectors."""
+    u = np.asarray(u, dtype=float)
+    dev_u = u - u.mean(axis=0)
+    dev_v = dev_u if v is None else np.asarray(v, dtype=float) - np.mean(v, axis=0)
+    out = dev_u.T @ dev_v / (u.shape[0] - 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def srs_mean_var(values, n: int) -> tuple[float, float]:
@@ -216,10 +227,6 @@ def unit_contrasts(table, contrast) -> np.ndarray:
     return np.einsum("nqp,qkp->nk", t, a)
 
 
-def _cov(dev_x: np.ndarray, dev_y: np.ndarray) -> np.ndarray:
-    return dev_x.T @ dev_y / (dev_x.shape[0] - 1)
-
-
 def pot_cov_structure(table, contrast) -> CovStructure:
     """Within-arm, between-arm, and contrast covariances of a potential table.
 
@@ -228,19 +235,16 @@ def pot_cov_structure(table, contrast) -> CovStructure:
     holds exactly because every unit carries a full row of potential outcomes.
     """
     t = as_table(table)
-    n, q_arms, _p = t.shape
+    n, q_arms, p = t.shape
     if n < 2:
         raise DegenerateInputError("covariances need at least two units")
     a = as_contrast(contrast, q_arms)
-    dev = t - t.mean(axis=0)
-    s2_within = np.stack([_cov(dev[:, q], dev[:, q]) for q in range(q_arms)])
-    s_between = np.stack(
-        [np.stack([_cov(dev[:, q], dev[:, r]) for r in range(q_arms)]) for q in range(q_arms)]
-    )
-    tau_i = unit_contrasts(t, a)
-    tau_dev = tau_i - tau_i.mean(axis=0)
+    full = sample_cov(t.reshape(n, q_arms * p)).reshape(q_arms, p, q_arms, p)
+    s_between = full.transpose(0, 2, 1, 3)
     return CovStructure(
-        s2_within=s2_within, s_between=s_between, s2_tau=_cov(tau_dev, tau_dev)
+        s2_within=s_between[np.arange(q_arms), np.arange(q_arms)],
+        s_between=s_between,
+        s2_tau=sample_cov(unit_contrasts(t, a)),
     )
 
 

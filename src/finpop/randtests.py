@@ -9,9 +9,9 @@ maximum of two correlated standardized statistics.
 
 Every statistic the CLI tests is a reduction of the Q arm sums of a vector
 that does not change across assignments (the outcomes, or their ranks).
-`arm_sums` computes those sums for a whole block of assignments at once, and
-`SumStatistic` pairs it with the reduction, so the exact and Monte Carlo
-engines evaluate a block of assignments per call instead of one.
+`designs.arm_sums` computes those sums for a whole block of assignments at
+once, and `SumStatistic` pairs it with the reduction, so the exact and Monte
+Carlo engines evaluate a block of assignments per call instead of one.
 
 Ranks default to the strict no-ties policy. Midranks are opt-in; with ties
 present the rank-variance identities that the no-ties theory relies on (for
@@ -29,6 +29,7 @@ import numpy as np
 
 from . import distlib
 from .designs import (
+    arm_sums,
     as_rng,
     draw_partition_batch,
     enumerate_partition_blocks,
@@ -40,14 +41,13 @@ from .errors import (
     TieError,
     ValidationError,
 )
-from .estimators import arm_sizes
-from .popstats import pop_moments
+from .estimators import arm_sizes, tau_hat
+from .popstats import pop_moments, sample_cov
 
 __all__ = [
     "TestResult",
     "JointTestResult",
     "rank_transform",
-    "arm_sums",
     "SumStatistic",
     "sum_statistic",
     "diff_in_means_stat",
@@ -123,32 +123,6 @@ def rank_transform(y, policy: str = "strict") -> np.ndarray:
     # A group of c ties ending at position e takes the mean position
     # e - (c - 1) / 2, a half-integer, so the midranks are exact.
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
-def arm_sums(label_block, values, q: int) -> np.ndarray:
-    """Arm sums of the fixed (N, k) matrix `values` under every row of a
-    (B, N) block of labels 1..q, as a (B, q, k) array.
-
-    One offset bincount per column: label l of row b goes to bin b q + l - 1,
-    so every row's sums accumulate in unit order whatever the block size, and
-    a row gives the same sums alone as inside any block.
-    """
-    labels = np.asarray(label_block, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    if labels.ndim != 2 or values.ndim != 2 or values.shape[0] != labels.shape[1]:
-        raise ValidationError(
-            f"need a (B, N) label block and (N, k) values, got shapes "
-            f"{labels.shape} and {values.shape}"
-        )
-    if labels.size and (labels.min() < 1 or labels.max() > q):
-        raise ValidationError(f"arm labels must lie in 1..{q}")
-    b, n = labels.shape
-    bins = (labels - 1 + q * np.arange(b)[:, np.newaxis]).ravel()
-    out = np.empty((b, q, values.shape[1]))
-    for j in range(values.shape[1]):
-        weights = np.broadcast_to(values[:, j], (b, n)).ravel()
-        out[:, :, j] = np.bincount(bins, weights, minlength=b * q).reshape(b, q)
-    return out
 
 
 class SumStatistic:
@@ -232,22 +206,12 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
     return SumStatistic(centered, q, reduce)
 
 
-def _two_arm_means(labels, y) -> tuple[float, float, int, int]:
-    labels = np.asarray(labels)
-    y = np.asarray(y, dtype=float)
-    counts = arm_sizes(labels, 2)
-    return (
-        float(y[labels == 1].mean()),
-        float(y[labels == 2].mean()),
-        int(counts[0]),
-        int(counts[1]),
-    )
-
-
 def diff_in_means_stat(labels, y) -> float:
     """Treated-minus-control mean difference (arm 1 minus arm 2)."""
-    m1, m0, _, _ = _two_arm_means(labels, y)
-    return m1 - m0
+    labels = np.asarray(labels)
+    y = np.asarray(y, dtype=float)
+    arm_sizes(labels, 2)  # two nonempty arms
+    return float(y[labels == 1].mean()) - float(y[labels == 2].mean())
 
 
 def wilcoxon_stat(labels, y, tie_policy: str = "strict") -> float:
@@ -260,21 +224,20 @@ def standardized_rank_means(labels, ranks) -> np.ndarray:
     sqrt(12 n_q / ((N + 1)(N - n_q))) (Rbar_q - (N + 1) / 2).
 
     Requires untied ranks (a permutation of 1..N); the vector has exact null
-    mean zero and covariance rank_null_cov(sizes).
+    mean zero and covariance rank_null_cov(sizes). Length Q for one
+    assignment, (B, Q) for a (B, N) label block with ranks (N,) or (B, N).
     """
+    counts = arm_sizes(labels)
     labels = np.asarray(labels)
     ranks = np.asarray(ranks, dtype=float)
-    n = ranks.size
-    if not np.array_equal(np.sort(ranks), np.arange(1, n + 1, dtype=float)):
+    n = labels.shape[-1]
+    if ranks.shape not in ((n,), labels.shape):
+        raise ValidationError(f"ranks must have shape ({n},) or {labels.shape}, got {ranks.shape}")
+    if np.any(np.sort(ranks, axis=-1) != np.arange(1, n + 1)):
         raise TieError(ranks.tolist())
-    counts = arm_sizes(labels)
-    q_arms = counts.size
-    out = np.empty(q_arms)
-    for q in range(1, q_arms + 1):
-        n_q = counts[q - 1]
-        r_bar = ranks[labels == q].mean()
-        out[q - 1] = np.sqrt(12.0 * n_q / ((n + 1.0) * (n - n_q))) * (r_bar - (n + 1.0) / 2.0)
-    return out
+    ranks = np.broadcast_to(ranks, labels.shape)
+    r_bar = tau_hat(labels, ranks, np.eye(counts.shape[-1]))  # the arm means
+    return np.sqrt(12.0 * counts / ((n + 1.0) * (n - counts))) * (r_bar - (n + 1.0) / 2.0)
 
 
 def rank_null_cov(sizes) -> np.ndarray:
@@ -317,7 +280,7 @@ def kruskal_wallis(labels, y, tie_policy: str = "strict") -> TestResult:
             method="chi2_approx,degenerate",
             null_mean=float(q_arms - 1),
         )
-    arm_means = np.array([ranks[labels == q].mean() for q in range(1, q_arms + 1)])
+    arm_means = tau_hat(labels, ranks, np.eye(q_arms))
     h_anova = (n - 1.0) * float(counts @ (arm_means - grand) ** 2) / ss_total
     method = "chi2_approx"
     if not ties_present:
@@ -335,11 +298,6 @@ def kruskal_wallis(labels, y, tie_policy: str = "strict") -> TestResult:
         method=method,
         null_mean=float(q_arms - 1),
     )
-
-
-def _pooled_sd(values: np.ndarray) -> float:
-    dev = values - values.mean()
-    return float(np.sqrt(dev @ dev / (values.size - 1)))
 
 
 def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: str = "strict") -> JointTestResult:
@@ -371,12 +329,10 @@ def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: s
     counts = arm_sizes(labels, 2)
     n1, n0 = int(counts[0]), int(counts[1])
     n = n1 + n0
-    s_first, s_second = _pooled_sd(first), _pooled_sd(second)
+    s_first, s_second = np.sqrt(sample_cov(first)), np.sqrt(sample_cov(second))
     if s_first == 0.0 or s_second == 0.0:
         raise DegenerateInputError("zero pooled variance: statistics cannot be standardized")
-    dev1 = first - first.mean()
-    dev2 = second - second.mean()
-    rho = float(dev1 @ dev2 / (n - 1) / (s_first * s_second))
+    rho = float(sample_cov(first, second) / (s_first * s_second))
     rho = min(1.0, max(-1.0, rho))
     scale = np.sqrt(n1 * n0 / n)
     stats = (diff_in_means_stat(labels, first), diff_in_means_stat(labels, second))
@@ -398,22 +354,16 @@ def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: s
 
 def extreme_rank_stats(labels, ranks) -> tuple[float, float]:
     """(largest arm rank mean, largest minus smallest arm rank mean)."""
-    labels = np.asarray(labels)
-    ranks = np.asarray(ranks, dtype=float)
-    counts = arm_sizes(labels)
-    means = np.array([ranks[labels == q].mean() for q in range(1, counts.size + 1)])
+    means = tau_hat(labels, ranks, np.eye(arm_sizes(labels).size))
     return float(means.max()), float(means.max() - means.min())
 
 
 def dose_rank_stat(labels, ranks, doses) -> float:
     """Dose-weighted sum of arm rank means, sum_q dose_q Rbar_q."""
-    labels = np.asarray(labels)
-    ranks = np.asarray(ranks, dtype=float)
-    counts = arm_sizes(labels)
+    means = tau_hat(labels, ranks, np.eye(arm_sizes(labels).size))
     doses = np.asarray(doses, dtype=float)
-    if doses.shape != (counts.size,):
-        raise ValidationError(f"need one dose per arm ({counts.size}), got shape {doses.shape}")
-    means = np.array([ranks[labels == q].mean() for q in range(1, counts.size + 1)])
+    if doses.shape != means.shape:
+        raise ValidationError(f"need one dose per arm ({means.size}), got shape {doses.shape}")
     return float(doses @ means)
 
 

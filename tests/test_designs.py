@@ -259,6 +259,35 @@ def test_compute_delta_mean_zero_over_enumeration():
     assert np.mean(deltas, axis=0) == pytest.approx(np.zeros(2), abs=1e-12)
 
 
+def test_arm_block_counts_spread_and_single_assignment():
+    labels = np.array([[1, 3, 3, 2, 1], [2, 2, 1, 3, 3]])
+    arms = designs.ArmBlock(labels)
+    assert arms.q == 3 and arms.counts.tolist() == [[2, 1, 2], [1, 2, 2]]
+    per_arm = np.array([[10.0, 20.0, 30.0], [1.0, 2.0, 3.0]])[:, :, np.newaxis]
+    assert arms.spread(per_arm)[:, :, 0].tolist() == [[10, 30, 30, 20, 10], [2, 2, 1, 3, 3]]
+    one = designs.ArmBlock(labels[1], 3)
+    assert one.shape == (1, 5) and one.counts.tolist() == [[1, 2, 2]]
+    for bad in (labels, np.zeros((2, 2, 2), dtype=int), []):
+        with pytest.raises(ValidationError):
+            designs.ArmBlock(bad, 2)
+
+
+def test_compute_delta_block_equals_per_assignment_loop():
+    # reference: the inverse root applied to masked arm means, one
+    # assignment at a time
+    x = _center(np.random.default_rng(44).normal(size=(8, 3)))
+    root = designs.inv_sqrt_psd(8 / 16 * (x.T @ x / 7))
+    block = np.concatenate(list(designs.enumerate_partition_blocks((4, 4), block=9)))
+    deltas = designs.compute_delta(block, x)
+    assert deltas.shape == (70, 3)
+    for labels, delta in zip(block, deltas):
+        want = root @ (x[labels == 1].mean(axis=0) - x[labels == 2].mean(axis=0))
+        assert delta == pytest.approx(want, abs=1e-12)
+        assert delta == pytest.approx(designs.compute_delta(labels, x), abs=1e-12)
+    with pytest.raises(ValidationError, match="same arm sizes"):
+        designs.compute_delta(np.array([[1, 1, 2, 2], [1, 2, 2, 2]]), _center(np.arange(4.0)))
+
+
 def test_compute_delta_requires_centered_covariates():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     with pytest.raises(ValidationError):

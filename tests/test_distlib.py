@@ -284,12 +284,18 @@ def mp():
     return mpmath
 
 
+# below 2^-1021, x / 2 is inexact and a / (x / 2) can overflow
+_NEAR_ZERO = (1e-300, 1e-308, 1e-310, 1e-323, 5e-324)
+
+
 def _chi2_grid(df):
-    # lower tail, body and upper tail out to where the sf nears 1e-300
+    # lower tail, body and upper tail out to where the sf nears 1e-300, and
+    # for small df the lower tail down to the smallest subnormal
     return np.unique(np.concatenate([
         df * np.logspace(-4.0, 0.0, 12),
         df * np.linspace(0.05, 3.0, 40),
         df + np.sqrt(2.0 * df) * np.linspace(0.0, 60.0, 25) + np.linspace(0.0, 1400.0, 25),
+        _NEAR_ZERO if df <= 3 else (),
     ]))
 
 
@@ -320,6 +326,10 @@ def test_chi2_tails_accuracy(mp, df):
         sf = mp.gammainc(a, t, mp.inf, regularized=True)
         cdf = mp.gammainc(a, 0, t, regularized=True)
         assert abs(distlib.chi2_cdf(x, df) - cdf) <= 1e-14, x
+        if x < df:
+            # the lower tail is summed directly: relative accuracy, down to
+            # one subnormal step
+            assert abs(distlib.chi2_cdf(x, df) - cdf) <= max(1e-12 * cdf, 5e-324), x
         if sf > mp.mpf("1e-300"):
             assert abs(distlib.chi2_sf(x, df) - sf) <= 1e-12 * sf, x
             checked += 1
@@ -338,3 +348,9 @@ def test_chi2_quantile_accuracy(mp, df):
         cdf = mp.gammainc(a, 0, t, regularized=True)
         density = mp.exp((a - 1) * mp.log(t) - t - mp.loggamma(a)) / 2
         assert abs((cdf - p) / (density * x)) <= 1e-10, p
+
+
+def test_chi2_quantile_below_the_smallest_subnormal():
+    # the true quantile, about 1.6e-600, lies between 0 and the smallest
+    # subnormal, whose cdf is 1.8e-162
+    assert distlib.chi2_quantile(1, 1e-300) == 5e-324

@@ -107,6 +107,65 @@ def test_cov_estimator_bias_is_s2_tau_over_n():
     assert expected_vhat - truth == pytest.approx(structure.s2_tau / n, abs=1e-12)
 
 
+def _enumerated_block(sizes):
+    return np.concatenate(list(designs.enumerate_partition_blocks(sizes, block=97)))
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (4, 4)])
+def test_block_forms_equal_per_assignment_loop(sizes):
+    # reference: masked arm means and two-pass arm covariances, one
+    # assignment and one arm at a time
+    rng = np.random.default_rng(sum(sizes))
+    q, n = len(sizes), sum(sizes)
+    table = rng.normal(size=(n, q, 2))
+    contrast = rng.normal(size=(q, 3, 2))
+    block = _enumerated_block(sizes)
+    y = table[np.arange(n), block - 1]  # (B, N, p)
+    taus = estimators.tau_hat(block, y, contrast)
+    covs = estimators.cov_estimator(block, y, contrast)
+    assert taus.shape == (block.shape[0], 3) and covs.shape == (block.shape[0], 3, 3)
+    for labels, y_b, tau_b, cov_b in zip(block, y, taus, covs):
+        arms = [y_b[labels == k] for k in range(1, q + 1)]
+        means = np.array([arm.mean(axis=0) for arm in arms])
+        want_cov = sum(
+            a_k @ ((arm - arm.mean(axis=0)).T @ (arm - arm.mean(axis=0)) / (n_k - 1)) @ a_k.T / n_k
+            for a_k, arm, n_k in zip(contrast, arms, sizes)
+        )
+        assert tau_b == pytest.approx(np.einsum("qkp,qp->k", contrast, means), abs=1e-12)
+        assert cov_b == pytest.approx(want_cov, abs=1e-12)
+        assert tau_b == pytest.approx(estimators.tau_hat(labels, y_b, contrast), abs=1e-12)
+        assert cov_b == pytest.approx(estimators.cov_estimator(labels, y_b, contrast), abs=1e-12)
+    # a block indexed once gives the same estimates as its labels
+    arms = designs.ArmBlock(block, q)
+    assert np.array_equal(estimators.tau_hat(arms, y, contrast), taus)
+    assert np.array_equal(estimators.cov_estimator(arms, y, contrast), covs)
+    assert np.array_equal(estimators.arm_sizes(block), arms.counts)
+
+
+def test_cov_estimator_is_two_pass_under_a_large_offset():
+    # a one-pass sum of squares loses every digit of these variances
+    rng = np.random.default_rng(8)
+    block = designs.draw_partition_batch((40, 50, 60), 8, rng)
+    y = 1e8 + 1e6 * block + rng.normal(size=block.shape)
+    covs = estimators.cov_estimator(block, y, np.eye(3))
+    for labels, y_b, cov_b in zip(block, y, covs):
+        for k, n_k in zip(range(1, 4), (40, 50, 60)):
+            want = np.var(y_b[labels == k], ddof=1)
+            assert cov_b[k - 1, k - 1] * n_k == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimators_reject_non_finite_outcomes(bad):
+    block = np.array([[1, 1, 2, 2], [1, 2, 1, 2]])
+    y = np.ones((2, 4))
+    y[1, 2] = bad
+    for estimate in (estimators.tau_hat, estimators.cov_estimator):
+        with pytest.raises(ValidationError, match="non-finite"):
+            estimate(block, y, [1.0, -1.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            estimate(block[1], y[1], [1.0, -1.0])
+
+
 def test_cov_estimator_rejects_singleton_arm():
     labels = np.array([1, 2, 2, 2])
     with pytest.raises(ValidationError, match="fewer than 2"):
@@ -284,6 +343,19 @@ def test_cluster_adjusted_without_covariates():
     totals = np.array([4.0, 1.0, 6.0, 3.0])
     report = estimators.cluster_adjusted(labels, totals, None, 10)
     assert report.point[0] == pytest.approx((4.0 / 10.0) * (5.0 - 2.0))
+
+
+def test_cluster_adjusted_is_the_adjusted_core_on_totals():
+    rng = np.random.default_rng(4)
+    labels = np.array([1, 2, 1, 2, 2, 1, 1, 2])
+    totals = rng.normal(size=8) * 4.0
+    x = rng.normal(size=(8, 2))
+    x -= x.mean(axis=0)
+    g1, g0 = np.array([0.5, -0.1]), np.array([0.2, 0.3])
+    cluster = estimators.cluster_adjusted(labels, totals, x, 20, g1, g0)
+    units = estimators.regression_adjusted(labels, totals, x, g1, g0)
+    assert cluster.point[0] == 8 / 20 * units.point[0]
+    assert cluster.cov[0, 0] == (8 / 20) ** 2 * units.cov[0, 0]
 
 
 def test_cluster_adjusted_validates_unit_count():

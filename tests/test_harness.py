@@ -318,6 +318,85 @@ def test_run_suite_oracle_single_part_unprefixed():
     assert all("." not in m.name for m in report.metrics)
 
 
+# Seed-26 values of `verify --suite clt|rerand|coverage --reps 2000`. They pin
+# the draw streams: a refactor of the campaigns may move the arithmetic by
+# round-off, never the assignments drawn.
+_FROZEN_SEED26 = {
+    "clt": {
+        "ks_n16": 0.042787963882353175,
+        "condition_n16": 0.3102022058823529,
+        "ks_n64": 0.017526798072915184,
+        "condition_n64": 0.08944561298076922,
+        "ks_n256": 0.016746433216989987,
+        "condition_n256": 0.0231642667421571,
+        "ks_n1024": 0.019669341454829015,
+        "condition_n1024": 0.005842231192239901,
+        "ks_min_drop": -0.002922908237839028,
+        "ks_final": 0.019669341454829015,
+    },
+    "rerand": {
+        "ks_n256": 0.017848685150193,
+        "condition_n256": 0.11789174542475851,
+        "acceptance_rate_gap_n256": 0.0050000000000000044,
+        "ks_final": 0.017848685150193,
+    },
+    "coverage": {
+        "coverage_additive.true_tau": 1.0000000000000002,
+        "coverage_additive.s2_tau": 3.0350333193961668e-33,
+        "coverage_additive.neyman_coverage": 0.953,
+        "coverage_additive.wald_coverage": 0.953,
+        "coverage_heterogeneous.true_tau": -1.0658141036401502e-16,
+        "coverage_heterogeneous.s2_tau": 2.2468256311990613,
+        "coverage_heterogeneous.neyman_coverage": 1.0,
+        "coverage_heterogeneous.wald_coverage": 1.0,
+    },
+}
+
+
+def test_coverage_counts_are_offset_invariant():
+    # the variance estimate must cancel a common offset before squaring
+    table = experiments.coverage_table("additive", 200)
+    plain = experiments._coverage_counts(table, 100, 4096, 26, 0, 0.05)
+    shifted = experiments._coverage_counts(table + 1e8, 100, 4096, 26, 0, 0.05)
+    assert shifted[:2] == plain[:2]
+    assert shifted[2] == pytest.approx(plain[2], abs=1e-6)
+
+
+def test_planted_cov_estimator_defect_fails_oracle_and_moves_coverage(monkeypatch):
+    # the campaigns must run the shipped estimator, not a copy of it
+    clean = {m.name: m.value for m in run_suite("coverage", seed=26, reps=2000).metrics}
+    shipped = experiments.estimators.cov_estimator
+
+    def drop_last_arm(labels, y, contrast):
+        a = np.array(contrast, dtype=float)
+        a[-1] = 0.0
+        return shipped(labels, y, a)
+
+    monkeypatch.setattr(experiments.estimators, "cov_estimator", drop_last_arm)
+    oracle = {m.name: m for m in run_oracle_suite(ExperimentConfig(kind="oracle", seed=1)).metrics}
+    assert not oracle["vhat_bias_gap"].passed
+    planted = {m.name: m.value for m in run_suite("coverage", seed=26, reps=2000).metrics}
+    for name in ("coverage_additive.neyman_coverage", "coverage_additive.wald_coverage"):
+        assert planted[name] < clean[name] - 0.05, name
+
+
+@pytest.mark.parametrize("suite", sorted(_FROZEN_SEED26))
+def test_verify_seed26_values_are_frozen(suite):
+    frozen = _FROZEN_SEED26[suite]
+    got = {m.name: m.value for m in run_suite(suite, seed=26, reps=2000).metrics}
+    assert list(got) == list(frozen)
+    for name, want in frozen.items():
+        # the clt ladder sums integer ranks, exact in any order; coverage
+        # fractions and acceptance rates are counts over the draws
+        if suite == "clt" or "coverage" in name.split(".")[-1] or "acceptance" in name:
+            assert got[name] == want, name
+        else:
+            # s2_tau of the additive table and true_tau of the heterogeneous
+            # one are zero in exact arithmetic, so only an absolute bound
+            # means anything for them
+            assert got[name] == pytest.approx(want, rel=1e-12, abs=1e-15), name
+
+
 # =========================================================================
 # Command-line interface
 # =========================================================================
@@ -352,6 +431,23 @@ def test_cli_estimate_uses_covariates_when_present(tmp_path, capsys):
     assert payload["method"] == "regression_adjusted"
     assert "arm1" in payload["coefficients"]
     assert payload["ci"][0] < payload["point"][0] < payload["ci"][1]
+
+
+def test_cli_estimate_cluster_totals_and_mixed_clusters(tmp_path, capsys):
+    rows = [(1, 2.0, 1), (1, 4.0, 1), (2, 1.0, 2), (2, 0.5, 2), (1, 3.0, 3),
+            (2, 7.0, 4), (2, 1.5, 4), (1, 6.0, 5), (2, 2.0, 6)]
+    path = _write(tmp_path / "cl.csv",
+                  "arm,y,cluster\n" + "".join(f"{a},{y},{c}\n" for a, y, c in rows))
+    assert main(["estimate", "--data", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # cluster totals: arm 1 has 6, 3, 6 and arm 2 has 1.5, 8.5, 2, over N = 9 units
+    assert payload["point"][0] == pytest.approx(6 / 9 * (5.0 - 4.0), abs=1e-12)
+    assert payload["cluster_sizes_by_arm"] == [3, 3]
+    rows[3] = (1, 0.5, 2)
+    path = _write(tmp_path / "mixed.csv",
+                  "arm,y,cluster\n" + "".join(f"{a},{y},{c}\n" for a, y, c in rows))
+    assert main(["estimate", "--data", path]) == 1
+    assert "cluster 2 spans arms [1, 2]" in capsys.readouterr().err
 
 
 def test_cli_estimate_design_mismatch_fails(tmp_path, capsys):

@@ -222,6 +222,16 @@ def test_between_cov_is_transpose_symmetric():
 # =========================================================================
 
 
+def test_sample_cov_matches_numpy():
+    rng = np.random.default_rng(12)
+    u, v = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+    assert popstats.sample_cov(u) == pytest.approx(np.cov(u, rowvar=False), abs=1e-12)
+    both = np.cov(u, v, rowvar=False)
+    assert popstats.sample_cov(u, v) == pytest.approx(both[:3, 3:], abs=1e-12)
+    assert popstats.sample_cov(u[:, 0], v[:, 1]) == pytest.approx(both[0, 4], abs=1e-12)
+    assert isinstance(popstats.sample_cov(u[:, 0], v[:, 1]), float)
+
+
 def test_cre_condition_stats_finite_instance():
     rng = np.random.default_rng(7)
     table = rng.normal(size=(8, 2))

@@ -91,6 +91,24 @@ def test_standardized_rank_means_rejects_non_permutation():
         randtests.standardized_rank_means(_LAB4, np.array([1.0, 2.0, 2.0, 4.0]))
 
 
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (4, 4)])
+def test_standardized_rank_means_block_equals_per_assignment_loop(sizes):
+    n = sum(sizes)
+    ranks = np.random.default_rng(n).permutation(np.arange(1.0, n + 1.0))
+    block = np.concatenate(list(designs.enumerate_partition_blocks(sizes, block=97)))
+    stats = randtests.standardized_rank_means(block, ranks)
+    per_row = randtests.standardized_rank_means(block, np.tile(ranks, (block.shape[0], 1)))
+    assert stats.shape == (block.shape[0], len(sizes))
+    assert np.array_equal(stats, per_row)
+    for labels, row in zip(block, stats):
+        # reference: masked arm rank means, one arm at a time
+        want = [np.sqrt(12.0 * n_q / ((n + 1.0) * (n - n_q)))
+                * (ranks[labels == q].mean() - (n + 1.0) / 2.0)
+                for q, n_q in enumerate(sizes, start=1)]
+        assert row == pytest.approx(want, abs=1e-12)
+        assert row == pytest.approx(randtests.standardized_rank_means(labels, ranks), abs=1e-12)
+
+
 def test_standardized_rank_means_null_moments_by_enumeration():
     sizes = (2, 3)
     ranks = np.arange(1.0, 6.0)
@@ -443,15 +461,24 @@ def test_arm_sums_matches_masked_sums():
     rng = np.random.default_rng(31)
     block = designs.draw_partition_batch((3, 2, 4), 50, rng)
     values = rng.normal(size=(9, 2))
-    sums = randtests.arm_sums(block, values, 3)
-    assert sums.shape == (50, 3, 2)
+    per_row = rng.normal(size=(50, 9, 2))
+    sums = designs.arm_sums(block, values, 3)
+    row_sums = designs.arm_sums(block, per_row, 3)
+    assert sums.shape == row_sums.shape == (50, 3, 2)
     for b, lab in enumerate(block):
+        # a row gives the same sums alone as inside the block
+        alone = designs.arm_sums(block[b:b + 1], per_row[b:b + 1], 3)
+        assert np.array_equal(alone[0], row_sums[b])
         for q in (1, 2, 3):
             assert sums[b, q - 1] == pytest.approx(values[lab == q].sum(axis=0), abs=1e-12)
+            assert row_sums[b, q - 1] == pytest.approx(
+                per_row[b][lab == q].sum(axis=0), abs=1e-12)
     with pytest.raises(ValidationError):
-        randtests.arm_sums(block, values, 2)  # label 3 outside 1..2
+        designs.arm_sums(block, values, 2)  # label 3 outside 1..2
     with pytest.raises(ValidationError):
-        randtests.arm_sums(block, values[:8], 3)
+        designs.arm_sums(block, values[:8], 3)
+    with pytest.raises(ValidationError):
+        designs.arm_sums(block, per_row[:49], 3)
 
 
 def _scalar_and_kernel(stat, y, q, ties="strict"):
