@@ -30,6 +30,7 @@ __all__ = [
     "neyman_cov_true",
     "cov_estimator",
     "wald_region",
+    "normal_interval",
     "neyman_ci",
     "regression_adjusted",
     "fit_ls_coefs",
@@ -226,16 +227,21 @@ def wald_region(report: EstimateReport, alpha: float) -> WaldRegion:
     )
 
 
+def normal_interval(point: float, variance: float, alpha: float) -> tuple[float, float]:
+    """Normal-calibrated interval point +/- Phi^{-1}(1 - alpha/2) variance^{1/2}."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * float(np.sqrt(variance))
+    return point - half, point + half
+
+
 def neyman_ci(labels, y, alpha: float) -> tuple[float, float]:
     """Two-arm scalar confidence interval
     tau_hat +/- Phi^{-1}(1 - alpha/2) (s2_1/n_1 + s2_0/n_0)^{1/2}."""
     y = _scalar_outcomes(y, "this interval is")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     point = float(tau_hat(labels, y, [1.0, -1.0])[0])
     v = float(cov_estimator(labels, y, [1.0, -1.0])[0, 0])
-    half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * float(np.sqrt(v))
-    return point - half, point + half
+    return normal_interval(point, v, alpha)
 
 
 def _as_covariates(x, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .. import designs, distlib, estimators, ivconf, popstats, randtests
+from .. import designs, estimators, ivconf, popstats, randtests
 from ..errors import FinpopError, ValidationError
 from . import experiments, ingest
 from .reports import SCHEMA_VERSION, as_jsonable
@@ -136,11 +136,8 @@ def _pairwise_contrast(q: int) -> np.ndarray:
 
 
 def _interval_payload(report, alpha) -> dict:
-    point = float(report.point[0])
-    half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * float(
-        np.sqrt(report.cov[0, 0])
-    )
-    return {"ci": [point - half, point + half]}
+    return {"ci": list(estimators.normal_interval(
+        float(report.point[0]), float(report.cov[0, 0]), alpha))}
 
 
 def _estimate_plain(data: ingest.ObservedData, alpha: float) -> dict:

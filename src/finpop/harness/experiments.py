@@ -26,6 +26,7 @@ replicate-parallel run reduces to the same metric values as a serial one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -522,24 +523,65 @@ def coverage_table(kind: str, n: int) -> np.ndarray:
     )
 
 
-def _coverage_counts(table, n1, reps, seed, n_index, alpha):
-    n_total = table.shape[0]
+def _coverage_counts(tables, n1, reps, seed, n_index, alpha):
+    """(neyman coverage, wald coverage, true contrast) of each two-arm table,
+    every table evaluated on the same reps draws of n1 treated units."""
+    n_total = tables[0].shape[0]
     contrast = [1.0, -1.0]
-    tau = float(estimators.tau_true(table, contrast)[0])
+    taus = [float(estimators.tau_true(table, contrast)[0]) for table in tables]
     z_half = distlib.std_normal_quantile(1.0 - alpha / 2.0)
     chi_q = distlib.chi2_quantile(1, 1.0 - alpha)
-    neyman_hits = 0
-    wald_hits = 0
+    hits = [[0, 0] for _ in tables]
     for m, rng in _batched(reps, seed, _STREAM_ASSIGN, n_index):
         drawn = designs.draw_partition_batch((n1, n_total - n1), m, rng)
         for labels in _slices(drawn):
             arms = designs.ArmBlock(labels, 2)
-            y = _observed(table, labels)
-            err = np.abs(estimators.tau_hat(arms, y, contrast)[:, 0] - tau)
-            v_hat = estimators.cov_estimator(arms, y, contrast)[:, 0, 0]
-            neyman_hits += int(np.sum(err <= z_half * np.sqrt(v_hat)))
-            wald_hits += int(np.sum(err * err <= chi_q * v_hat))
-    return neyman_hits / reps, wald_hits / reps, tau
+            for table, tau, counts in zip(tables, taus, hits):
+                y = _observed(table, labels)
+                err = np.abs(estimators.tau_hat(arms, y, contrast)[:, 0] - tau)
+                v_hat = estimators.cov_estimator(arms, y, contrast)[:, 0, 0]
+                counts[0] += int(np.sum(err <= z_half * np.sqrt(v_hat)))
+                counts[1] += int(np.sum(err * err <= chi_q * v_hat))
+    return [(neyman / reps, wald / reps, tau) for (neyman, wald), tau in zip(hits, taus)]
+
+
+def _coverage_reports(configs) -> list[Report]:
+    """One report per coverage config. The configs differ only in their
+    table (population), so every table is evaluated on one pass of draws."""
+    start = time.perf_counter()
+    first = configs[0]
+    metrics: list[list[MetricResult]] = [[] for _ in configs]
+    nominal = 1.0 - first.alpha
+    for n_index, n_total in enumerate(first.ns):
+        tables = [coverage_table(config.population, n_total) for config in configs]
+        counts = _coverage_counts(tables, n_total // 2, first.reps, first.seed, n_index,
+                                  first.alpha)
+        suffix = f"_n{n_total}" if len(first.ns) > 1 else ""
+        for config, table, (neyman, wald, tau), out in zip(configs, tables, counts, metrics):
+            s2_tau = float(popstats.pot_cov_structure(table, [1.0, -1.0]).s2_tau[0, 0])
+            out.append(_info_metric(
+                "true_tau" + suffix, tau, "population contrast of the fixed table"))
+            out.append(_info_metric(
+                "s2_tau" + suffix, s2_tau,
+                "effect-heterogeneity variance of the fixed table"))
+            for name, value in (("neyman_coverage", neyman), ("wald_coverage", wald)):
+                if config.population == "additive":
+                    out.append(MetricResult(
+                        name=name + suffix, value=value, tolerance=config.tol,
+                        passed=abs(value - nominal) <= config.tol,
+                        checks=f"fraction of intervals covering the true contrast; "
+                               f"zero heterogeneity, so gated to {nominal} +/- {config.tol}",
+                    ))
+                else:
+                    out.append(MetricResult(
+                        name=name + suffix, value=value, tolerance=config.tol,
+                        passed=value >= nominal - 1e-12,
+                        checks="fraction of intervals covering the true contrast; "
+                               f"heterogeneous effects, so gated from below at {nominal}",
+                    ))
+    wall = time.perf_counter() - start
+    return [Report(experiment=config.echo(), metrics=tuple(out), wall_clock_s=wall)
+            for config, out in zip(configs, metrics)]
 
 
 def run_coverage_experiment(config: ExperimentConfig) -> Report:
@@ -551,38 +593,7 @@ def run_coverage_experiment(config: ExperimentConfig) -> Report:
     """
     if config.kind != "coverage":
         raise ValidationError(f"coverage experiment got config kind {config.kind!r}")
-    start = time.perf_counter()
-    metrics: list[MetricResult] = []
-    nominal = 1.0 - config.alpha
-    for n_index, n_total in enumerate(config.ns):
-        table = coverage_table(config.population, n_total)
-        neyman, wald, tau = _coverage_counts(
-            table, n_total // 2, config.reps, config.seed, n_index, config.alpha
-        )
-        suffix = f"_n{n_total}" if len(config.ns) > 1 else ""
-        s2_tau = float(popstats.pot_cov_structure(table, [1.0, -1.0]).s2_tau[0, 0])
-        metrics.append(_info_metric(
-            "true_tau" + suffix, tau, "population contrast of the fixed table"))
-        metrics.append(_info_metric(
-            "s2_tau" + suffix, s2_tau,
-            "effect-heterogeneity variance of the fixed table"))
-        for name, value in (("neyman_coverage", neyman), ("wald_coverage", wald)):
-            if config.population == "additive":
-                metrics.append(MetricResult(
-                    name=name + suffix, value=value, tolerance=config.tol,
-                    passed=abs(value - nominal) <= config.tol,
-                    checks=f"fraction of intervals covering the true contrast; "
-                           f"zero heterogeneity, so gated to {nominal} +/- {config.tol}",
-                ))
-            else:
-                metrics.append(MetricResult(
-                    name=name + suffix, value=value, tolerance=config.tol,
-                    passed=value >= nominal - 1e-12,
-                    checks="fraction of intervals covering the true contrast; "
-                           f"heterogeneous effects, so gated from below at {nominal}",
-                ))
-    return Report(experiment=config.echo(), metrics=tuple(metrics),
-                  wall_clock_s=time.perf_counter() - start)
+    return _coverage_reports([config])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +643,6 @@ _RUNNERS = {
     "oracle": run_oracle_suite,
     "clt": run_clt_experiment,
     "rerand": run_clt_experiment,
-    "coverage": run_coverage_experiment,
 }
 
 
@@ -650,15 +660,19 @@ def run_suite(suite: str, seed: int, reps: int | None = None, alpha: float = 0.0
         parts = _suite_configs(suite, seed, reps, alpha, population, ns, cap, tol)
     metrics: list[MetricResult] = []
     echoes = []
-    for label, config in parts:
-        report = _RUNNERS[config.kind](config)
-        echoes.append({"name": label, **report.experiment})
-        prefix = label + "." if len(parts) > 1 else ""
-        for m in report.metrics:
-            metrics.append(MetricResult(
-                name=prefix + m.name, value=m.value, tolerance=m.tolerance,
-                passed=m.passed, checks=m.checks,
-            ))
+    for kind, group in itertools.groupby(parts, key=lambda part: part[1].kind):
+        labels, configs = zip(*group)
+        # the tables of the coverage suite share their draws
+        reports = (_coverage_reports(configs) if kind == "coverage"
+                   else [_RUNNERS[kind](config) for config in configs])
+        for label, report in zip(labels, reports):
+            echoes.append({"name": label, **report.experiment})
+            prefix = label + "." if len(parts) > 1 else ""
+            for m in report.metrics:
+                metrics.append(MetricResult(
+                    name=prefix + m.name, value=m.value, tolerance=m.tolerance,
+                    passed=m.passed, checks=m.checks,
+                ))
     return Report(experiment={"suite": suite, "runs": echoes},
                   metrics=tuple(metrics),
                   wall_clock_s=time.perf_counter() - start)

@@ -6,6 +6,10 @@ Parsed carriers hold the columns exactly as written, so export followed by
 ingest reproduces the data bit for bit; covariate centering happens on
 access (`centered_x`) with the column means recorded at ingest and noted in
 the log, never in the stored arrays.
+
+The header is read by `csv.reader` and the body in one pass by numpy's C
+reader. A file that the fast read rejects is read again cell by cell, only
+to report the line and the column of its first problem.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,45 +70,36 @@ class IVData:
         return int(self.y.size)
 
 
-def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+# Integer columns: the least value each accepts, the largest (None: no cap)
+# and the complaint about a value outside that range. Other columns are floats.
+_INT_COLUMNS = {
+    "arm": (1, None, "arm labels start at 1"),
+    "cluster": (1, None, "cluster ids start at 1"),
+    "z": (0, 1, "column 'z' must be 0 or 1"),
+}
+_INT64_MAX = np.iinfo(np.int64).max
+# a contiguity error lists at most this many of the missing values
+_MISSING_SHOWN = 10
+
+
+def _read_header(path: str) -> tuple[list[str], int]:
+    """The first non-empty record and the number of lines up to and
+    including it; a file without a further non-empty record is rejected."""
+    header = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            table = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    except OSError as exc:
+            for row in reader:
+                if not row:
+                    continue
+                if header is not None:
+                    return header, skip
+                header, skip = row, reader.line_num
+    except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if not table:
+    if header is None:
         raise ValidationError(f"{path}: empty file, a header row is required")
-    (_, header), rows = table[0], table[1:]
-    if not rows:
-        raise ValidationError(f"{path}: no data rows after the header")
-    width = len(header)
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-            )
-    return header, rows
-
-
-def _float_cell(cell: str, path: str, lineno: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValidationError(
-            f"{path}: line {lineno}, column {column!r}: "
-            f"could not parse {cell!r} as a number"
-        ) from None
-
-
-def _int_cell(cell: str, path: str, lineno: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValidationError(
-            f"{path}: line {lineno}, column {column!r}: "
-            f"could not parse {cell!r} as an integer"
-        ) from None
+    raise ValidationError(f"{path}: no data rows after the header")
 
 
 def _column_map(header: list[str], path: str, required: tuple[str, ...],
@@ -147,74 +143,139 @@ def _x_columns(header: list[str], path: str) -> list[str]:
     return [name for _, name in found]
 
 
-def _check_contiguous(values: np.ndarray, path: str, what: str) -> None:
-    top = int(values.max())
-    missing = sorted(set(range(1, top + 1)) - set(np.unique(values).tolist()))
-    if missing:
+def _cell_syntax(cell: str) -> None:
+    # Python's int() and float() also take digit-group underscores and
+    # non-ASCII digits; the fast reader does not, so neither does this
+    core = cell.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(cell)
+
+
+def _float_cell(cell: str, path: str, lineno: int, column: str) -> float:
+    try:
+        _cell_syntax(cell)
+        return float(cell)
+    except ValueError:
         raise ValidationError(
-            f"{path}: {what} must be contiguous 1..{top}; no rows carry {missing}"
+            f"{path}: line {lineno}, column {column!r}: "
+            f"could not parse {cell!r} as a number"
+        ) from None
+
+
+def _int_cell(cell: str, path: str, lineno: int, column: str) -> int:
+    try:
+        _cell_syntax(cell)
+        value = int(cell)
+    except ValueError:
+        raise ValidationError(
+            f"{path}: line {lineno}, column {column!r}: "
+            f"could not parse {cell!r} as an integer"
+        ) from None
+    low, high, complaint = _INT_COLUMNS[column]
+    if value < low or (high is not None and value > high):
+        raise ValidationError(f"{path}: line {lineno}: {complaint}, got {value}")
+    if value > _INT64_MAX:
+        raise ValidationError(
+            f"{path}: line {lineno}, column {column!r}: "
+            f"{cell!r} does not fit a 64-bit integer"
+        )
+    return value
+
+
+def _diagnose(path: str, header: list[str], order: list[str]) -> None:
+    """Raise the first problem of a body that the fast read rejected, with
+    the line and the column where it sits.
+
+    The file is read again record by record, and line numbers count records,
+    blank ones included. Row widths are checked first, then the cells of
+    each row in `order`.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    rows = rows[1:]
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+    index = {name: header.index(name) for name in order}
+    for lineno, row in rows:
+        for name in order:
+            parse = _int_cell if name in _INT_COLUMNS else _float_cell
+            parse(row[index[name]], path, lineno, name)
+
+
+def _read_columns(path: str, required: tuple[str, ...], optional: tuple[str, ...],
+                  allow_x: bool) -> tuple[dict[str, np.ndarray], list[str]]:
+    """The columns of a validated file as contiguous arrays, int64 for those
+    in _INT_COLUMNS and float64 for the rest, and the covariate names x1..xk.
+
+    numpy's C reader parses the body in one pass. Only when it fails, or a
+    value is out of range, is the file read again cell by cell to say where.
+    """
+    header, skip = _read_header(path)
+    cols = _column_map(header, path, required, optional, allow_x)
+    x_names = _x_columns(header, path) if allow_x else []
+    order = [*required, *x_names, *(name for name in optional if name in cols)]
+    dtype = np.dtype([
+        (name, np.int64 if name in _INT_COLUMNS else np.float64) for name in header
+    ])
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads a non-integer cell of an int column through
+            # float, truncating it, and only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, skiprows=skip, ndmin=1, encoding="utf-8-sig")
+        for name, (low, high, complaint) in _INT_COLUMNS.items():
+            if name in cols and (body[name].min() < low
+                                 or (high is not None and body[name].max() > high)):
+                raise ValueError(complaint)
+    except (ValueError, DeprecationWarning) as exc:
+        _diagnose(path, header, order)
+        raise ValidationError(f"{path}: {exc}") from exc
+    return {name: np.ascontiguousarray(body[name]) for name in order}, x_names
+
+
+def _check_contiguous(values: np.ndarray, path: str, what: str) -> None:
+    present = np.unique(values)
+    top = int(present[-1])
+    n_missing = top - present.size
+    if n_missing:
+        # at most present.size of 1..present.size + k are present, so that
+        # range holds the first k missing values
+        upto = min(top, present.size + _MISSING_SHOWN)
+        missing = np.setdiff1d(np.arange(1, upto + 1), present)[:_MISSING_SHOWN].tolist()
+        more = f" and {n_missing - len(missing)} more" if n_missing > len(missing) else ""
+        raise ValidationError(
+            f"{path}: {what} must be contiguous 1..{top}; no rows carry {missing}{more}"
         )
 
 
 def _ingest_arm(path: str) -> ObservedData:
-    header, rows = _read_rows(path)
-    cols = _column_map(header, path, required=("arm", "y"),
-                       optional=("cluster",), allow_x=True)
-    x_names = _x_columns(header, path)
-    has_cluster = "cluster" in cols
-
-    labels = np.empty(len(rows), dtype=np.int64)
-    y = np.empty(len(rows))
-    x = np.empty((len(rows), len(x_names))) if x_names else None
-    clusters = np.empty(len(rows), dtype=np.int64) if has_cluster else None
-    for row_i, (lineno, row) in enumerate(rows):
-        arm = _int_cell(row[cols["arm"]], path, lineno, "arm")
-        if arm < 1:
-            raise ValidationError(
-                f"{path}: line {lineno}: arm labels start at 1, got {arm}"
-            )
-        labels[row_i] = arm
-        y[row_i] = _float_cell(row[cols["y"]], path, lineno, "y")
-        for k, name in enumerate(x_names):
-            x[row_i, k] = _float_cell(row[cols[name]], path, lineno, name)
-        if has_cluster:
-            cid = _int_cell(row[cols["cluster"]], path, lineno, "cluster")
-            if cid < 1:
-                raise ValidationError(
-                    f"{path}: line {lineno}: cluster ids start at 1, got {cid}"
-                )
-            clusters[row_i] = cid
-
+    columns, x_names = _read_columns(path, required=("arm", "y"),
+                                     optional=("cluster",), allow_x=True)
+    labels, clusters = columns["arm"], columns.get("cluster")
     _check_contiguous(labels, path, "arm labels")
     if clusters is not None:
         _check_contiguous(clusters, path, "cluster ids")
-    if x is not None:
-        means = x.mean(axis=0)
+    x = None
+    if x_names:
+        x = np.column_stack([columns[name] for name in x_names])
         logger.info(
             "%s: covariates %s enter estimation centered; column means %s",
-            path, list(x_names), means.tolist(),
+            path, list(x_names), x.mean(axis=0).tolist(),
         )
-    return ObservedData(labels=labels, y=y, x=x, clusters=clusters,
+    return ObservedData(labels=labels, y=columns["y"], x=x, clusters=clusters,
                         x_names=tuple(x_names))
 
 
 def _ingest_iv(path: str) -> IVData:
-    header, rows = _read_rows(path)
-    cols = _column_map(header, path, required=("z", "d", "y"),
-                       optional=(), allow_x=False)
-    z = np.empty(len(rows), dtype=np.int64)
-    d = np.empty(len(rows))
-    y = np.empty(len(rows))
-    for row_i, (lineno, row) in enumerate(rows):
-        zi = _int_cell(row[cols["z"]], path, lineno, "z")
-        if zi not in (0, 1):
-            raise ValidationError(
-                f"{path}: line {lineno}: column 'z' must be 0 or 1, got {zi}"
-            )
-        z[row_i] = zi
-        d[row_i] = _float_cell(row[cols["d"]], path, lineno, "d")
-        y[row_i] = _float_cell(row[cols["y"]], path, lineno, "y")
-    return IVData(z=z, d=d, y=y)
+    columns, _ = _read_columns(path, required=("z", "d", "y"), optional=(), allow_x=False)
+    return IVData(z=columns["z"], d=columns["d"], y=columns["y"])
 
 
 def ingest_csv(path: str, schema: str):

@@ -231,6 +231,15 @@ def test_wald_region_rejects_singular_cov():
         estimators.wald_region(report, 0.05)
 
 
+def test_normal_interval_formula_and_alpha_check():
+    lo, hi = estimators.normal_interval(1.0, 2.0, 0.05)
+    half = Z_975 * np.sqrt(2.0)
+    assert (lo, hi) == pytest.approx((1.0 - half, 1.0 + half), abs=1e-12)
+    for alpha in (0.0, 1.0, -0.1):
+        with pytest.raises(ValidationError):
+            estimators.normal_interval(1.0, 2.0, alpha)
+
+
 def test_neyman_ci_requires_two_per_arm():
     with pytest.raises(ValidationError):
         estimators.neyman_ci(np.array([1, 2, 2]), np.arange(3.0), 0.05)

@@ -6,6 +6,7 @@ so the exit-code contract (0 ok, 1 invalid input/usage, 2 verification
 failed) is asserted directly.
 """
 
+import csv
 import json
 import logging
 
@@ -26,8 +27,8 @@ from finpop.harness import (
     run_oracle_suite,
     run_suite,
 )
-from finpop import distlib
-from finpop.harness import cli, experiments
+from finpop import distlib, estimators
+from finpop.harness import cli, experiments, ingest
 from finpop.harness.cli import main
 from finpop.harness.experiments import synthetic_population
 from finpop.harness.reports import as_jsonable
@@ -168,6 +169,184 @@ def test_ingest_unknown_schema_and_missing_file(tmp_path):
         ingest_csv(path, "panel")
     with pytest.raises(ValidationError):
         ingest_csv(str(tmp_path / "absent.csv"), "arm")
+
+
+# Reference reader: csv.reader plus int()/float() per cell, the per-row
+# parse that the column reader replaced. The fast reader must give the same
+# bits on every file the reference accepts.
+_INT_NAMES = ("arm", "cluster", "z")
+
+
+def _reference_columns(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header, body = rows[0], rows[1:]
+    return {
+        name: np.array([(int if name in _INT_NAMES else float)(row[k]) for row in body],
+                       dtype=np.int64 if name in _INT_NAMES else np.float64)
+        for k, name in enumerate(header)
+    }
+
+
+def _ingested_columns(data):
+    if isinstance(data, IVData):
+        return {"z": data.z, "d": data.d, "y": data.y}
+    columns = {"arm": data.labels, "y": data.y}
+    columns.update((name, data.x[:, k]) for k, name in enumerate(data.x_names))
+    if data.clusters is not None:
+        columns["cluster"] = data.clusters
+    return columns
+
+
+_SEVENTEEN = "0.12345678901234568"
+_READER_FILES = {
+    "bom_crlf": ("arm", "\ufeffarm,y\r\n1,1.5\r\n2,2.5\r\n"),
+    "blank_lines": ("arm", "\n\narm,y\n1,0.1\n\n2,0.2\n\n\n1,0.3\n"),
+    "quoted": ("arm", '"arm","y"\n"1","0.5"\n2,"-1e-3"\n'),
+    "whitespace": ("arm", "arm,y\n 1 ,  2.5\n2\t, -3 \n"),
+    "one_row": ("arm", "arm,y\n1,4.25\n"),
+    "free_order": ("arm", "x2,cluster,y,x1,arm\n0.5,1,1.0,-0.5,2\n1.5,2,2.0,-1.5,1\n"),
+    "values": ("arm", "arm,y\n1,nan\n1,inf\n1,-inf\n2,-0\n2,1e-320\n2,"
+                      f"{_SEVENTEEN}\n1,-{_SEVENTEEN}e-300\n2,1.7976931348623157e308\n"
+                      "1,NaN\n2,-Infinity\n1,+7\n"),
+    "x12_cluster": ("arm", "arm,y," + ",".join(f"x{k}" for k in range(1, 13)) + ",cluster\n"
+                    + "".join(f"{1 + i % 2},{i / 7!r},"
+                              + ",".join(repr((i + 1) * k / 3.0) for k in range(1, 13))
+                              + f",{1 + i // 2}\n" for i in range(6))),
+    "iv": ("iv", "\ufeffz,d,y\r\n1,0.3,1.1\r\n\r\n0,-0,nan\r\n1," + _SEVENTEEN + ",1e-320\r\n"),
+    "iv_free_order": ("iv", 'y,"z",d\n1.0, 0 ,2\n3.5,1,"4"\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_FILES))
+def test_column_reader_is_bit_identical_to_the_per_cell_reference(tmp_path, case):
+    schema, text = _READER_FILES[case]
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _reference_columns(path)
+    data = ingest_csv(str(path), schema)
+    got = _ingested_columns(data)
+    assert sorted(got) == sorted(want)
+    for name, values in want.items():
+        assert got[name].dtype == values.dtype, name
+        assert got[name].tobytes() == values.tobytes(), name
+    arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+    assert all(a.flags["C_CONTIGUOUS"] for a in arrays)
+
+
+def test_column_reader_is_bit_identical_on_random_files(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2000
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x = rng.standard_normal((n, 2))
+    labels = rng.permutation(np.repeat([1, 2, 3], [700, 700, 600]))
+    clusters = np.arange(1, n + 1)
+    export_csv(ObservedData(labels=labels, y=y, x=x, clusters=clusters,
+                            x_names=("x1", "x2")), str(tmp_path / "a.csv"))
+    export_csv(IVData(z=labels % 2, d=x[:, 0], y=y), str(tmp_path / "iv.csv"))
+    for name, schema in (("a.csv", "arm"), ("iv.csv", "iv")):
+        want = _reference_columns(tmp_path / name)
+        got = _ingested_columns(ingest_csv(str(tmp_path / name), schema))
+        for column, values in want.items():
+            assert got[column].tobytes() == values.tobytes(), (name, column)
+
+
+_BAD_FILES = {
+    "arm_zero": ("arm", "arm,y\n0,1.0\n2,2.0\n", "line 2: arm labels start at 1, got 0"),
+    "arm_gap": ("arm", "arm,y\n1,1.0\n3,2.0\n",
+                "arm labels must be contiguous 1..3; no rows carry [2]"),
+    "arm_gaps": ("arm", "arm,y\n1,1\n2,2\n5,3\n9,4\n",
+                 "arm labels must be contiguous 1..9; no rows carry [3, 4, 6, 7, 8]"),
+    "bad_float": ("arm", "arm,y\n1,oops\n2,2.0\n",
+                  "line 2, column 'y': could not parse 'oops' as a number"),
+    "ragged": ("arm", "arm,y\n1,1.0\n2,2.0,9.9\n", "line 3: expected 2 fields, got 3"),
+    # row widths are checked before any cell
+    "ragged_first": ("arm", "arm,y\n1,1.0\n2,2.0\n2,3.0,4\n1,oops\n",
+                     "line 4: expected 2 fields, got 3"),
+    "cluster_zero": ("arm", "arm,y,cluster\n1,1.0,0\n2,2.0,1\n",
+                     "line 2: cluster ids start at 1, got 0"),
+    "bad_cluster": ("arm", "arm,y,cluster\n1,1.0,1\n2,2.0,x\n",
+                    "line 3, column 'cluster': could not parse 'x' as an integer"),
+    "arm_float": ("arm", "arm,y\n1.5,1.0\n2,2.0\n",
+                  "line 2, column 'arm': could not parse '1.5' as an integer"),
+    # cells are checked in schema order, whatever the column order
+    "free_order_bad_arm": ("arm", "y,arm\nfoo,bar\n",
+                           "line 2, column 'arm': could not parse 'bar' as an integer"),
+    "bad_x_first": ("arm", "arm,y,x1\n1,1.0,a\n0,2.0,0\n",
+                    "line 2, column 'x1': could not parse 'a' as a number"),
+    "blank_lines_arm_zero": ("arm", "\n\narm,y\n1,1\n\n0,2\n",
+                             "line 6: arm labels start at 1, got 0"),
+    "no_rows": ("arm", "arm,y\n", "no data rows after the header"),
+    "no_header": ("arm", "\n\n", "empty file, a header row is required"),
+    "z_two": ("iv", "z,d,y\n1,0.5,1.0\n2,0.1,2.0\n",
+              "line 3: column 'z' must be 0 or 1, got 2"),
+    "z_negative": ("iv", "z,d,y\n0,0.5,1\n-1,0.1,2.0\n",
+                   "line 3: column 'z' must be 0 or 1, got -1"),
+    "iv_empty_cell": ("iv", "z,d,y\n0,0.5,\n1,0.1,2.0\n",
+                      "line 2, column 'y': could not parse '' as a number"),
+    # blank lines count toward the line number of a bad cell after them
+    "after_blank_lines": ("arm", "arm,y\n1,1.0\n\n\n2,bad\n",
+                          "line 5, column 'y': could not parse 'bad' as a number"),
+    "empty_cell": ("arm", "arm,y\n1,1.0\n2,\n",
+                   "line 3, column 'y': could not parse '' as a number"),
+    "trailing_comma": ("arm", "arm,y\n1,1.0,\n2,2.0,\n", "line 2: expected 2 fields, got 3"),
+    # cells that int() and float() accept but the reader does not
+    "underscore": ("arm", "arm,y\n1,1_000\n2,2.0\n",
+                   "line 2, column 'y': could not parse '1_000' as a number"),
+    "non_ascii_digit": ("arm", "arm,y\n1,1.0\n\u0662,2.0\n",
+                        "line 3, column 'arm': could not parse '\u0662' as an integer"),
+    "overflow": ("arm", "arm,y\n1,1.0\n2,2.0\n99999999999999999999,3.0\n",
+                 "line 4, column 'arm': '99999999999999999999' does not fit a 64-bit integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FILES))
+def test_ingest_error_messages_are_exact(tmp_path, case):
+    schema, body, message = _BAD_FILES[case]
+    path = _write(tmp_path / "bad.csv", body)
+    with pytest.raises(ValidationError) as info:
+        ingest_csv(path, schema)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_contiguity_error_is_bounded(tmp_path):
+    # one label of 5,000,000 leaves 4,999,997 labels unused; the message
+    # lists the first few and counts the rest
+    path = _write(tmp_path / "gap.csv", "arm,y\n1,1.0\n2,2.0\n5000000,3.0\n")
+    with pytest.raises(ValidationError) as info:
+        ingest_csv(path, "arm")
+    message = str(info.value)
+    assert len(message) < 1000
+    assert message.endswith(
+        "arm labels must be contiguous 1..5000000; "
+        "no rows carry [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 4999987 more"
+    )
+
+
+def test_overflowing_integer_cell_is_a_validation_error(tmp_path, capsys):
+    path = _write(tmp_path / "big.csv", "arm,y\n1,1.0\n99999999999999999999,2.0\n")
+    with pytest.raises(ValidationError, match=r"line 3, column 'arm'"):
+        ingest_csv(path, "arm")
+    assert main(["estimate", "--data", path]) == 1
+    assert "64-bit" in capsys.readouterr().err
+
+
+def test_valid_files_never_reach_the_per_cell_parsers(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a valid file was parsed cell by cell")
+
+    monkeypatch.setattr(ingest, "_int_cell", refuse)
+    monkeypatch.setattr(ingest, "_float_cell", refuse)
+    rng = np.random.default_rng(4)
+    n = 10_000
+    labels = rng.permutation(np.repeat([1, 2], n // 2))
+    data = ObservedData(labels=labels, y=rng.normal(size=n), x=rng.normal(size=(n, 2)),
+                        clusters=np.arange(1, n + 1), x_names=("x1", "x2"))
+    export_csv(data, str(tmp_path / "arm.csv"))
+    export_csv(IVData(z=labels - 1, d=rng.normal(size=n), y=rng.normal(size=n)),
+               str(tmp_path / "iv.csv"))
+    assert ingest_csv(str(tmp_path / "arm.csv"), "arm").n_units == n
+    assert ingest_csv(str(tmp_path / "iv.csv"), "iv").n_units == n
 
 
 # =========================================================================
@@ -356,10 +535,25 @@ _FROZEN_SEED26 = {
 def test_coverage_counts_are_offset_invariant():
     # the variance estimate must cancel a common offset before squaring
     table = experiments.coverage_table("additive", 200)
-    plain = experiments._coverage_counts(table, 100, 4096, 26, 0, 0.05)
-    shifted = experiments._coverage_counts(table + 1e8, 100, 4096, 26, 0, 0.05)
+    plain, shifted = experiments._coverage_counts([table, table + 1e8], 100, 4096, 26, 0, 0.05)
     assert shifted[:2] == plain[:2]
     assert shifted[2] == pytest.approx(plain[2], abs=1e-6)
+
+
+def test_coverage_suite_draws_each_chunk_once(monkeypatch):
+    # both tables are evaluated on one draw of every chunk of reps
+    calls = []
+    draw = experiments.designs.draw_partition_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.designs, "draw_partition_batch", counted)
+    reps = 2 * experiments._CHUNK + 1000
+    report = run_suite("coverage", seed=26, reps=reps)
+    assert len(report.experiment["runs"]) == 2
+    assert len(calls) == 3
 
 
 def test_planted_cov_estimator_defect_fails_oracle_and_moves_coverage(monkeypatch):
@@ -411,6 +605,14 @@ def test_cli_estimate_emits_report(tmp_path, capsys):
     assert payload["point"] == pytest.approx([10.0])  # means 11.625 vs 1.625
     assert payload["ci"][0] < 10.0 < payload["ci"][1]
     assert payload["sizes"] == [4, 4]
+
+
+def test_cli_interval_is_neyman_ci(tmp_path, capsys):
+    path = _two_arm_csv(tmp_path)
+    assert main(["estimate", "--data", path, "--alpha", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    data = ingest_csv(path, "arm")
+    assert payload["ci"] == list(estimators.neyman_ci(data.labels, data.y, 0.1))
 
 
 def test_cli_estimate_uses_covariates_when_present(tmp_path, capsys):
