@@ -14,7 +14,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 10_000_000
-ENUM_CAP_ENV_VAR = "FINPOP_ENUM_CAP"
 
 
 def derive_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -126,24 +124,13 @@ def multinomial_count(sizes) -> int:
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit argument, else the
-    FINPOP_ENUM_CAP environment variable, else the built-in default."""
-    if cap is not None:
-        cap = int(cap)
-        if cap < 1:
-            raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
-        return cap
-    env = os.environ.get(ENUM_CAP_ENV_VAR)
-    if env is None:
+    """Resolve the enumeration cap: the explicit argument, else the built-in
+    default DEFAULT_ENUM_CAP."""
+    if cap is None:
         return DEFAULT_ENUM_CAP
-    try:
-        cap = int(env)
-    except ValueError as exc:
-        raise ValidationError(
-            f"{ENUM_CAP_ENV_VAR} must be an integer, got {env!r}"
-        ) from exc
+    cap = int(cap)
     if cap < 1:
-        raise ValidationError(f"{ENUM_CAP_ENV_VAR} must be >= 1, got {cap}")
+        raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
     return cap
 
 

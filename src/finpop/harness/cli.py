@@ -76,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("test", "randomization tests on one realized assignment")
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--design", default=None, metavar="N1,N2,...")
-    p.add_argument("--stat", required=True,
-                   choices=("kw", "diff", "wilcoxon", "max", "range", "dose", "hyper"))
-    p.add_argument("--method", default="normal", choices=("normal", "exact", "mc"))
+    p.add_argument("--stat", required=True, choices=tuple(randtests.TEST_STATISTICS))
+    p.add_argument("--method", default="normal", choices=randtests.TEST_METHODS)
     p.add_argument("--alternative", default=None,
                    choices=("two_sided", "greater", "less"))
     p.add_argument("--ties", default="strict", choices=("strict", "midrank"))
@@ -87,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cap", type=int, default=None,
                    help="enumeration cap for --method exact")
-    p.add_argument("--alpha", type=float, default=0.05)
 
     p = add("iv-ci", "confidence set for an effect ratio under encouragement")
     p.add_argument("--data", required=True, metavar="CSV")
@@ -240,69 +238,16 @@ def _cmd_estimate(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # test
 
-def _randomized(stat_fn, data, method, alternative, args):
-    if method == "mc":
-        if args.seed is None:
-            raise ValidationError("--seed is required for --method mc")
-        return randtests.mc_randomization_pvalue(
-            stat_fn, data.labels, data.y, args.reps, args.seed,
-            alternative=alternative,
-        )
-    return randtests.exact_randomization_pvalue(
-        stat_fn, data.labels, data.y, alternative=alternative, cap=args.cap,
-    )
-
-
-def _normal_reference(stat, labels, values, doses, alternative, args):
-    if stat in ("diff", "wilcoxon"):
-        return randtests.diff_normal_test(labels, values, alternative)
-    if stat == "dose":
-        observed = randtests.dose_rank_stat(labels, values, doses)
-    else:
-        largest, spread = randtests.extreme_rank_stats(labels, values)
-        observed = spread if stat == "range" else largest
-    if args.seed is None:
-        raise ValidationError("--seed is required for the simulated normal reference")
-    return randtests.rank_stat_normal_pvalue(
-        estimators.arm_sizes(labels), observed, stat, args.reps, args.seed, doses=doses)
-
-
 def _cmd_test(args) -> tuple[dict, int]:
     data = ingest.ingest_csv(args.data, "arm")
     _check_design(args.design, estimators.arm_sizes(data.labels))
-    stat, method = args.stat, args.method
-    upper_tailed = stat in ("kw", "max", "range", "dose")
-    alternative = args.alternative or ("greater" if upper_tailed else "two_sided")
-    if upper_tailed and alternative != "greater":
-        raise ValidationError(f"--stat {stat} is upper-tailed; drop --alternative")
-
-    if stat == "hyper":
-        if method == "mc":
-            raise ValidationError("--stat hyper supports --method exact or normal")
-        result = randtests.hypergeom_test(data.labels, data.y, mode=method,
-                                          alternative=alternative)
-    elif stat == "kw" and method == "normal":
-        result = randtests.kruskal_wallis(data.labels, data.y, args.ties)
-    else:
-        values = data.y if stat == "diff" else randtests.rank_transform(data.y, args.ties)
-        doses = None
-        if stat == "dose":
-            if args.doses is None:
-                raise ValidationError("--stat dose requires --doses")
-            doses = np.asarray(_parse_floats(args.doses, "--doses"))
-        if method == "normal":
-            result = _normal_reference(stat, data.labels, values, doses, alternative, args)
-        else:
-            if stat == "kw":
-                # the dual-form check, on the observed assignment only
-                randtests.kruskal_wallis(data.labels, data.y, args.ties)
-            kind = "diff" if stat == "wilcoxon" else stat
-            q = 2 if kind == "diff" else data.q_arms
-            statistic = randtests.sum_statistic(kind, values, q, doses)
-            result = _randomized(statistic, data, method, alternative, args)
-
+    doses = None if args.doses is None else _parse_floats(args.doses, "--doses")
+    result = randtests.randomization_test(
+        args.stat, data.labels, data.y, args.method, args.alternative, args.ties,
+        doses, args.reps, args.seed, args.cap,
+    )
     payload = {
-        "stat": stat,
+        "stat": args.stat,
         "statistic": result.statistic,
         "p_value": result.p_value,
         "method": result.method,

@@ -186,13 +186,15 @@ def _diagnose(path: str, header: list[str], order: list[str]) -> None:
     """Raise the first problem of a body that the fast read rejected, with
     the line and the column where it sits.
 
-    The file is read again record by record, and line numbers count records,
-    blank ones included. Row widths are checked first, then the cells of
-    each row in `order`.
+    The file is read again record by record. Line numbers are physical
+    lines, blank ones included; a record with a quoted cell that spans lines
+    is numbered by its last line. Row widths are checked first, then the
+    cells of each row in `order`.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     rows = rows[1:]

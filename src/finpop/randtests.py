@@ -47,6 +47,9 @@ from .popstats import pop_moments, sample_cov
 __all__ = [
     "TestResult",
     "JointTestResult",
+    "TEST_STATISTICS",
+    "TEST_METHODS",
+    "randomization_test",
     "rank_transform",
     "SumStatistic",
     "sum_statistic",
@@ -66,6 +69,19 @@ __all__ = [
 ]
 
 _ALTERNATIVES = ("two_sided", "greater", "less")
+# The statistics `randomization_test` offers, by name: (the `sum_statistic`
+# kind, whether it acts on the ranks of y, whether it is upper-tailed).
+# 'hyper' is the hypergeometric count of a binary outcome and has no kind.
+TEST_STATISTICS = {
+    "kw": ("kw", True, True),
+    "diff": ("diff", False, False),
+    "wilcoxon": ("diff", True, False),
+    "max": ("max", True, True),
+    "range": ("range", True, True),
+    "dose": ("dose", True, True),
+    "hyper": (None, False, False),
+}
+TEST_METHODS = ("normal", "exact", "mc")
 _MC_CHUNK = 1024
 _EXACT_BLOCK = 4096
 # label cells per exact-enumeration block (8 MB of int64); caps the block
@@ -163,7 +179,8 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
       (N - 1) sum_q S_q^2 / n_q / sum_i (v_i - vbar)^2 with S_q the arm sums
       of centered values; 0 for constant values;
     - 'max', 'range': the two values of `extreme_rank_stats`;
-    - 'dose': `dose_rank_stat`, sum_q dose_q (arm mean)_q.
+    - 'dose': `dose_rank_stat`, sum_q dose_q (arm mean)_q, with one finite
+      dose per arm.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -192,9 +209,13 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             means = sums[:, :, 0] / sizes
             return means.max(axis=1) - means.min(axis=1)
     elif kind == "dose":
+        if doses is None:
+            raise ValidationError(f"the 'dose' statistic needs one dose per arm ({q})")
         doses = np.asarray(doses, dtype=float)
         if doses.shape != (q,):
             raise ValidationError(f"need one dose per arm ({q}), got shape {doses.shape}")
+        if not np.all(np.isfinite(doses)):
+            raise ValidationError(f"doses must be finite, got {doses.tolist()}")
         offset = center * float(doses.sum())
 
         def reduce(sums, sizes):
@@ -257,11 +278,12 @@ def kruskal_wallis(labels, y, tie_policy: str = "strict") -> TestResult:
     """Rank analysis-of-variance statistic over Q arms with its chi-square
     (Q - 1) upper-tail p-value.
 
-    For untied ranks the statistic is computed by two algebraically equal
-    forms, (N - 1) sum_q n_q (Rbar_q - Rbar)^2 / sum_i (R_i - Rbar)^2 and
-    sum_q ((N - n_q)/N) Rtilde_q^2, and any disagreement beyond rounding is an
-    internal error. With midranks and ties present only the first form is
-    valid; the result is tagged ties_adjusted.
+    The statistic is `sum_statistic('kw')` of the ranks,
+    (N - 1) sum_q S_q^2 / n_q / sum_i (R_i - Rbar)^2 with S_q the arm sums of
+    centered ranks. For untied ranks it is checked against the algebraically
+    equal form sum_q ((N - n_q)/N) Rtilde_q^2, and any disagreement beyond
+    rounding is an internal error. With midranks and ties present only the
+    first form is valid; the result is tagged ties_adjusted.
     """
     ranks = rank_transform(y, tie_policy)
     labels = np.asarray(labels)
@@ -270,20 +292,16 @@ def kruskal_wallis(labels, y, tie_policy: str = "strict") -> TestResult:
     if q_arms < 2:
         raise ValidationError("the test needs at least two arms")
     n = ranks.size
-    grand = (n + 1.0) / 2.0  # midranks preserve the total, so Rbar = (N+1)/2
-    ss_total = float(np.sum((ranks - grand) ** 2))
-    ties_present = np.unique(ranks).size < n
-    if ss_total == 0.0:
+    if ranks.min() == ranks.max():
         return TestResult(
             statistic=0.0,
             p_value=1.0,
             method="chi2_approx,degenerate",
             null_mean=float(q_arms - 1),
         )
-    arm_means = tau_hat(labels, ranks, np.eye(q_arms))
-    h_anova = (n - 1.0) * float(counts @ (arm_means - grand) ** 2) / ss_total
+    h_anova = sum_statistic("kw", ranks, q_arms)(labels)
     method = "chi2_approx"
-    if not ties_present:
+    if np.unique(ranks).size == n:
         tilde = standardized_rank_means(labels, ranks)
         h_std = float(((n - counts) / n) @ (tilde**2))
         if abs(h_anova - h_std) > 1e-10 * max(1.0, abs(h_anova)):
@@ -335,7 +353,7 @@ def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: s
     rho = float(sample_cov(first, second) / (s_first * s_second))
     rho = min(1.0, max(-1.0, rho))
     scale = np.sqrt(n1 * n0 / n)
-    stats = (diff_in_means_stat(labels, first), diff_in_means_stat(labels, second))
+    stats = (sum_statistic("diff", first)(labels), sum_statistic("diff", second)(labels))
     standardized = (scale * stats[0] / s_first, scale * stats[1] / s_second)
     critical = distlib.solve_gamma_c(rho, alpha)
     observed_max = max(standardized)
@@ -372,8 +390,9 @@ def rank_stat_normal_pvalue(
 ) -> TestResult:
     """Upper-tail p-value of a rank-mean functional under its limiting normal
     law: standardized rank means are simulated from N(0, V_R) with V_R the
-    exact null covariance, mapped back to arm rank means, and the functional
-    (max, range, or dose-weighted sum) is compared with the observed value.
+    exact null covariance, mapped back to centered arm rank sums, and the
+    `sum_statistic(kind)` reduction of untied ranks (max, range, or
+    dose-weighted sum) is compared with the observed value.
 
     This standardizes each arm rank mean by its exact null mean and variance,
     which is one concrete reading of "properly standardized"; the simulated
@@ -383,24 +402,16 @@ def rank_stat_normal_pvalue(
         raise ValidationError(f"replication count must be >= 1, got {b}")
     sizes_arr = np.asarray([int(s) for s in sizes], dtype=float)
     n = float(sizes_arr.sum())
+    statistic = sum_statistic(kind, np.arange(1.0, n + 1.0), sizes_arr.size, doses)
     cov = rank_null_cov(sizes_arr)
     w, v = np.linalg.eigh(cov)
     root = v * np.sqrt(np.clip(w, 0.0, None))
     rng = as_rng(seed)
     tilde = rng.standard_normal((int(b), sizes_arr.size)) @ root.T
     sd = np.sqrt((n + 1.0) * (n - sizes_arr) / (12.0 * sizes_arr))
-    means = (n + 1.0) / 2.0 + tilde * sd
-    if kind == "max":
-        sims = means.max(axis=1)
-    elif kind == "range":
-        sims = means.max(axis=1) - means.min(axis=1)
-    elif kind == "dose":
-        doses = np.asarray(doses, dtype=float)
-        if doses.shape != (sizes_arr.size,):
-            raise ValidationError("need one dose per arm")
-        sims = means @ doses
-    else:
-        raise ValidationError(f"kind must be 'max', 'range', or 'dose', got {kind!r}")
+    # n_q (Rbar_q - (N + 1) / 2), the arm sums of centered ranks
+    sums = tilde * sd * sizes_arr
+    sims = statistic.reduce(sums[:, :, np.newaxis], sizes_arr)
     count = int(np.sum(sims >= observed))
     return TestResult(
         statistic=float(observed),
@@ -430,8 +441,7 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     n, n_total = int(counts[0]), int(labels.size)
     ones_total = int(y_arr.sum())
     observed = int(y_arr[labels == 1].sum())
-    if alternative not in ("two_sided", "greater", "less"):
-        raise ValidationError(f"unknown alternative {alternative!r}")
+    _check_alternative(alternative)
     mean_frac = Fraction(n * ones_total, n_total)
     null_mean = float(mean_frac)
     null_var = (
@@ -500,7 +510,7 @@ def diff_normal_test(labels, values, alternative: str = "two_sided") -> TestResu
     N / (n_1 n_0) S^2, with S^2 the variance of `values` (divisor N - 1).
     """
     labels = np.asarray(labels)
-    observed = diff_in_means_stat(labels, values)
+    observed = sum_statistic("diff", values)(labels)
     counts = arm_sizes(labels, 2)
     var0 = labels.size / (int(counts[0]) * int(counts[1])) * pop_moments(values).variance
     return TestResult(
@@ -619,3 +629,48 @@ def exact_randomization_pvalue(
         method=f"exact(count={total})",
         alternative=alternative,
     )
+
+
+def randomization_test(
+    stat: str, labels, y, method: str = "normal", alternative: str | None = None,
+    ties: str = "strict", doses=None, b: int = 10_000, seed=None, cap: int | None = None,
+) -> TestResult:
+    """Test the sharp null with a statistic of TEST_STATISTICS against the
+    normal, exact or Monte Carlo ('mc') reference.
+
+    Every reference evaluates one `sum_statistic` of y or of its ranks (tie
+    policy `ties`), so the statistic does not depend on the method. The
+    alternative defaults to 'greater', the only one an upper-tailed statistic
+    takes, or to 'two_sided'. `b` and `seed` drive the Monte Carlo and the
+    simulated normal references, `cap` the exact one; 'hyper' has no Monte
+    Carlo reference.
+    """
+    if stat not in TEST_STATISTICS:
+        raise ValidationError(f"unknown statistic {stat!r}; use one of {list(TEST_STATISTICS)}")
+    if method not in TEST_METHODS:
+        raise ValidationError(f"unknown method {method!r}; use one of {list(TEST_METHODS)}")
+    kind, on_ranks, upper_tailed = TEST_STATISTICS[stat]
+    alternative = alternative or ("greater" if upper_tailed else "two_sided")
+    if upper_tailed and alternative != "greater":
+        raise ValidationError(f"{stat!r} is upper-tailed; its alternative is 'greater'")
+    labels = np.asarray(labels)
+    if kind is None:
+        if method == "mc":
+            raise ValidationError(f"{stat!r} has the exact and normal references only")
+        return hypergeom_test(labels, y, mode=method, alternative=alternative)
+    if kind == "kw":
+        # the dual-form check on the observed assignment, and the chi-square
+        # reference
+        chi2 = kruskal_wallis(labels, y, ties)
+        if method == "normal":
+            return chi2
+    values = rank_transform(y, ties) if on_ranks else np.asarray(y, dtype=float)
+    if method == "normal" and kind == "diff":
+        return diff_normal_test(labels, values, alternative)
+    q = 2 if kind == "diff" else arm_sizes(labels).size
+    statistic = sum_statistic(kind, values, q, doses)
+    if method == "exact":
+        return exact_randomization_pvalue(statistic, labels, y, alternative, cap)
+    if method == "mc":
+        return mc_randomization_pvalue(statistic, labels, y, b, seed, alternative)
+    return rank_stat_normal_pvalue(arm_sizes(labels, q), statistic(labels), kind, b, seed, doses)

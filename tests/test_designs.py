@@ -113,14 +113,6 @@ def test_enumerate_partition_blocks_cap_before_first_block():
         designs.enumerate_partition_blocks((2, 2), block=0)
 
 
-def test_enumeration_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("FINPOP_ENUM_CAP", "5")
-    with pytest.raises(EnumerationCapError):
-        list(designs.enumerate_partitions((2, 2)))  # 6 > 5
-    monkeypatch.setenv("FINPOP_ENUM_CAP", "6")
-    assert len(list(designs.enumerate_partitions((2, 2)))) == 6
-
-
 # =========================================================================
 # Random draws
 # =========================================================================

@@ -27,7 +27,7 @@ from finpop.harness import (
     run_oracle_suite,
     run_suite,
 )
-from finpop import distlib, estimators
+from finpop import distlib, estimators, randtests
 from finpop.harness import cli, experiments, ingest
 from finpop.harness.cli import main
 from finpop.harness.experiments import synthetic_population
@@ -306,6 +306,28 @@ def test_ingest_error_messages_are_exact(tmp_path, case):
     path = _write(tmp_path / "bad.csv", body)
     with pytest.raises(ValidationError) as info:
         ingest_csv(path, schema)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# a record with a quoted cell that spans lines is numbered by its last
+# physical line, and the records after it by theirs
+_MULTILINE_FILES = {
+    "bad_cell_after": ('arm,y\n1,"2\n"\n2,bad\n',
+                       "line 4, column 'y': could not parse 'bad' as a number"),
+    "ragged_after": ('arm,y\n1,"2\n"\n2,2.0,9\n', "line 4: expected 2 fields, got 3"),
+    "blank_lines_inside": ('arm,y\n1,"2\n\n"\n\n2,bad\n',
+                           "line 6, column 'y': could not parse 'bad' as a number"),
+    "bad_cell_spanning": ('arm,y\n1,1\n2,"x\ny"\n',
+                          "line 4, column 'y': could not parse 'x\\ny' as a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MULTILINE_FILES))
+def test_ingest_errors_name_physical_lines_after_multiline_cells(tmp_path, case):
+    body, message = _MULTILINE_FILES[case]
+    path = _write(tmp_path / "bad.csv", body)
+    with pytest.raises(ValidationError) as info:
+        ingest_csv(path, "arm")
     assert str(info.value) == f"{path}: {message}"
 
 
@@ -704,6 +726,47 @@ def test_cli_test_max_normal_requires_seed(tmp_path, capsys):
 def test_cli_test_hyper_rejects_mc(tmp_path, capsys):
     path = _write(tmp_path / "h.csv", "arm,y\n1,1\n1,0\n2,1\n2,0\n")
     assert main(["test", "--data", path, "--stat", "hyper", "--method", "mc"]) == 1
+
+
+@pytest.mark.parametrize("stat", list(randtests.TEST_STATISTICS))
+def test_cli_statistic_is_the_same_under_every_method(tmp_path, capsys, stat):
+    # every reference evaluates one SumStatistic, so the reported statistic
+    # does not depend on --method, bit for bit
+    kind = randtests.TEST_STATISTICS[stat][0]
+    methods = ("normal", "exact") if kind is None else randtests.TEST_METHODS
+    rng = np.random.default_rng(41)
+    path = tmp_path / "r.csv"
+    for sizes in ((5, 4),) if kind in (None, "diff") else ((5, 4), (3, 3, 3)):
+        for _ in range(30):
+            labels = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+            y = (rng.integers(0, 2, labels.size).astype(float) if kind is None
+                 else rng.normal(50.0, 3.0, labels.size))
+            export_csv(ObservedData(labels=labels, y=y), path)
+            argv = ["test", "--data", str(path), "--stat", stat, "--seed", "1", "--reps", "20"]
+            if stat == "dose":
+                argv.append("--doses=" + ",".join(str(d) for d in np.linspace(-1.0, 2.0, len(sizes))))
+            statistics = []
+            for method in methods:
+                assert main([*argv, "--method", method]) == 0
+                statistics.append(json.loads(capsys.readouterr().out)["statistic"])
+            assert len(set(statistics)) == 1, (sizes, statistics)
+
+
+@pytest.mark.parametrize("method", ["normal", "exact", "mc"])
+@pytest.mark.parametrize("doses", ["nan,1,2", "1,inf,2", "-inf,0,1"])
+def test_cli_test_rejects_non_finite_doses(tmp_path, capsys, method, doses):
+    path = _write(tmp_path / "d.csv", "arm,y\n" + "".join(
+        f"{arm},{v}\n" for arm, v in zip((1, 1, 2, 2, 3, 3), (4.0, 1.0, 6.0, 2.0, 5.0, 3.0))))
+    argv = ["test", "--data", path, "--stat", "dose", f"--doses={doses}",
+            "--method", method, "--seed", "1", "--reps", "100"]
+    assert main(argv) == 1
+    assert "doses must be finite" in capsys.readouterr().err
+
+
+def test_cli_test_has_no_alpha(tmp_path, capsys):
+    path = _two_arm_csv(tmp_path)
+    assert main(["test", "--data", path, "--stat", "diff", "--alpha", "0.1"]) == 1
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_cli_iv_ci_point_at_exact_ratio(tmp_path, capsys):

@@ -313,6 +313,48 @@ def test_rank_stat_normal_pvalue_validates_inputs():
         randtests.rank_stat_normal_pvalue((3, 3), 1.0, "dose", 10, 1, doses=[1.0])
 
 
+# Frozen p-values of the simulated functional as computed from arm rank
+# means Rbar_q = (N + 1)/2 + sd_q Rtilde_q directly, before the functional
+# became the `sum_statistic` reduction of the centered arm sums.
+@pytest.mark.parametrize("sizes, observed, kind, b, seed, doses, p_value", [
+    ((4, 4, 4), 10.5, "max", 4000, 13, None, 0.01274681329667583),
+    ((3, 3, 3), 4.0, "range", 5000, 2, None, 0.16296740651869626),
+    ((5, 3), 5.6, "max", 3000, 7, None, 0.21159613462179275),
+    ((6, 5, 4), 1.5, "range", 2000, 11, None, 0.8570714642678661),
+    ((4, 4, 3), 19.5, "dose", 3000, 21, (0.0, 1.0, 2.0), 0.3045651449516828),
+    ((5, 5), 2.5, "dose", 2500, 3, (-1.0, 0.5), 0.0007996801279488205),
+])
+def test_rank_stat_normal_pvalue_is_frozen(sizes, observed, kind, b, seed, doses, p_value):
+    result = randtests.rank_stat_normal_pvalue(sizes, observed, kind, b, seed, doses)
+    assert result.p_value == p_value
+
+
+@pytest.mark.parametrize("doses", [(np.nan, 1.0, 2.0), (1.0, np.inf, 2.0), None])
+def test_dose_statistic_needs_finite_doses(doses):
+    with pytest.raises(ValidationError):
+        randtests.sum_statistic("dose", np.arange(1.0, 7.0), 3, doses)
+    with pytest.raises(ValidationError):
+        randtests.rank_stat_normal_pvalue((2, 2, 2), 10.0, "dose", 10, 1, doses)
+
+
+def test_randomization_test_validates_its_arguments():
+    labels, y = np.array([1, 1, 2, 2]), np.array([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValidationError, match="unknown statistic"):
+        randtests.randomization_test("slope", labels, y)
+    with pytest.raises(ValidationError, match="unknown method"):
+        randtests.randomization_test("diff", labels, y, method="bootstrap")
+    with pytest.raises(ValidationError, match="upper-tailed"):
+        randtests.randomization_test("kw", labels, y, alternative="less")
+    with pytest.raises(ValidationError, match="exact and normal"):
+        randtests.randomization_test("hyper", labels, np.array([1, 0, 1, 0]), method="mc")
+    with pytest.raises(ValidationError, match="seed"):
+        randtests.randomization_test("diff", labels, y, method="mc")
+    result = randtests.randomization_test("kw", labels, y)
+    assert (result.alternative, result.method) == (None, "chi2_approx")
+    result = randtests.randomization_test("wilcoxon", labels, y, method="exact")
+    assert (result.alternative, result.p_value) == ("two_sided", 2.0 / 6.0)
+
+
 # =========================================================================
 # Hypergeometric count test
 # =========================================================================
