@@ -7,15 +7,15 @@ P(max of a correlated standard-normal pair > c) = alpha.
 
 The normal and chi-square functions need only the standard library:
 math.erfc, statistics.NormalDist (Wichura's AS241 quantile) and the finite
-gamma series that integer degrees of freedom allow. Importing this module
-therefore loads no scipy. The orthant probability is a one-dimensional
-adaptive quadrature, which is all the equal-threshold case needs;
-scipy.integrate and scipy.optimize are imported inside the two functions
-that use them.
+gamma series that integer degrees of freedom allow. The orthant probability
+is Owen's T function on one fixed Gauss-Legendre rule, and the chi-square
+quantile and the critical value share one grid root finder. Nothing here
+needs more than numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 
@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# |rho| above this is collapsed to the degenerate +/-1 closed forms: the
-# conditional sd sqrt(1-rho^2) underflows the quadrature before rho reaches 1.
+# |rho| above this takes the closed forms of rho = +/-1 (Owen's a is then 0 or inf).
 _RHO_DEGENERATE = 1.0 - 1e-12
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -221,29 +220,10 @@ def chi2_sf(x: float, df: int) -> float:
     return float(_chi2_tails(float(x), _check_df(df))[1][0])
 
 
-def chi2_quantile(df: int, p: float) -> float:
-    """Inverse chi-square cdf for integer df, accurate to 1e-10 relative on
-    [1e-6, 1 - 1e-6].
-
-    Root search on the tail that holds min(p, 1 - p), so that either end
-    keeps its relative accuracy: a bracket [0, df 2^k], then rounds that
-    each test 63 evenly spaced points of the bracket at once, down to
-    adjacent doubles.
-    """
-    df = _check_df(df)
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"quantile level must be in (0, 1), got {p}")
-    if p < 0.5:
-        def below(v):
-            return _chi2_tails(v, df)[0] < p
-    else:
-        q = 1.0 - p
-
-        def below(v):
-            return _chi2_tails(v, df)[1] > q
-    lo, hi = 0.0, float(df)
-    while below(hi)[0]:
-        lo, hi = hi, 2.0 * hi
+def _grid_root(below, lo: float, hi: float) -> float:
+    """Root in [lo, hi] of below(v), True elementwise under the root: rounds
+    that each test 63 evenly spaced points of the bracket at once, down to
+    adjacent doubles. A root outside [lo, hi] returns the nearer end."""
     while True:
         grid = lo + (hi - lo) * np.arange(1, 64) / 64.0
         inside = below(grid)
@@ -256,42 +236,77 @@ def chi2_quantile(df: int, p: float) -> float:
         lo, hi = float(new_lo), float(new_hi)
 
 
+def chi2_quantile(df: int, p: float) -> float:
+    """Inverse chi-square cdf for integer df, accurate to 1e-10 relative on
+    [1e-6, 1 - 1e-6].
+
+    Root search on the tail that holds min(p, 1 - p), so that either end
+    keeps its relative accuracy, in a bracket [0, df 2^k].
+    """
+    df = _check_df(df)
+    if not 0.0 < p < 1.0:
+        raise ValidationError(f"quantile level must be in (0, 1), got {p}")
+    q = 1.0 - p
+
+    def below(v):
+        lower, upper = _chi2_tails(v, df)
+        return lower < p if p < 0.5 else upper > q
+    lo, hi = 0.0, float(df)
+    while below(hi)[0]:
+        lo, hi = hi, 2.0 * hi
+    return _grid_root(below, lo, hi)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on [0, 1] from the eigenvectors of the
+    Jacobi matrix (Golub & Welsch 1969), built on first use: the first eigh
+    takes about 1 MB of LAPACK workspace that no other CLI call needs."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return 0.5 * (nodes + 1.0), vectors[0] ** 2
+
+
+def _owen_t(h, a: float):
+    """Owen's T(h, a) = (1/2 pi) int_0^{atan a} exp(-h^2 / (2 cos^2 t)) dt
+    elementwise over the array h, for a >= 0 (Owen 1956). For a <= 1 the
+    40-point rule integrates the smooth integrand on [0, pi/4]; for a > 1 Owen's
+    reflection, written with upper tails Q(x) = Phi(-|x|) so that no term
+    cancels where T is small, returns to a < 1."""
+    if a > 1.0:
+        q, qa = std_normal_cdf(-np.abs(h)), std_normal_cdf(-np.abs(a * h))
+        return 0.5 * q + 0.5 * qa - q * qa - _owen_t(a * h, 1.0 / a)
+    span = math.atan(a)
+    nodes, weights = _gauss_legendre(40)
+    integrand = np.exp(-0.5 * h[..., np.newaxis] ** 2 / np.cos(span * nodes) ** 2)
+    return span / (2.0 * math.pi) * np.sum(weights * integrand, axis=-1)
+
+
 def bvn_lower_orthant(c: float, rho: float) -> float:
     """P(X <= c, Y <= c) for a standard bivariate normal pair with correlation rho.
 
-    Conditioning on X gives the single integral
-    integral_{-inf}^{c} phi(x) Phi((c - rho x) / sqrt(1 - rho^2)) dx,
-    evaluated adaptively; absolute error at most 1e-7.
+    Phi(c) - 2 T(c, a) with a = sqrt((1 - rho) / (1 + rho)) and Owen's T,
+    accurate to 1e-15 absolute for |rho| <= 0.999 and |c| <= 8.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValidationError(f"correlation must be in [-1, 1], got {rho}")
-    if rho >= _RHO_DEGENERATE:
-        # Y = X almost surely.
+    if rho >= _RHO_DEGENERATE:  # Y = X almost surely
         return std_normal_cdf(c)
-    if rho <= -_RHO_DEGENERATE:
-        # Y = -X almost surely: P(-c <= X <= c).
+    if rho <= -_RHO_DEGENERATE:  # Y = -X almost surely: P(-c <= X <= c)
         return max(0.0, 2.0 * std_normal_cdf(c) - 1.0)
-    from scipy import integrate
-
-    denom = math.sqrt(1.0 - rho * rho)
-
-    def integrand(x: float) -> float:
-        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * std_normal_cdf(
-            (c - rho * x) / denom
-        )
-
-    value, _ = integrate.quad(integrand, -math.inf, c, epsabs=1e-10, epsrel=1e-10)
-    # Quadrature noise can leave the probability a hair outside [0, 1].
-    return min(1.0, max(0.0, value))
+    t = float(_owen_t(np.asarray(c, dtype=float), math.sqrt((1.0 - rho) / (1.0 + rho))))
+    # round-off can leave the probability a hair below 0 far in the lower tail
+    return max(0.0, std_normal_cdf(c) - 2.0 * t)
 
 
 def solve_gamma_c(rho: float, alpha: float) -> float:
     """Critical value c with P(max(X, Y) > c) = alpha, (X, Y) standard normal
     with correlation rho.
 
-    Equivalently bvn_lower_orthant(c, rho) = 1 - alpha. The Frechet bounds
-    max(0, 2 Phi(c) - 1) <= P(X <= c, Y <= c) <= Phi(c) bracket the root
-    between Phi^-1(1 - alpha) and Phi^-1(1 - alpha/2).
+    The Frechet bounds max(0, 2 Phi(c) - 1) <= P(X <= c, Y <= c) <= Phi(c)
+    bracket the root between Phi^-1(1 - alpha) and Phi^-1(1 - alpha/2);
+    _grid_root solves Phi(-c) + 2 T(c, a) = alpha on that bracket.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
@@ -301,18 +316,10 @@ def solve_gamma_c(rho: float, alpha: float) -> float:
         return std_normal_quantile(1.0 - alpha)
     if rho <= -_RHO_DEGENERATE:
         return std_normal_quantile(1.0 - alpha / 2.0)
-    lo = std_normal_quantile(1.0 - alpha)
-    hi = std_normal_quantile(1.0 - alpha / 2.0)
+    a = math.sqrt((1.0 - rho) / (1.0 + rho))
 
-    def gap(c: float) -> float:
-        return bvn_lower_orthant(c, rho) - (1.0 - alpha)
+    def below(c):
+        return std_normal_cdf(-c) + 2.0 * _owen_t(c, a) > alpha
 
-    # Near-degenerate rho pushes the root onto a bracket end; quadrature noise
-    # may then give the end the "wrong" sign, so settle those cases directly.
-    if gap(lo) >= 0.0:
-        return lo
-    if gap(hi) <= 0.0:
-        return hi
-    from scipy import optimize
-
-    return float(optimize.brentq(gap, lo, hi, xtol=1e-10, rtol=8.9e-16))
+    lo, hi = std_normal_quantile(1.0 - alpha), std_normal_quantile(1.0 - alpha / 2.0)
+    return _grid_root(below, lo, hi)

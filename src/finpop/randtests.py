@@ -344,20 +344,20 @@ def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: s
         first, second = y[:, 0], y[:, 1]
     else:
         raise ValidationError(f"mode must be 'rank' or 'two_outcome', got {mode!r}")
-    counts = arm_sizes(labels, 2)
-    n1, n0 = int(counts[0]), int(counts[1])
-    n = n1 + n0
+    n1, n0 = (int(k) for k in arm_sizes(labels, 2))
     s_first, s_second = np.sqrt(sample_cov(first)), np.sqrt(sample_cov(second))
     if s_first == 0.0 or s_second == 0.0:
         raise DegenerateInputError("zero pooled variance: statistics cannot be standardized")
     rho = float(sample_cov(first, second) / (s_first * s_second))
     rho = min(1.0, max(-1.0, rho))
-    scale = np.sqrt(n1 * n0 / n)
+    scale = np.sqrt(n1 * n0 / (n1 + n0))
     stats = (sum_statistic("diff", first)(labels), sum_statistic("diff", second)(labels))
     standardized = (scale * stats[0] / s_first, scale * stats[1] / s_second)
     critical = distlib.solve_gamma_c(rho, alpha)
     observed_max = max(standardized)
-    p_value = 1.0 - distlib.bvn_lower_orthant(observed_max, rho)
+    # P(max > m) = 2 Phi(-m) - (orthant at -m); 1 - (orthant at m) rounds to 0 far out
+    tail = distlib.std_normal_cdf(-observed_max)
+    p_value = 2.0 * tail - distlib.bvn_lower_orthant(-observed_max, rho)
     return JointTestResult(
         statistics=(float(stats[0]), float(stats[1])),
         standardized=(float(standardized[0]), float(standardized[1])),
@@ -466,18 +466,7 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
         method = "exact"
     elif mode == "normal":
         sd = float(np.sqrt(null_var))
-        if sd == 0.0:
-            p_value = 1.0
-        elif alternative == "greater":
-            p_value = 1.0 - distlib.std_normal_cdf((observed - null_mean - 0.5) / sd)
-        elif alternative == "less":
-            p_value = distlib.std_normal_cdf((observed - null_mean + 0.5) / sd)
-        else:
-            shifted = abs(observed - null_mean) - 0.5
-            if shifted <= 0.0:
-                p_value = 1.0
-            else:
-                p_value = min(1.0, 2.0 * (1.0 - distlib.std_normal_cdf(shifted / sd)))
+        p_value = 1.0 if sd == 0.0 else _normal_p_value(observed - null_mean, sd, alternative, 0.5)
         method = "normal_approx"
     else:
         raise ValidationError(f"mode must be 'exact' or 'normal', got {mode!r}")
@@ -491,15 +480,16 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     )
 
 
-def _two_arm_normal(observed: float, var0: float, alternative: str) -> float:
-    if var0 <= 0.0:
-        raise ValidationError("constant outcomes: the null variance is zero")
-    z = observed / np.sqrt(var0)
+def _normal_p_value(shift: float, sd: float, alternative: str, correction: float = 0.0) -> float:
+    """p-value of a statistic `shift` above its null mean under N(0, sd^2),
+    after moving it `correction` toward the mean (continuity). Each tail is
+    Phi(-z) for z >= 0, never 1 - Phi(z), which rounds to 0 far out."""
     if alternative == "greater":
-        return 1.0 - distlib.std_normal_cdf(z)
+        return distlib.std_normal_cdf(-(shift - correction) / sd)
     if alternative == "less":
-        return distlib.std_normal_cdf(z)
-    return min(1.0, 2.0 * (1.0 - distlib.std_normal_cdf(abs(z))))
+        return distlib.std_normal_cdf((shift + correction) / sd)
+    gap = abs(shift) - correction
+    return 1.0 if gap <= 0.0 else min(1.0, 2.0 * distlib.std_normal_cdf(-gap / sd))
 
 
 def diff_normal_test(labels, values, alternative: str = "two_sided") -> TestResult:
@@ -513,9 +503,11 @@ def diff_normal_test(labels, values, alternative: str = "two_sided") -> TestResu
     observed = sum_statistic("diff", values)(labels)
     counts = arm_sizes(labels, 2)
     var0 = labels.size / (int(counts[0]) * int(counts[1])) * pop_moments(values).variance
+    if var0 <= 0.0:
+        raise ValidationError("constant outcomes: the null variance is zero")
     return TestResult(
         statistic=observed,
-        p_value=_two_arm_normal(observed, var0, alternative),
+        p_value=_normal_p_value(observed, np.sqrt(var0), alternative),
         method="normal_approx",
         alternative=alternative,
         null_variance=var0,

@@ -277,13 +277,6 @@ def test_oracle_recomputation_with_mpmath():
 CHI2_DFS = (1, 2, 3, 7, 40, 1000, 4095)
 
 
-@pytest.fixture(scope="module")
-def mp():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    return mpmath
-
-
 # below 2^-1021, x / 2 is inexact and a / (x / 2) can overflow
 _NEAR_ZERO = (1e-300, 1e-308, 1e-310, 1e-323, 5e-324)
 
@@ -354,3 +347,31 @@ def test_chi2_quantile_below_the_smallest_subnormal():
     # the true quantile, about 1.6e-600, lies between 0 and the smallest
     # subnormal, whose cdf is 1.8e-162
     assert distlib.chi2_quantile(1, 1e-300) == 5e-324
+
+
+def test_bvn_accuracy(pair_max_sf):
+    for rho in np.linspace(-0.999, 0.999, 21):
+        for c in np.linspace(-8.0, 8.0, 33):
+            ref = 1 - pair_max_sf(c, rho)
+            assert abs(distlib.bvn_lower_orthant(float(c), float(rho)) - ref) <= 1e-15, (c, rho)
+
+
+def test_pair_max_upper_tail_relative_accuracy(pair_max_sf):
+    # P(max > c) = 2 Phi(-c) - P(X <= -c, Y <= -c), the form joint_test uses
+    for rho in np.linspace(-0.999, 0.999, 21):
+        for c in np.linspace(0.0, 12.0, 25):
+            ref = pair_max_sf(c, rho)
+            orthant = distlib.bvn_lower_orthant(-float(c), float(rho))
+            got = 2.0 * distlib.std_normal_cdf(-c) - orthant
+            assert abs(got - ref) <= 1e-12 * ref, (c, rho)
+
+
+def test_gamma_critical_accuracy(mp, pair_max_sf):
+    # the distance to the mpmath root is (P(max > c) - alpha) / f(c), f the
+    # density of the max, 2 phi(c) Phi(c sqrt((1 - rho) / (1 + rho)))
+    for rho in (-0.999, -0.9, -0.5, 0.0, 0.3, 0.9, 0.999):
+        a = mp.sqrt((1 - mp.mpf(rho)) / (1 + mp.mpf(rho)))
+        for alpha in (1e-6, 0.001, 0.05, 0.5, 0.9):
+            c = distlib.solve_gamma_c(rho, alpha)
+            density = 2 * mp.npdf(c) * mp.ncdf(c * a)
+            assert abs((pair_max_sf(c, rho) - alpha) / density) <= 1e-12, (rho, alpha)

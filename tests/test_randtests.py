@@ -251,6 +251,21 @@ def test_joint_test_rejects_degenerate_and_bad_mode():
         randtests.joint_test(labels, np.arange(4.0), mode="bogus")
 
 
+def test_joint_test_p_value_far_in_the_upper_tail(pair_max_sf):
+    # a strong effect puts the larger standardized statistic past 10, where
+    # P(max > m) is below 1e-23 and 1 - P(max <= m) rounds to 0
+    rng = np.random.default_rng(3)
+    labels = np.repeat([1, 2], 100)
+    y = rng.normal(size=200) + 2.3 * (labels == 1)
+    y2 = np.column_stack([y, rng.normal(size=200) + 1.6 * (labels == 1)])
+    for mode, outcome in (("rank", y), ("two_outcome", y2)):
+        result = randtests.joint_test(labels, outcome, mode=mode)
+        observed_max = max(result.standardized)
+        assert observed_max > 9.0
+        ref = pair_max_sf(observed_max, result.correlation)
+        assert abs(result.p_value - ref) <= 1e-12 * ref, mode
+
+
 # =========================================================================
 # Rank functionals and their normal reference
 # =========================================================================
@@ -385,6 +400,26 @@ def test_hypergeom_normal_mode_continuity_correction():
     y = np.array([1, 1, 0, 0])
     result = randtests.hypergeom_test(labels, y, mode="normal")
     assert result.p_value == pytest.approx(HYPER_NORMAL_P, abs=1e-12)
+
+
+def test_normal_reference_p_values_far_in_the_upper_tail(mp):
+    # z near 9.5 (count) and 8.0 (difference in means): the tails are taken
+    # as Phi(-z), since 1 - Phi(z) rounds to 0 or keeps only a few digits
+    labels = np.repeat([1, 2], 500)
+    ones = np.concatenate([np.arange(500) < 300, np.arange(500) < 150]).astype(int)
+    y = np.sin(np.arange(1000.0)) + 0.36 * (labels == 1)
+    for alternative in ("two_sided", "greater"):
+        count = randtests.hypergeom_test(labels, ones, mode="normal", alternative=alternative)
+        shift = count.statistic - count.null_mean - 0.5
+        sides = 2 if alternative == "two_sided" else 1
+        ref = sides * mp.ncdf(-shift / mp.sqrt(count.null_variance))
+        assert shift / count.null_variance**0.5 > 9.0
+        assert abs(count.p_value - ref) <= 1e-12 * ref, alternative
+        diff = randtests.diff_normal_test(labels, y, alternative=alternative)
+        z = diff.statistic / mp.sqrt(diff.null_variance)
+        assert z > 7.5
+        ref = sides * mp.ncdf(-z)
+        assert abs(diff.p_value - ref) <= 1e-12 * ref, alternative
 
 
 def test_hypergeom_all_ones_is_degenerate():

@@ -1,9 +1,10 @@
 """Start-up tests: what importing the CLI loads, checked in fresh interpreters.
 
-Every CLI call pays the import once, so scipy stays off that path: the normal
-and chi-square functions come from the standard library, scipy.stats is not
-used at all, and scipy.integrate and scipy.optimize load on the first call
-that needs them (the joint test's orthant probability and critical value).
+Every CLI call pays the import once, so the package needs nothing beyond
+numpy at run time: the normal and chi-square functions come from the standard
+library, midranks from numpy, and the joint test's orthant probability and
+critical value from Owen's T function on a fixed Gauss-Legendre rule. Nothing
+is imported lazily, and the package runs with scipy blocked.
 """
 
 import os
@@ -81,3 +82,52 @@ def test_cli_calls_without_the_joint_test_load_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     assert out == "[]"
+
+
+def test_library_and_cli_run_with_scipy_blocked(tmp_path):
+    two_arm = tmp_path / "two.csv"
+    two_arm.write_text("arm,y\n" + "".join(
+        f"{arm},{0.3 * i - arm}\n" for i, arm in enumerate((1, 2) * 5)
+    ))
+    four_arm = tmp_path / "four.csv"
+    four_arm.write_text("arm,y\n" + "".join(
+        f"{arm},{0.5 * i + arm}\n" for i, arm in enumerate((1, 2, 3, 4) * 2)
+    ))
+    iv = tmp_path / "iv.csv"
+    iv.write_text("z,d,y\n" + "".join(
+        f"{z},{d},{1.5 * d + 0.1 * i}\n"
+        for i, (z, d) in enumerate(((1, 1), (1, 1), (1, 0), (0, 0), (0, 1), (0, 0)) * 2)
+    ))
+    calls = [
+        ["estimate", "--data", str(two_arm)],
+        *(["test", "--data", str(two_arm), "--stat", "diff", "--method", method,
+           "--reps", "200", "--seed", "1"] for method in ("normal", "exact", "mc")),
+        ["iv-ci", "--data", str(iv)],
+        ["factorial", "--data", str(four_arm), "--factors", "2"],
+        ["verify", "--suite", "oracle", "--seed", "7", "--out", str(tmp_path / "oracle.json")],
+    ]
+    labels = [1, 2, 1, 2, 1, 2, 2, 1]
+    y = [0.3, 1.1, 2.4, 0.2, 1.7, 0.9, 0.4, 3.0]
+    pair = [[v, (v - 1.0) ** 2] for v in y]
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from finpop import distlib, randtests\n"
+        "from finpop.harness import cli\n"
+        "print(repr(distlib.solve_gamma_c(-0.4, 0.01)))\n"
+        f"print(repr(randtests.joint_test({labels!r}, {y!r}).p_value))\n"
+        f"result = randtests.joint_test({labels!r}, {pair!r}, mode='two_outcome')\n"
+        "print(repr(result.critical_value))\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m, module in sys.modules.items()\n"
+        "             if module and m.startswith(('scipy', 'numpy.polynomial'))))"
+    )
+    assert out.splitlines() == [
+        repr(distlib.solve_gamma_c(-0.4, 0.01)),
+        repr(randtests.joint_test(labels, y).p_value),
+        repr(randtests.joint_test(labels, pair, mode="two_outcome").critical_value),
+        "[]",
+    ]
