@@ -53,8 +53,12 @@ DEFAULT_ENUM_CAP = 10_000_000
 
 
 def derive_rng(base_seed: int, *stream: int) -> np.random.Generator:
-    """Deterministic generator for (base_seed, stream...), Philox-backed."""
-    ss = np.random.SeedSequence(entropy=(int(base_seed), *map(int, stream)))
+    """Deterministic generator for (base_seed, stream...), Philox-backed; every
+    entry must be a non-negative integer."""
+    entropy = (int(base_seed), *map(int, stream))
+    if min(entropy) < 0:
+        raise ValidationError(f"a seed must be a non-negative integer, got {min(entropy)}")
+    ss = np.random.SeedSequence(entropy=entropy)
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
@@ -79,18 +83,16 @@ def _label_template(sizes: list[int]) -> np.ndarray:
 
 
 def draw_partition(sizes, seed) -> np.ndarray:
-    """One assignment, uniform over the N! / (n_1! ... n_Q!) label vectors.
-
-    A Fisher-Yates shuffle of the label multiset; exactness follows from the
-    uniformity of the permutation.
-    """
-    sizes = _check_sizes(sizes)
-    rng = as_rng(seed)
-    return rng.permutation(_label_template(sizes))
+    """One assignment, uniform over the N! / (n_1! ... n_Q!) label vectors:
+    the one row of `draw_partition_batch(sizes, 1, seed)`, so b calls on one
+    generator draw the rows of one b-row batch."""
+    return draw_partition_batch(sizes, 1, seed)[0]
 
 
 def draw_partition_batch(sizes, b: int, seed) -> np.ndarray:
-    """b independent assignments as a (b, N) matrix, row-wise Fisher-Yates."""
+    """b independent assignments as a (b, N) matrix, row-wise Fisher-Yates
+    shuffles of the label multiset; exactness follows from the uniformity of
+    the permutation."""
     sizes = _check_sizes(sizes)
     if b < 1:
         raise ValidationError(f"batch size must be >= 1, got {b}")

@@ -227,11 +227,12 @@ def wald_region(report: EstimateReport, alpha: float) -> WaldRegion:
     )
 
 
-def normal_interval(point: float, variance: float, alpha: float) -> tuple[float, float]:
-    """Normal-calibrated interval point +/- Phi^{-1}(1 - alpha/2) variance^{1/2}."""
+def normal_interval(point, variance, alpha: float) -> tuple:
+    """Normal-calibrated interval point +/- Phi^{-1}(1 - alpha/2) variance^{1/2},
+    elementwise when point and variance are arrays."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * float(np.sqrt(variance))
+    half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance)
     return point - half, point + half
 
 

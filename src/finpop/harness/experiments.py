@@ -16,8 +16,9 @@ Three campaign families:
 
 The campaigns check the code that ships: every estimate, variance estimate
 and imbalance is computed by `estimators`, `designs` or `randtests` on whole
-blocks of enumerated or drawn assignments (their block forms reduce
-`designs.arm_sums`), never by a copy of the formula here.
+blocks of assignments from `_enumerated` or `_drawn` (their block forms
+reduce arm sums through `designs.ArmBlock`), never by a copy of the formula
+here; coverage counts the intervals of `estimators.normal_interval`.
 
 Randomness is drawn from generators derived as (seed, stream ints) per chunk
 of at most 4096 replicates, so any chunk is reproducible in isolation and a
@@ -61,6 +62,10 @@ SUITES = ("oracle", "clt", "rerand", "coverage", "all")
 _GAP_TOL = 1e-10
 _INDICATOR_TOL = 1e-12
 
+# rerand campaign: covariate count and the chi-square tail kept by the gate
+_N_COVARIATES = 2
+_ACCEPT_TARGET = 0.2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,8 +84,6 @@ class ExperimentConfig:
     alpha: float = 0.05
     population: str = "ranks"
     ns: tuple[int, ...] = (16, 64, 256, 1024)
-    n_covariates: int = 2
-    accept_target: float = 0.2
     tol: float = 0.02
     cap: int | None = None
 
@@ -99,13 +102,7 @@ class ExperimentConfig:
         if not ns or any(n < 4 for n in ns):
             raise ValidationError(f"population sizes must all be >= 4, got {list(ns)}")
         object.__setattr__(self, "ns", ns)
-        if self.n_covariates < 1:
-            raise ValidationError("need at least one covariate for imbalance")
-        if not 0.0 < self.accept_target < 1.0:
-            raise ValidationError(
-                f"acceptance target must be in (0, 1), got {self.accept_target}"
-            )
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValidationError(f"tolerance must be positive, got {self.tol}")
 
     def echo(self) -> dict:
@@ -120,8 +117,8 @@ class ExperimentConfig:
             out["population"] = self.population
             out["ns"] = list(self.ns)
         if self.kind == "rerand":
-            out["n_covariates"] = self.n_covariates
-            out["accept_target"] = self.accept_target
+            out["n_covariates"] = _N_COVARIATES
+            out["accept_target"] = _ACCEPT_TARGET
         if self.kind == "oracle" and self.cap is not None:
             out["cap"] = self.cap
         return out
@@ -185,20 +182,19 @@ def _observed(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return table.ravel()[labels + (q_arms * np.arange(n) - 1)]
 
 
+def _enumerated(sizes, cap) -> np.ndarray:
+    """Every assignment of the design, stacked as one (count, N) label block."""
+    return np.concatenate(list(designs.enumerate_partition_blocks(sizes, cap)))
+
+
 def _enumerated_estimates(table, sizes, contrast, cap, with_vhat: bool):
-    """Stack tau_hat (and optionally the variance estimate) over every
-    assignment of the design."""
-    table = np.asarray(table, dtype=float)
-    taus, vhats = [], []
-    for labels in designs.enumerate_partition_blocks(sizes, cap):
-        arms = designs.ArmBlock(labels, len(sizes))
-        y = _observed(table, labels)
-        taus.append(estimators.tau_hat(arms, y, contrast))
-        if with_vhat:
-            vhats.append(estimators.cov_estimator(arms, y, contrast))
-    taus = np.concatenate(taus)
-    vhats = np.concatenate(vhats) if with_vhat else None
-    return taus, vhats
+    """tau_hat (and optionally the variance estimate) under every assignment
+    of the design."""
+    labels = _enumerated(sizes, cap)
+    arms = designs.ArmBlock(labels, len(sizes))
+    y = _observed(np.asarray(table, dtype=float), labels)
+    vhats = estimators.cov_estimator(arms, y, contrast) if with_vhat else None
+    return estimators.tau_hat(arms, y, contrast), vhats
 
 
 def _pop_cov(values: np.ndarray) -> np.ndarray:
@@ -236,7 +232,7 @@ def _indicator_metric(metrics, sizes, cap):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     q_arms = len(sizes)
-    labels = np.concatenate(list(designs.enumerate_partition_blocks(sizes, cap)))
+    labels = _enumerated(sizes, cap)
     inds = (labels[:, :, np.newaxis] == np.arange(1, q_arms + 1)).astype(float)  # (count, N, Q)
     count = inds.shape[0]
     emp_mean = inds.mean(axis=0)
@@ -258,10 +254,7 @@ def _rank_cov_metric(metrics, sizes, cap):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     ranks = np.arange(1.0, n + 1.0)  # sharp null: ranks are fixed over assignments
-    stats = np.concatenate([
-        randtests.standardized_rank_means(labels, ranks)
-        for labels in designs.enumerate_partition_blocks(sizes, cap)
-    ])
+    stats = randtests.standardized_rank_means(_enumerated(sizes, cap), ranks)
     mean_gap = np.max(np.abs(stats.mean(axis=0)))
     cov_gap = np.max(np.abs(_pop_cov(stats) - randtests.rank_null_cov(sizes)))
     metrics.append(_gap_metric(
@@ -278,7 +271,7 @@ def _regression_metric(metrics, cap):
         estimators.finite_pop_ls(table[:, 0], x),
         estimators.finite_pop_ls(table[:, 1], x),
     )
-    labels = np.concatenate(list(designs.enumerate_partition_blocks((3, 3), cap)))
+    labels = _enumerated((3, 3), cap)
     observed = _observed(table, labels)
     fixed_vals, opt_vals = np.array([
         [estimators.regression_adjusted(lab, y, x, *beta).point[0]
@@ -388,24 +381,92 @@ def _batched(reps: int, seed: int, *stream: int):
         chunk_idx += 1
 
 
+def _drawn(sizes, reps: int, seed: int, n_index: int, stat) -> np.ndarray:
+    """stat of reps uniform assignments of `sizes`, stacked in draw order.
+
+    Chunk i is drawn from derive_rng(seed, _STREAM_ASSIGN, n_index, i), and
+    `stat` maps each of its label slices to one row per assignment. Each
+    chunk is reduced before the next is drawn (100,000 draws at N = 1024 are
+    800 MB of labels), and its slice results are joined at once, since
+    hundreds of small arrays kept to the end fragment the heap and raise the
+    peak resident size.
+    """
+    chunks = []
+    for m, rng in _batched(reps, seed, _STREAM_ASSIGN, n_index):
+        labels = designs.draw_partition_batch(sizes, m, rng)
+        chunks.append(np.concatenate([stat(part) for part in _slices(labels)]))
+    return np.concatenate(chunks)
+
+
 def _srs_standardized(pop: np.ndarray, n: int, reps: int, seed: int,
                       n_index: int) -> np.ndarray:
-    n_total = pop.size
     mean, var = popstats.srs_mean_var(pop, n)
     if var <= 0.0:
         raise DegenerateInputError("constant population: nothing to standardize")
     sd = math.sqrt(var)
-    out = np.empty(reps)
-    done = 0
-    for m, rng in _batched(reps, seed, _STREAM_ASSIGN, n_index):
-        labels = designs.draw_partition_batch((n, n_total - n), m, rng)
-        sums = (labels == 1) @ pop
-        out[done:done + m] = (sums / n - mean) / sd
-        done += m
-    return out
+    return _drawn((n, pop.size - n), reps, seed, n_index,
+                  lambda labels: (((labels == 1) @ pop) / n - mean) / sd)
 
 
-def _ladder_metrics(metrics, ks_values, tol):
+def _srs_rung(config: ExperimentConfig, n_index: int, n_total: int):
+    pop = synthetic_population(config.population, n_total)
+    n = n_total // 2
+    condition = popstats.hajek_condition_stat(pop, n)
+    stats = _srs_standardized(pop, n, config.reps, config.seed, n_index)
+    return stats, distlib.std_normal_cdf, condition, []
+
+
+def _rerand_rung(config: ExperimentConfig, n_index: int, n_total: int):
+    x = designs.derive_rng(config.seed, _STREAM_POP, n_index).standard_normal(
+        (n_total, _N_COVARIATES))
+    x -= x.mean(axis=0)
+    n1 = n_total // 2
+    q_stats = _drawn((n1, n_total - n1), config.reps, config.seed, n_index,
+                     lambda labels: np.square(designs.compute_delta(labels, x)).sum(axis=1))
+    condition = max(popstats.hajek_condition_stat(x[:, j], n1) for j in range(_N_COVARIATES))
+    threshold = distlib.chi2_quantile(_N_COVARIATES, _ACCEPT_TARGET)
+    accept_rate = float(np.mean(q_stats <= threshold))
+    gate = _gap_metric(
+        f"acceptance_rate_gap_n{n_total}", abs(accept_rate - _ACCEPT_TARGET), config.tol,
+        "rejection-sampling acceptance rate at the chi-square quantile "
+        f"threshold vs the {_ACCEPT_TARGET} tail target",
+    )
+    return q_stats, lambda v: distlib.chi2_cdf(v, _N_COVARIATES), condition, [gate]
+
+
+# kind -> (rung, KS checks, condition checks); a rung maps (config, n_index, N)
+# to the drawn statistics, their reference cdf, the condition and its gates
+_LADDERS = {
+    "clt": (
+        _srs_rung,
+        "KS distance of the standardized sample mean to the standard normal cdf",
+        "finite-N normality condition (max squared deviation over variance, "
+        "scaled by the smaller group size)",
+    ),
+    "rerand": (
+        _rerand_rung,
+        "KS distance of the squared standardized covariate imbalance to "
+        f"the chi-square({_N_COVARIATES}) cdf",
+        "worst finite-N normality condition over covariate columns",
+    ),
+}
+
+
+def run_clt_experiment(config: ExperimentConfig) -> Report:
+    """KS convergence ladder for kind 'clt' (standardized sample mean) or
+    kind 'rerand' (squared covariate imbalance against chi-square)."""
+    if config.kind not in _LADDERS:
+        raise ValidationError(f"CLT experiment got config kind {config.kind!r}")
+    start = time.perf_counter()
+    rung, ks_checks, condition_checks = _LADDERS[config.kind]
+    metrics: list[MetricResult] = []
+    ks_values = []
+    for n_index, n_total in enumerate(config.ns):
+        stats, cdf, condition, gates = rung(config, n_index, n_total)
+        ks_values.append(_ks_distance(stats, cdf))
+        metrics.append(_info_metric(f"ks_n{n_total}", ks_values[-1], ks_checks))
+        metrics.append(_info_metric(f"condition_n{n_total}", condition, condition_checks))
+        metrics.extend(gates)
     if len(ks_values) >= 2:
         drops = np.diff(ks_values)
         metrics.append(MetricResult(
@@ -417,87 +478,9 @@ def _ladder_metrics(metrics, ks_values, tol):
                    "positive means strictly decreasing throughout",
         ))
     metrics.append(_gap_metric(
-        "ks_final", ks_values[-1], tol,
+        "ks_final", ks_values[-1], config.tol,
         "KS distance at the largest population size",
     ))
-
-
-def _run_clt_srs(config: ExperimentConfig, metrics: list) -> None:
-    ks_values = []
-    for n_index, n_total in enumerate(config.ns):
-        pop = synthetic_population(config.population, n_total)
-        n = n_total // 2
-        condition = popstats.hajek_condition_stat(pop, n)
-        stats = _srs_standardized(pop, n, config.reps, config.seed, n_index)
-        ks = _ks_distance(stats, distlib.std_normal_cdf)
-        ks_values.append(ks)
-        metrics.append(_info_metric(
-            f"ks_n{n_total}", ks,
-            "KS distance of the standardized sample mean to the standard "
-            "normal cdf",
-        ))
-        metrics.append(_info_metric(
-            f"condition_n{n_total}", condition,
-            "finite-N normality condition (max squared deviation over "
-            "variance, scaled by the smaller group size)",
-        ))
-    _ladder_metrics(metrics, ks_values, config.tol)
-
-
-def _rerand_covariates(n_total: int, k: int, seed: int, n_index: int) -> np.ndarray:
-    rng = designs.derive_rng(seed, _STREAM_POP, n_index)
-    x = rng.standard_normal((n_total, k))
-    return x - x.mean(axis=0)
-
-
-def _run_clt_rerand(config: ExperimentConfig, metrics: list) -> None:
-    k = config.n_covariates
-    threshold = distlib.chi2_quantile(k, config.accept_target)
-    ks_values = []
-    for n_index, n_total in enumerate(config.ns):
-        x = _rerand_covariates(n_total, k, config.seed, n_index)
-        n1 = n_total // 2
-        n0 = n_total - n1
-        q_stats = np.empty(config.reps)
-        done = 0
-        for m, rng in _batched(config.reps, config.seed, _STREAM_ASSIGN, n_index):
-            drawn = designs.draw_partition_batch((n1, n0), m, rng)
-            delta = np.concatenate([designs.compute_delta(labels, x) for labels in _slices(drawn)])
-            q_stats[done:done + m] = np.einsum("ij,ij->i", delta, delta)
-            done += m
-        ks = _ks_distance(q_stats, lambda v: distlib.chi2_cdf(v, k))
-        ks_values.append(ks)
-        accept_rate = float(np.mean(q_stats <= threshold))
-        metrics.append(_info_metric(
-            f"ks_n{n_total}", ks,
-            "KS distance of the squared standardized covariate imbalance to "
-            f"the chi-square({k}) cdf",
-        ))
-        metrics.append(_info_metric(
-            f"condition_n{n_total}",
-            max(popstats.hajek_condition_stat(x[:, j], n1) for j in range(k)),
-            "worst finite-N normality condition over covariate columns",
-        ))
-        metrics.append(_gap_metric(
-            f"acceptance_rate_gap_n{n_total}",
-            abs(accept_rate - config.accept_target), config.tol,
-            "rejection-sampling acceptance rate at the chi-square quantile "
-            f"threshold vs the {config.accept_target} tail target",
-        ))
-    _ladder_metrics(metrics, ks_values, config.tol)
-
-
-def run_clt_experiment(config: ExperimentConfig) -> Report:
-    """KS convergence ladder for kind 'clt' (standardized sample mean) or
-    kind 'rerand' (squared covariate imbalance against chi-square)."""
-    if config.kind not in ("clt", "rerand"):
-        raise ValidationError(f"CLT experiment got config kind {config.kind!r}")
-    start = time.perf_counter()
-    metrics: list[MetricResult] = []
-    if config.kind == "clt":
-        _run_clt_srs(config, metrics)
-    else:
-        _run_clt_rerand(config, metrics)
     return Report(experiment=config.echo(), metrics=tuple(metrics),
                   wall_clock_s=time.perf_counter() - start)
 
@@ -525,24 +508,29 @@ def coverage_table(kind: str, n: int) -> np.ndarray:
 
 def _coverage_counts(tables, n1, reps, seed, n_index, alpha):
     """(neyman coverage, wald coverage, true contrast) of each two-arm table,
-    every table evaluated on the same reps draws of n1 treated units."""
-    n_total = tables[0].shape[0]
+    every table evaluated on the same reps draws of n1 treated units. The
+    Wald region is counted as err^2 <= chi2_{1, 1-alpha} v_hat because
+    `WaldRegion.contains` solves one assignment at a time."""
     contrast = [1.0, -1.0]
     taus = [float(estimators.tau_true(table, contrast)[0]) for table in tables]
-    z_half = distlib.std_normal_quantile(1.0 - alpha / 2.0)
     chi_q = distlib.chi2_quantile(1, 1.0 - alpha)
-    hits = [[0, 0] for _ in tables]
-    for m, rng in _batched(reps, seed, _STREAM_ASSIGN, n_index):
-        drawn = designs.draw_partition_batch((n1, n_total - n1), m, rng)
-        for labels in _slices(drawn):
-            arms = designs.ArmBlock(labels, 2)
-            for table, tau, counts in zip(tables, taus, hits):
-                y = _observed(table, labels)
-                err = np.abs(estimators.tau_hat(arms, y, contrast)[:, 0] - tau)
-                v_hat = estimators.cov_estimator(arms, y, contrast)[:, 0, 0]
-                counts[0] += int(np.sum(err <= z_half * np.sqrt(v_hat)))
-                counts[1] += int(np.sum(err * err <= chi_q * v_hat))
-    return [(neyman / reps, wald / reps, tau) for (neyman, wald), tau in zip(hits, taus)]
+
+    def covered(labels):
+        arms = designs.ArmBlock(labels, 2)
+        hits = []
+        for table, tau in zip(tables, taus):
+            y = _observed(table, labels)
+            point = estimators.tau_hat(arms, y, contrast)[:, 0]
+            v_hat = estimators.cov_estimator(arms, y, contrast)[:, 0, 0]
+            lo, hi = estimators.normal_interval(point, v_hat, alpha)
+            err = point - tau
+            hits += [(lo <= tau) & (tau <= hi), err * err <= chi_q * v_hat]
+        return np.stack(hits, axis=1)
+
+    n_total = tables[0].shape[0]
+    hits = _drawn((n1, n_total - n1), reps, seed, n_index, covered).sum(axis=0)
+    return [(int(neyman) / reps, int(wald) / reps, tau)
+            for neyman, wald, tau in zip(hits[0::2], hits[1::2], taus)]
 
 
 def _coverage_reports(configs) -> list[Report]:

@@ -263,7 +263,7 @@ def test_criterion_07_interval_coverage(capsys):
 
 def test_criterion_08_rerandomization_calibration(capsys):
     report = run_clt_experiment(ExperimentConfig(
-        kind="rerand", seed=26, reps=20000, ns=(256,), n_covariates=2))
+        kind="rerand", seed=26, reps=20000, ns=(256,)))
     by_name = {m.name: m.value for m in report.metrics}
     ks = by_name["ks_final"]
     rate_gap = by_name["acceptance_rate_gap_n256"]

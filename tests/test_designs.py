@@ -125,6 +125,28 @@ def test_draw_partition_has_exact_sizes_and_is_seeded():
     assert np.array_equal(lab, designs.draw_partition(sizes, 11))
 
 
+@pytest.mark.parametrize("sizes", [(50, 70), (6, 9, 5), (1, 1), (3,)])
+def test_sequential_draws_are_the_rows_of_one_batch(sizes):
+    # one Fisher-Yates path: b single draws on a generator are the rows of one
+    # b-row batch on an equal generator, and both leave it in the same state;
+    # a plain permutation of the labels is the same stream
+    single, batch, plain = (designs.derive_rng(29, 1) for _ in range(3))
+    rows = np.array([designs.draw_partition(sizes, single) for _ in range(300)])
+    template = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    permuted = np.array([plain.permutation(template) for _ in range(300)])
+    assert np.array_equal(rows, designs.draw_partition_batch(sizes, 300, batch))
+    assert np.array_equal(rows, permuted)
+    assert single.random() == batch.random() == plain.random()
+
+
+def test_negative_seeds_are_validation_errors():
+    for args in [(-1,), (3, -2), (3, 1, -1)]:
+        with pytest.raises(ValidationError, match="non-negative"):
+            designs.derive_rng(*args)
+    with pytest.raises(ValidationError):
+        designs.draw_partition((2, 2), -5)
+
+
 def test_draw_partition_frequencies_match_uniform_law():
     # sizes (1,1,1): 6 equally likely permutations
     rng = designs.as_rng(17)

@@ -9,6 +9,7 @@ failed) is asserted directly.
 import csv
 import json
 import logging
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from finpop.harness import cli, experiments, ingest
 from finpop.harness.cli import main
 from finpop.harness.experiments import synthetic_population
 from finpop.harness.reports import as_jsonable
+
+_DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _write(path, text):
@@ -440,6 +443,12 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="clt", seed=1, tol=0.0)
 
 
+def test_experiment_config_rejects_nan_tolerance():
+    # a NaN tolerance would fail every gate it reaches
+    with pytest.raises(ValidationError, match="tolerance"):
+        ExperimentConfig(kind="coverage", seed=1, tol=float("nan"))
+
+
 def test_experiment_config_echo_lists_settings():
     config = ExperimentConfig(kind="rerand", seed=9, reps=100, ns=(16,))
     echo = config.echo()
@@ -594,6 +603,41 @@ def test_planted_cov_estimator_defect_fails_oracle_and_moves_coverage(monkeypatc
     planted = {m.name: m.value for m in run_suite("coverage", seed=26, reps=2000).metrics}
     for name in ("coverage_additive.neyman_coverage", "coverage_additive.wald_coverage"):
         assert planted[name] < clean[name] - 0.05, name
+
+
+def test_planted_interval_defect_fails_neyman_coverage(monkeypatch):
+    # coverage is judged by the interval that ships: a one-sided critical
+    # value there must show up in the Neyman count, not in the Wald one
+    def one_sided(point, variance, alpha):
+        half = distlib.std_normal_quantile(1.0 - alpha) * np.sqrt(variance)
+        return point - half, point + half
+
+    monkeypatch.setattr(experiments.estimators, "normal_interval", one_sided)
+    metrics = {m.name: m for m in run_suite("coverage", seed=26, reps=2000).metrics}
+    assert not metrics["coverage_additive.neyman_coverage"].passed
+    assert metrics["coverage_additive.neyman_coverage"].value < 0.92
+    assert metrics["coverage_additive.wald_coverage"].passed
+
+
+def _golden_body(report):
+    body = report.to_dict()
+    body.pop("wall_clock_s")
+    return json.loads(json.dumps(body))
+
+
+def test_verify_all_seed26_matches_the_golden_report():
+    # every metric, tolerance, verdict and echo of `verify --suite all
+    # --seed 26`, bit for bit
+    golden = json.loads((_DATA / "golden_verify_all_seed26.json").read_text(encoding="utf-8"))
+    assert _golden_body(run_suite("all", seed=26)) == golden
+
+
+def test_clt_lognormal_ladder_matches_the_golden_report():
+    # the lognormal sums are not integers, so this pins their summation order
+    config = experiments.default_config("clt", 7, reps=3000, population="lognormal",
+                                        ns=(16, 64, 256))
+    golden = json.loads((_DATA / "golden_clt_lognormal_seed7.json").read_text(encoding="utf-8"))
+    assert _golden_body(run_clt_experiment(config)) == golden
 
 
 @pytest.mark.parametrize("suite", sorted(_FROZEN_SEED26))
@@ -837,6 +881,24 @@ def test_cli_verify_tol_reaches_the_gates(capsys):
     assert {run["tol"] for run in payload["experiment"]["runs"]} == {0.5}
     gated = [m for m in payload["metrics"] if m["tolerance"] is not None]
     assert gated and {m["tolerance"] for m in gated} == {0.5}
+
+
+def test_cli_verify_nan_tolerance_is_a_usage_error(capsys):
+    argv = ["verify", "--suite", "coverage", "--seed", "1", "--reps", "100", "--tol", "nan"]
+    assert main(argv) == 1
+    assert "error: tolerance must be positive" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
+    data = _two_arm_csv(tmp_path)
+    for argv in (
+        ["verify", "--suite", "clt", "--seed", "-1", "--reps", "10", "--ns", "16"],
+        ["test", "--data", data, "--stat", "diff", "--method", "mc", "--seed", "-3"],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: a seed must be a non-negative integer" in err
+        assert "Traceback" not in err
 
 
 def test_cli_simulate_rejects_cap(capsys):
