@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_partition_blocks",
     "enumerate_partitions",
     "ArmBlock",
-    "arm_sums",
     "indicator_cov",
     "FactorialSpec",
     "factorial_contrasts",
@@ -249,11 +248,6 @@ class ArmBlock:
         """(B, q, k) values per arm as (B, N, k), the value of each unit's arm."""
         flat = np.reshape(arm_values, (self.shape[0] * self.q, -1))
         return np.take(flat, self.bins, axis=0).reshape(self.shape + (-1,))
-
-
-def arm_sums(label_block, values, q: int) -> np.ndarray:
-    """(B, q, k) arm sums of `values`: `ArmBlock(label_block, q).sums(values)`."""
-    return ArmBlock(label_block, q).sums(values)
 
 
 def indicator_cov(sizes, i: int, j: int, q: int, r: int) -> float:

@@ -80,12 +80,6 @@ class WaldRegion:
         return c - half, c + half
 
 
-def _check_labels(labels, q_arms: int | None = None) -> tuple[np.ndarray, int]:
-    if np.ndim(labels) != 1:
-        raise ValidationError("labels must be a non-empty 1-d vector of arm labels")
-    return np.asarray(labels, dtype=np.int64), ArmBlock(labels, q_arms).q
-
-
 def _arm_block(labels, q_arms: int | None = None) -> ArmBlock:
     """Labels (one assignment, a block or its ArmBlock) as an ArmBlock whose
     arms are all nonempty in every assignment."""
@@ -179,15 +173,25 @@ def neyman_cov_true(table, contrast, sizes) -> np.ndarray:
     return cov
 
 
+def _arm_scatter(arms: ArmBlock, y, means) -> np.ndarray:
+    """(B, Q, p, p) arm sums of products of deviations of the (B, N, p)
+    outcomes from their (B, Q, p) arm means. This second pass of arm sums
+    follows the means, so a common offset in y cancels before squaring."""
+    dev = arms.spread(means)
+    b, n, p = dev.shape
+    np.subtract(y, dev, out=dev)
+    products = np.einsum("bnp,bnr->bnpr", dev, dev).reshape(b, n, p * p)
+    return arms.sums(products).reshape(arms.counts.shape + (p, p))
+
+
 def cov_estimator(labels, y, contrast) -> np.ndarray:
     """Observable covariance estimator sum_q A_q s2_q A_q' / n_q, with
     arm-wise sample covariances (divisor n_q - 1).
 
     Its expectation exceeds the true covariance by exactly S2_tau / N, so
     intervals built from it are conservative. Inputs are as for `tau_hat`;
-    the result is K x K, or (B, K, K) for a block. Two passes of arm sums,
-    the second over deviations from the arm means, so that a common offset
-    in y cancels before squaring.
+    the result is K x K, or (B, K, K) for a block. The arm covariances are
+    the arm scatter matrices of `_arm_scatter` over n_q - 1.
     """
     arms, y, a, means = _block_means(labels, y, contrast)
     counts = arms.counts
@@ -197,11 +201,7 @@ def cov_estimator(labels, y, contrast) -> np.ndarray:
             f"arms {small.tolist()} have fewer than 2 observations; "
             "sample covariances are undefined"
         )
-    b, n, p = y.shape
-    dev = arms.spread(means)
-    np.subtract(y, dev, out=dev)
-    products = np.einsum("bnp,bnr->bnpr", dev, dev).reshape(b, n, p * p)
-    s2 = arms.sums(products).reshape(counts.shape + (p, p))
+    s2 = _arm_scatter(arms, y, means)
     s2 /= (counts * (counts - 1))[:, :, np.newaxis, np.newaxis]
     out = np.einsum("qkp,bqpr,qlr->bkl", a, s2, a)
     return out[0] if np.ndim(labels) == 1 else out
@@ -256,11 +256,20 @@ def _as_covariates(x, n: int) -> np.ndarray:
     return x
 
 
+def _one_assignment(labels, n: int) -> ArmBlock:
+    """The ArmBlock of one two-arm assignment of n units with both arms
+    nonempty; the adjusted estimators take one assignment, not a block."""
+    if np.shape(labels) != (n,):
+        raise ValidationError(f"labels must be one assignment, a vector of {n} arm labels")
+    return _arm_block(labels, 2)
+
+
 def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
     """Covariate-adjusted two-arm estimator
     (1/n_1) sum_treated (Y_i - beta1'X_i) - (1/n_0) sum_control (Y_i - beta0'X_i)
     with variance estimate s2_1(beta1)/n_1 + s2_0(beta0)/n_0 on the adjusted
-    outcomes.
+    outcomes: `tau_hat` and `cov_estimator` of the observed adjusted outcome
+    Y_i - beta_{L_i}'X_i under the contrast [1, -1].
 
     The coefficients must not depend on the realized assignment; with fixed
     coefficients and centered covariates the estimator is exactly unbiased.
@@ -269,40 +278,20 @@ def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
     callers that do so.
     """
     y = _scalar_outcomes(y, "regression adjustment is")
-    labels, q_arms = _check_labels(labels)
-    if q_arms != 2:
-        raise ValidationError("regression adjustment is defined for two-arm data")
     x = _as_covariates(x, y.shape[0])
     check_centered(x)
-    counts = arm_sizes(labels, 2)
-    if np.any(counts < 2):
-        raise ValidationError("both arms need at least 2 observations")
-    point, var = _adjusted_difference(labels, y[:, 0], x, beta1, beta0, counts)
+    arms = _one_assignment(labels, y.shape[0])
+    beta = [np.atleast_1d(np.asarray(b, dtype=float)) for b in (beta1, beta0)]
+    if any(b.shape != (x.shape[1],) for b in beta):
+        raise ValidationError(f"coefficients must have length {x.shape[1]}")
+    # each unit's arm coefficients, spread from the stacked (beta1, beta0)
+    adjusted = y[:, 0] - np.einsum("nk,nk->n", x, arms.spread(np.stack(beta))[0])
     return EstimateReport(
-        point=np.array([point]),
-        cov=np.array([[var]]),
-        sizes=(int(counts[0]), int(counts[1])),
+        point=tau_hat(labels, adjusted, [1.0, -1.0]),
+        cov=cov_estimator(labels, adjusted, [1.0, -1.0]),
+        sizes=tuple(int(c) for c in arms.counts[0]),
         method="regression_adjusted",
     )
-
-
-def _adjusted_difference(labels, y, x, beta1, beta0, counts) -> tuple[float, float]:
-    """The two-arm core of regression_adjusted and cluster_adjusted on checked
-    inputs: the difference in arm means of y - x beta1 (arm 1) and y - x beta0
-    (arm 2), and its variance estimate s2_1(beta1)/n_1 + s2_0(beta0)/n_0."""
-    beta1 = np.atleast_1d(np.asarray(beta1, dtype=float))
-    beta0 = np.atleast_1d(np.asarray(beta0, dtype=float))
-    if beta1.shape != (x.shape[1],) or beta0.shape != (x.shape[1],):
-        raise ValidationError(f"coefficients must have length {x.shape[1]}")
-    adj1 = y - x @ beta1
-    adj0 = y - x @ beta0
-    treated = labels == 1
-    control = labels == 2
-    point = adj1[treated].mean() - adj0[control].mean()
-    var = float(np.var(adj1[treated], ddof=1)) / counts[0] + float(
-        np.var(adj0[control], ddof=1)
-    ) / counts[1]
-    return point, var
 
 
 def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what: str) -> np.ndarray:
@@ -317,22 +306,19 @@ def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what: str) -> np.ndarray:
 
 def fit_ls_coefs(labels, y, x) -> tuple[np.ndarray, np.ndarray]:
     """Arm-wise least-squares slopes of Y on X:
-    beta_z = (arm sample cov of X)^{-1} (arm sample cov of X with Y)."""
+    beta_z = (arm sample cov of X)^{-1} (arm sample cov of X with Y), solved
+    as scatter_XX beta_z = scatter_XY on the arm scatter matrices of [X, Y],
+    where the divisor n_z - 1 cancels."""
     y = _scalar_outcomes(y, "least-squares adjustment is")
-    labels, q_arms = _check_labels(labels)
-    if q_arms != 2:
-        raise ValidationError("least-squares adjustment is defined for two-arm data")
     x = _as_covariates(x, y.shape[0])
-    counts = arm_sizes(labels, 2)
-    if np.any(counts < x.shape[1] + 1):
-        raise ValidationError(
-            f"each arm needs at least K + 1 = {x.shape[1] + 1} observations"
-        )
-    coefs = []
-    for q in (1, 2):
-        mask = labels == q
-        coefs.append(_ls_solve(sample_cov(x[mask]), sample_cov(x[mask], y[mask, 0]), f"arm {q}"))
-    return coefs[0], coefs[1]
+    arms = _one_assignment(labels, y.shape[0])
+    k = x.shape[1]
+    if np.any(arms.counts < k + 1):
+        raise ValidationError(f"each arm needs at least K + 1 = {k + 1} observations")
+    xy = np.hstack([x, y])[np.newaxis]
+    scatter = _arm_scatter(arms, xy, arms.sums(xy) / arms.counts[:, :, np.newaxis])[0]
+    beta1, beta0 = (_ls_solve(s[:k, :k], s[:k, k], f"arm {q}") for q, s in enumerate(scatter, 1))
+    return beta1, beta0
 
 
 def finite_pop_ls(y_col, x) -> np.ndarray:
@@ -351,7 +337,9 @@ def cluster_adjusted(
     """Cluster-randomized adjusted estimator on cluster totals:
     (M/N) [ (1/m_1) sum_treated (Ytot_j - gamma1'Xtot_j)
             - (1/m_0) sum_control (Ytot_j - gamma0'Xtot_j) ],
-    with variance estimate (M/N)^2 (s2_1/m_1 + s2_0/m_0) on adjusted totals.
+    with variance estimate (M/N)^2 (s2_1/m_1 + s2_0/m_0) on adjusted totals:
+    `regression_adjusted` on the totals, scaled by M/N. Without covariates
+    the totals are adjusted by a zero column with zero coefficients.
 
     Cluster totals of covariates must be centered; including cluster size as a
     covariate column is recommended but not required.
@@ -360,30 +348,20 @@ def cluster_adjusted(
     if y_totals.ndim != 1 or y_totals.size == 0:
         raise ValidationError("cluster totals must be a non-empty 1-d array")
     m_clusters = y_totals.size
-    cluster_labels, q_arms = _check_labels(cluster_labels, 2)
-    if cluster_labels.size != m_clusters:
-        raise ValidationError("one label per cluster is required")
     n_units = int(n_units)
     if n_units < m_clusters:
         raise ValidationError(f"unit count {n_units} below cluster count {m_clusters}")
-    if x_totals is None:
-        x = np.zeros((m_clusters, 1))
-    else:
-        x = _as_covariates(x_totals, m_clusters)
-        check_centered(x, "cluster covariate totals")
+    x = _as_covariates(np.zeros(m_clusters) if x_totals is None else x_totals, m_clusters)
     zeros = np.zeros(x.shape[1])
-    counts = arm_sizes(cluster_labels, 2)
-    if np.any(counts < 2):
-        raise ValidationError("both cluster arms need at least 2 clusters")
-    point, var = _adjusted_difference(
+    report = regression_adjusted(
         cluster_labels, y_totals, x,
-        zeros if gamma1 is None else gamma1, zeros if gamma0 is None else gamma0, counts,
+        zeros if gamma1 is None else gamma1, zeros if gamma0 is None else gamma0,
     )
     scale = m_clusters / n_units
     return EstimateReport(
-        point=np.array([scale * point]),
-        cov=np.array([[scale**2 * var]]),
-        sizes=(int(counts[0]), int(counts[1])),
+        point=scale * report.point,
+        cov=scale**2 * report.cov,
+        sizes=report.sizes,
         method="cluster_adjusted",
     )
 

@@ -104,6 +104,9 @@ class ExperimentConfig:
         object.__setattr__(self, "ns", ns)
         if not self.tol > 0.0:
             raise ValidationError(f"tolerance must be positive, got {self.tol}")
+        if self.kind == "rerand" and self.population != KIND_DEFAULTS["rerand"][0]:
+            raise ValidationError(f"the rerand campaign draws normal covariates and takes "
+                                  f"no population, got {self.population!r}")
 
     def echo(self) -> dict:
         out = {

@@ -118,8 +118,6 @@ def iv_summary(z, d, y, alpha: float) -> IVSummary:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     z, d, y, n1, n0 = _check_iv(z, d, y)
     n = n1 + n0
-    if n < 2:
-        raise ValidationError("need at least two units")
     quantile = distlib.std_normal_quantile(alpha / 2.0)
     return IVSummary(
         tau_hat_y=float(y[z].mean() - y[~z].mean()),
@@ -143,8 +141,6 @@ def adjusted_stat(z, d, y, beta: float) -> tuple[float, float]:
     """
     z, d, y, n1, n0 = _check_iv(z, d, y)
     n = n1 + n0
-    if n < 2:
-        raise ValidationError("need at least two units")
     beta = float(beta)
     a = y - beta * d
     form1 = float(a[z].mean() - a[~z].mean())
@@ -222,8 +218,6 @@ def iv_condition_stat(z, d, y) -> IVConditionStat:
     set instead of raising.
     """
     z, d, y, n1, n0 = _check_iv(z, d, y)
-    if n1 + n0 < 2:
-        raise ValidationError("need at least two units")
     s2_y = sample_cov(y)
     s2_d = sample_cov(d)
     s_yd = sample_cov(y, d)

@@ -9,7 +9,7 @@ maximum of two correlated standardized statistics.
 
 Every statistic the CLI tests is a reduction of the Q arm sums of a vector
 that does not change across assignments (the outcomes, or their ranks).
-`designs.arm_sums` computes those sums for a whole block of assignments at
+`designs.ArmBlock` computes those sums for a whole block of assignments at
 once, and `SumStatistic` pairs it with the reduction, so the exact and Monte
 Carlo engines evaluate a block of assignments per call instead of one.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distlib
 from .designs import (
-    arm_sums,
+    ArmBlock,
     as_rng,
     draw_partition_batch,
     enumerate_partition_blocks,
@@ -53,14 +53,10 @@ __all__ = [
     "rank_transform",
     "SumStatistic",
     "sum_statistic",
-    "diff_in_means_stat",
-    "wilcoxon_stat",
     "standardized_rank_means",
     "rank_null_cov",
     "kruskal_wallis",
     "joint_test",
-    "extreme_rank_stats",
-    "dose_rank_stat",
     "rank_stat_normal_pvalue",
     "hypergeom_test",
     "diff_normal_test",
@@ -146,7 +142,7 @@ class SumStatistic:
 
     Under the sharp null the outcomes, or their ranks, do not change across
     assignments, so the statistic of every row of a (B, N) label block is
-    `reduce(arm_sums(block, values, q), sizes)` with `sizes` the float arm
+    `reduce(ArmBlock(block, q).sums(values), sizes)` with `sizes` the float arm
     sizes the rows share; `reduce` returns a length-B vector. Calling the
     object evaluates one assignment through the same kernel, so it is also a
     valid `stat_fn(labels, y)` for the engines; `y` is ignored, the values
@@ -161,7 +157,7 @@ class SumStatistic:
 
     def block(self, label_block, sizes) -> np.ndarray:
         """The statistic of every row of a label block with the given sizes."""
-        sums = arm_sums(label_block, self.values, self.q)
+        sums = ArmBlock(label_block, self.q).sums(self.values)
         return self.reduce(sums, np.asarray(sizes, dtype=float))
 
     def __call__(self, labels, y=None) -> float:
@@ -173,14 +169,17 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
     """The statistics the CLI tests, as arm-sum reductions of `values`
     (outcomes, or ranks for the rank statistics), centered once here:
 
-    - 'diff': mean of arm 1 minus mean of arm 2, as `diff_in_means_stat`
-      (on ranks, `wilcoxon_stat`); two arms;
+    - 'diff': vbar_1 - vbar_2, the mean of arm 1 minus the mean of arm 2
+      (on ranks, the Wilcoxon rank-mean difference); two arms;
     - 'kw': the analysis-of-variance form of `kruskal_wallis`,
       (N - 1) sum_q S_q^2 / n_q / sum_i (v_i - vbar)^2 with S_q the arm sums
       of centered values; 0 for constant values;
-    - 'max', 'range': the two values of `extreme_rank_stats`;
-    - 'dose': `dose_rank_stat`, sum_q dose_q (arm mean)_q, with one finite
-      dose per arm.
+    - 'max': max_q vbar_q, the largest arm mean;
+    - 'range': max_q vbar_q - min_q vbar_q, the largest minus the smallest
+      arm mean;
+    - 'dose': sum_q dose_q vbar_q, with one finite dose per arm.
+
+    Here vbar_q is the mean of `values` over the units of arm q.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -225,19 +224,6 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             f"kind must be 'diff', 'kw', 'max', 'range' or 'dose', got {kind!r}"
         )
     return SumStatistic(centered, q, reduce)
-
-
-def diff_in_means_stat(labels, y) -> float:
-    """Treated-minus-control mean difference (arm 1 minus arm 2)."""
-    labels = np.asarray(labels)
-    y = np.asarray(y, dtype=float)
-    arm_sizes(labels, 2)  # two nonempty arms
-    return float(y[labels == 1].mean()) - float(y[labels == 2].mean())
-
-
-def wilcoxon_stat(labels, y, tie_policy: str = "strict") -> float:
-    """Treated-minus-control difference of mean ranks."""
-    return diff_in_means_stat(labels, rank_transform(y, tie_policy))
 
 
 def standardized_rank_means(labels, ranks) -> np.ndarray:
@@ -368,21 +354,6 @@ def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: s
         p_value=float(min(1.0, max(0.0, p_value))),
         method="normal_approx",
     )
-
-
-def extreme_rank_stats(labels, ranks) -> tuple[float, float]:
-    """(largest arm rank mean, largest minus smallest arm rank mean)."""
-    means = tau_hat(labels, ranks, np.eye(arm_sizes(labels).size))
-    return float(means.max()), float(means.max() - means.min())
-
-
-def dose_rank_stat(labels, ranks, doses) -> float:
-    """Dose-weighted sum of arm rank means, sum_q dose_q Rbar_q."""
-    means = tau_hat(labels, ranks, np.eye(arm_sizes(labels).size))
-    doses = np.asarray(doses, dtype=float)
-    if doses.shape != means.shape:
-        raise ValidationError(f"need one dose per arm ({means.size}), got shape {doses.shape}")
-    return float(doses @ means)
 
 
 def rank_stat_normal_pvalue(

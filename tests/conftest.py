@@ -1,4 +1,14 @@
+"""Shared fixtures, and the scalar reference statistics that the tests
+compare the `randtests.sum_statistic` kernel with: each computes one
+assignment's statistic directly from masked or per-arm means, and no
+package path calls them."""
+
+import numpy as np
 import pytest
+
+from finpop.errors import ValidationError
+from finpop.estimators import arm_sizes, tau_hat
+from finpop.randtests import rank_transform
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +43,31 @@ def pair_max_sf():
             return 2 * tail - tail**2 - mpmath.exp(-c * c / 2) * scaled / (2 * mpmath.pi)
 
     return sf
+
+
+def diff_in_means_stat(labels, y) -> float:
+    """Treated-minus-control mean difference (arm 1 minus arm 2)."""
+    labels = np.asarray(labels)
+    y = np.asarray(y, dtype=float)
+    arm_sizes(labels, 2)  # two nonempty arms
+    return float(y[labels == 1].mean()) - float(y[labels == 2].mean())
+
+
+def wilcoxon_stat(labels, y, tie_policy: str = "strict") -> float:
+    """Treated-minus-control difference of mean ranks."""
+    return diff_in_means_stat(labels, rank_transform(y, tie_policy))
+
+
+def extreme_rank_stats(labels, ranks) -> tuple[float, float]:
+    """(largest arm rank mean, largest minus smallest arm rank mean)."""
+    means = tau_hat(labels, ranks, np.eye(arm_sizes(labels).size))
+    return float(means.max()), float(means.max() - means.min())
+
+
+def dose_rank_stat(labels, ranks, doses) -> float:
+    """Dose-weighted sum of arm rank means, sum_q dose_q Rbar_q."""
+    means = tau_hat(labels, ranks, np.eye(arm_sizes(labels).size))
+    doses = np.asarray(doses, dtype=float)
+    if doses.shape != means.shape:
+        raise ValidationError(f"need one dose per arm ({means.size}), got shape {doses.shape}")
+    return float(doses @ means)

@@ -309,6 +309,60 @@ def test_fit_ls_coefs_matches_lstsq_oracle():
         assert beta == pytest.approx(coef[1:], abs=1e-10)
 
 
+def test_adjusted_estimators_are_two_pass_under_a_large_offset():
+    # masked per-arm references; the 1e8 offset cancels in the arm deviations,
+    # and points keep the absolute error of means near 1e8 (spacing 1.5e-8)
+    rng = np.random.default_rng(9)
+    n = 60
+    labels = designs.draw_partition((27, 33), rng)
+    x = rng.normal(size=(n, 2))
+    x -= x.mean(axis=0)
+    y = 1e8 + 3.0 * (labels == 1) + x @ np.array([2.0, -1.0]) + rng.normal(size=n)
+    beta1, beta0 = estimators.fit_ls_coefs(labels, y, x)
+    masks = (labels == 1, labels == 2)
+    for mask, beta in zip(masks, (beta1, beta0)):
+        design = np.column_stack([np.ones(mask.sum()), x[mask]])
+        coef, *_ = np.linalg.lstsq(design, y[mask] - 1e8, rcond=None)
+        assert beta == pytest.approx(coef[1:], abs=1e-9)
+    adjusted = [y[mask] - x[mask] @ beta for mask, beta in zip(masks, (beta1, beta0))]
+    point = adjusted[0].mean() - adjusted[1].mean()
+    var = sum(np.var(adj, ddof=1) / adj.size for adj in adjusted)
+    report = estimators.regression_adjusted(labels, y, x, beta1, beta0)
+    assert report.point[0] == pytest.approx(point, abs=1e-6)
+    assert report.cov[0, 0] == pytest.approx(var, rel=1e-9)
+    assert report.sizes == (27, 33)
+    cluster = estimators.cluster_adjusted(labels, y, x, 150, beta1, beta0)
+    assert cluster.point[0] == pytest.approx(0.4 * point, abs=1e-6)
+    assert cluster.cov[0, 0] == pytest.approx(0.16 * var, rel=1e-9)
+    plain = estimators.cluster_adjusted(labels, y, None, 150)
+    want = 0.16 * sum(np.var(y[mask], ddof=1) / mask.sum() for mask in masks)
+    assert plain.point[0] == pytest.approx(0.4 * (y[masks[0]].mean() - y[masks[1]].mean()),
+                                           abs=1e-6)
+    assert plain.cov[0, 0] == pytest.approx(want, rel=1e-9)
+
+
+def test_adjusted_estimators_take_one_assignment_of_n_labels():
+    # a (B, N) block must not be read as its first row, and labels of the
+    # wrong length are a ValidationError, not an IndexError
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(12, 2))
+    x -= x.mean(axis=0)
+    y = rng.normal(size=12)
+    for b in (1, 2, 3):
+        block = designs.draw_partition_batch((6, 6), b, rng)
+        with pytest.raises(ValidationError, match="one assignment"):
+            estimators.fit_ls_coefs(block, y, x)
+        with pytest.raises(ValidationError, match="one assignment"):
+            estimators.regression_adjusted(block, y, x, [0.5, 0.1], [0.2, 0.0])
+        with pytest.raises(ValidationError, match="one assignment"):
+            estimators.cluster_adjusted(block, y, x, 30)
+    short = designs.draw_partition((5, 5), rng)
+    with pytest.raises(ValidationError, match="one assignment"):
+        estimators.regression_adjusted(short, y, x, [0.5, 0.1], [0.2, 0.0])
+    with pytest.raises(ValidationError, match="one assignment"):
+        estimators.fit_ls_coefs(short, y, x)
+
+
 def test_fit_ls_coefs_needs_enough_observations():
     labels = np.array([1, 1, 2, 2, 2])
     x = np.random.default_rng(0).normal(size=(5, 2))

@@ -901,6 +901,29 @@ def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_cli_rerand_population_is_a_usage_error(capsys):
+    # the rerand campaign draws normal covariates, so a population it would
+    # ignore is refused instead of echoed
+    for argv in (
+        ["simulate", "--kind", "rerand", "--seed", "1", "--reps", "200", "--ns", "16",
+         "--pop", "lognormal"],
+        ["simulate", "--kind", "rerand", "--seed", "1", "--reps", "200", "--ns", "16",
+         "--pop", "nonsense"],
+        ["verify", "--suite", "rerand", "--seed", "1", "--reps", "200", "--ns", "16",
+         "--pop", "lognormal"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the rerand campaign draws normal covariates" in captured.err
+        assert "Traceback" not in captured.err
+    with pytest.raises(ValidationError, match="no population"):
+        experiments.ExperimentConfig(kind="rerand", seed=1, population="two_point")
+    assert main(["simulate", "--kind", "rerand", "--seed", "1", "--reps", "200",
+                 "--ns", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["experiment"]["population"] == "ranks"
+
+
 def test_cli_simulate_rejects_cap(capsys):
     argv = ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--cap", "10"]
     assert main(argv) == 1

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import diff_in_means_stat, dose_rank_stat, extreme_rank_stats, wilcoxon_stat
 from finpop import designs, randtests
 from finpop.errors import DegenerateInputError, TieError, ValidationError
 
@@ -75,9 +76,9 @@ def test_rank_transform_midrank_matches_scipy_rankdata(values):
 
 
 def test_diff_and_wilcoxon_stats_hand_values():
-    assert randtests.diff_in_means_stat(_LAB4, _Y4) == pytest.approx(2.0)
+    assert diff_in_means_stat(_LAB4, _Y4) == pytest.approx(2.0)
     # ranks equal values here, so the rank difference matches
-    assert randtests.wilcoxon_stat(_LAB4, _Y4) == pytest.approx(2.0)
+    assert wilcoxon_stat(_LAB4, _Y4) == pytest.approx(2.0)
 
 
 def test_standardized_rank_means_hand_values():
@@ -274,7 +275,7 @@ def test_joint_test_p_value_far_in_the_upper_tail(pair_max_sf):
 def test_extreme_rank_stats_hand_values():
     labels = np.array([1, 1, 2, 2, 3, 3])
     ranks = np.array([6.0, 5.0, 1.0, 2.0, 3.0, 4.0])
-    largest, spread = randtests.extreme_rank_stats(labels, ranks)
+    largest, spread = extreme_rank_stats(labels, ranks)
     assert largest == pytest.approx(5.5)
     assert spread == pytest.approx(4.0)
 
@@ -282,7 +283,7 @@ def test_extreme_rank_stats_hand_values():
 def test_dose_rank_stat_hand_value():
     labels = np.array([1, 1, 2, 2])
     doses = np.array([0.0, 1.0])
-    assert randtests.dose_rank_stat(labels, _Y4, doses) == pytest.approx(3.5)
+    assert dose_rank_stat(labels, _Y4, doses) == pytest.approx(3.5)
 
 
 def test_rank_stat_normal_pvalue_is_seeded_and_bounded():
@@ -306,9 +307,9 @@ def test_rank_stat_normal_pvalue_tracks_enumeration():
     labels = designs.draw_partition((3, 3, 3), rng)
     y = rng.permutation(np.arange(1.0, 10.0))
     ranks = randtests.rank_transform(y)
-    observed = randtests.extreme_rank_stats(labels, ranks)[0]
+    observed = extreme_rank_stats(labels, ranks)[0]
     exact = randtests.exact_randomization_pvalue(
-        lambda lab, yy: randtests.extreme_rank_stats(lab, randtests.rank_transform(yy))[0],
+        lambda lab, yy: extreme_rank_stats(lab, randtests.rank_transform(yy))[0],
         labels,
         y,
         alternative="greater",
@@ -442,12 +443,12 @@ def test_exact_pvalue_hand_enumeration():
     # diff of means on (2,2) with y = (1,2,3,4): |diff| = 2 for 2 of the 6
     # assignments, diff >= 2 for exactly 1
     result = randtests.exact_randomization_pvalue(
-        randtests.diff_in_means_stat, _LAB4, _Y4
+        diff_in_means_stat, _LAB4, _Y4
     )
     assert result.p_value == pytest.approx(2.0 / 6.0, abs=1e-15)
     assert result.method == "exact(count=6)"
     greater = randtests.exact_randomization_pvalue(
-        randtests.diff_in_means_stat, _LAB4, _Y4, alternative="greater"
+        diff_in_means_stat, _LAB4, _Y4, alternative="greater"
     )
     assert greater.p_value == pytest.approx(1.0 / 6.0, abs=1e-15)
 
@@ -459,7 +460,7 @@ def test_exact_pvalue_includes_observed_assignment():
         labels = designs.draw_partition((3, 3), rng)
         y = rng.normal(size=6)
         result = randtests.exact_randomization_pvalue(
-            randtests.diff_in_means_stat, labels, y
+            diff_in_means_stat, labels, y
         )
         assert result.p_value >= 1.0 / 20.0 - 1e-15
 
@@ -469,10 +470,10 @@ def test_mc_pvalue_tracks_exact():
     labels = designs.draw_partition((4, 4), rng)
     y = rng.normal(size=8)
     exact = randtests.exact_randomization_pvalue(
-        randtests.diff_in_means_stat, labels, y
+        diff_in_means_stat, labels, y
     )
     mc = randtests.mc_randomization_pvalue(
-        randtests.diff_in_means_stat, labels, y, 20000, 99
+        diff_in_means_stat, labels, y, 20000, 99
     )
     assert abs(mc.p_value - exact.p_value) < 0.015
     assert mc.method == "monte_carlo(B=20000, seed=99)"
@@ -482,10 +483,10 @@ def test_mc_pvalue_is_seeded_and_add_one():
     labels = np.array([1, 1, 1, 2, 2, 2])
     y = np.array([10.0, 11.0, 12.0, 0.0, 1.0, 2.0])
     a = randtests.mc_randomization_pvalue(
-        randtests.diff_in_means_stat, labels, y, 500, 7, alternative="greater"
+        diff_in_means_stat, labels, y, 500, 7, alternative="greater"
     )
     b = randtests.mc_randomization_pvalue(
-        randtests.diff_in_means_stat, labels, y, 500, 7, alternative="greater"
+        diff_in_means_stat, labels, y, 500, 7, alternative="greater"
     )
     assert a.p_value == b.p_value
     assert a.p_value >= 1.0 / 501.0  # the +1 convention keeps p positive
@@ -500,7 +501,7 @@ def test_mc_pvalue_super_uniform_under_sharp_null():
     for _ in range(trials):
         labels = designs.draw_partition((6, 6), rng)
         result = randtests.mc_randomization_pvalue(
-            randtests.diff_in_means_stat, labels, y, 99, rng
+            diff_in_means_stat, labels, y, 99, rng
         )
         hits += result.p_value <= 0.05
     assert hits / trials <= 0.05 + 0.03
@@ -513,7 +514,7 @@ def test_exact_two_sided_pvalue_bounds(seed):
     labels = designs.draw_partition((3, 2), rng)
     y = rng.normal(size=5)
     result = randtests.exact_randomization_pvalue(
-        randtests.diff_in_means_stat, labels, y
+        diff_in_means_stat, labels, y
     )
     assert 0.0 < result.p_value <= 1.0
 
@@ -521,11 +522,11 @@ def test_exact_two_sided_pvalue_bounds(seed):
 def test_engines_reject_bad_arguments():
     with pytest.raises(ValidationError):
         randtests.mc_randomization_pvalue(
-            randtests.diff_in_means_stat, _LAB4, _Y4, 0, 1
+            diff_in_means_stat, _LAB4, _Y4, 0, 1
         )
     with pytest.raises(ValidationError):
         randtests.exact_randomization_pvalue(
-            randtests.diff_in_means_stat, _LAB4, _Y4, alternative="sideways"
+            diff_in_means_stat, _LAB4, _Y4, alternative="sideways"
         )
 
 
@@ -539,23 +540,23 @@ def test_arm_sums_matches_masked_sums():
     block = designs.draw_partition_batch((3, 2, 4), 50, rng)
     values = rng.normal(size=(9, 2))
     per_row = rng.normal(size=(50, 9, 2))
-    sums = designs.arm_sums(block, values, 3)
-    row_sums = designs.arm_sums(block, per_row, 3)
+    sums = designs.ArmBlock(block, 3).sums(values)
+    row_sums = designs.ArmBlock(block, 3).sums(per_row)
     assert sums.shape == row_sums.shape == (50, 3, 2)
     for b, lab in enumerate(block):
         # a row gives the same sums alone as inside the block
-        alone = designs.arm_sums(block[b:b + 1], per_row[b:b + 1], 3)
+        alone = designs.ArmBlock(block[b:b + 1], 3).sums(per_row[b:b + 1])
         assert np.array_equal(alone[0], row_sums[b])
         for q in (1, 2, 3):
             assert sums[b, q - 1] == pytest.approx(values[lab == q].sum(axis=0), abs=1e-12)
             assert row_sums[b, q - 1] == pytest.approx(
                 per_row[b][lab == q].sum(axis=0), abs=1e-12)
     with pytest.raises(ValidationError):
-        designs.arm_sums(block, values, 2)  # label 3 outside 1..2
+        designs.ArmBlock(block, 2).sums(values)  # label 3 outside 1..2
     with pytest.raises(ValidationError):
-        designs.arm_sums(block, values[:8], 3)
+        designs.ArmBlock(block, 3).sums(values[:8])
     with pytest.raises(ValidationError):
-        designs.arm_sums(block, per_row[:49], 3)
+        designs.ArmBlock(block, 3).sums(per_row[:49])
 
 
 def _scalar_and_kernel(stat, y, q, ties="strict"):
@@ -564,18 +565,18 @@ def _scalar_and_kernel(stat, y, q, ties="strict"):
     ranks = randtests.rank_transform(y, ties)
     doses = np.linspace(-1.0, 2.0, q)
     if stat == "diff":
-        return randtests.diff_in_means_stat, randtests.sum_statistic("diff", y)
+        return diff_in_means_stat, randtests.sum_statistic("diff", y)
     if stat == "wilcoxon":
-        return (lambda lab, yy: randtests.wilcoxon_stat(lab, yy, ties),
+        return (lambda lab, yy: wilcoxon_stat(lab, yy, ties),
                 randtests.sum_statistic("diff", ranks))
     if stat == "kw":
         return (lambda lab, yy: randtests.kruskal_wallis(lab, yy, ties).statistic,
                 randtests.sum_statistic("kw", ranks, q))
     if stat == "dose":
-        return (lambda lab, yy: randtests.dose_rank_stat(lab, ranks, doses),
+        return (lambda lab, yy: dose_rank_stat(lab, ranks, doses),
                 randtests.sum_statistic("dose", ranks, q, doses))
     index = 0 if stat == "max" else 1
-    return (lambda lab, yy: randtests.extreme_rank_stats(lab, ranks)[index],
+    return (lambda lab, yy: extreme_rank_stats(lab, ranks)[index],
             randtests.sum_statistic(stat, ranks, q))
 
 
@@ -639,7 +640,7 @@ def test_exact_diff_counts_round_off_ties():
     labels = designs.draw_partition((5, 5), 0)
     assert labels.tolist() == [2, 1, 1, 2, 2, 1, 1, 2, 1, 2]
     y = np.array([0.6, 0.3, 0.0, 0.0, 0.8, 0.9, 0.6, 0.7, 0.5, 0.9])
-    for stat_fn in (randtests.diff_in_means_stat, randtests.sum_statistic("diff", y)):
+    for stat_fn in (diff_in_means_stat, randtests.sum_statistic("diff", y)):
         result = randtests.exact_randomization_pvalue(stat_fn, labels, y)
         assert result.p_value == 148 / 252
 
@@ -678,6 +679,6 @@ def test_exact_diff_matches_rational_enumeration(data, sizes, alternative):
                            min_size=n, max_size=n))
     want = _fraction_oracle_pvalue(list(labels), y, alternative)
     y_arr, lab_arr = np.array(y), np.array(labels)
-    for stat_fn in (randtests.sum_statistic("diff", y_arr), randtests.diff_in_means_stat):
+    for stat_fn in (randtests.sum_statistic("diff", y_arr), diff_in_means_stat):
         result = randtests.exact_randomization_pvalue(stat_fn, lab_arr, y_arr, alternative)
         assert result.p_value == want
