@@ -28,6 +28,7 @@ from .errors import (
 )
 
 __all__ = [
+    "DEFAULT_ENUM_CAP",
     "derive_rng",
     "as_rng",
     "draw_srs",

@@ -1,6 +1,6 @@
 """Data ingestion, verification campaigns, reports, and the CLI."""
 
-from .ingest import IVData, ObservedData, export_csv, ingest_csv
+from .ingest import IVData, ObservedData, ingest_csv
 from .reports import SCHEMA_VERSION, MetricResult, Report
 from .experiments import (
     ExperimentConfig,
@@ -14,7 +14,6 @@ __all__ = [
     "ObservedData",
     "IVData",
     "ingest_csv",
-    "export_csv",
     "SCHEMA_VERSION",
     "MetricResult",
     "Report",

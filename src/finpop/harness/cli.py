@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="population-size ladder")
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--tol", type=float, default=None)
-        if name == "verify":
-            p.add_argument("--cap", type=int, default=None,
-                           help="enumeration cap for the oracle suite")
 
     return parser
 
@@ -338,7 +335,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         args.suite, seed=args.seed, reps=args.reps, alpha=args.alpha,
         population=args.pop,
         ns=None if args.ns is None else _parse_ints(args.ns, "--ns"),
-        tol=args.tol, cap=args.cap,
+        tol=args.tol,
     )
     return report.to_dict(), 0 if report.passed else 2
 

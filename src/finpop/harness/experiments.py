@@ -85,7 +85,6 @@ class ExperimentConfig:
     population: str = "ranks"
     ns: tuple[int, ...] = (16, 64, 256, 1024)
     tol: float = 0.02
-    cap: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("oracle", "clt", "rerand", "coverage"):
@@ -122,8 +121,6 @@ class ExperimentConfig:
         if self.kind == "rerand":
             out["n_covariates"] = _N_COVARIATES
             out["accept_target"] = _ACCEPT_TARGET
-        if self.kind == "oracle" and self.cap is not None:
-            out["cap"] = self.cap
         return out
 
 
@@ -185,15 +182,15 @@ def _observed(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return table.ravel()[labels + (q_arms * np.arange(n) - 1)]
 
 
-def _enumerated(sizes, cap) -> np.ndarray:
+def _enumerated(sizes) -> np.ndarray:
     """Every assignment of the design, stacked as one (count, N) label block."""
-    return np.concatenate(list(designs.enumerate_partition_blocks(sizes, cap)))
+    return np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
 
 
-def _enumerated_estimates(table, sizes, contrast, cap, with_vhat: bool):
+def _enumerated_estimates(table, sizes, contrast, with_vhat: bool):
     """tau_hat (and optionally the variance estimate) under every assignment
     of the design."""
-    labels = _enumerated(sizes, cap)
+    labels = _enumerated(sizes)
     arms = designs.ArmBlock(labels, len(sizes))
     y = _observed(np.asarray(table, dtype=float), labels)
     vhats = estimators.cov_estimator(arms, y, contrast) if with_vhat else None
@@ -205,10 +202,10 @@ def _pop_cov(values: np.ndarray) -> np.ndarray:
     return dev.T @ dev / values.shape[0]
 
 
-def _moment_metrics(metrics, table, sizes, contrast, cap, prefix=""):
+def _moment_metrics(metrics, table, sizes, contrast, prefix=""):
     n = np.asarray(table).shape[0]
     with_vhat = all(int(s) >= 2 for s in sizes)
-    taus, vhats = _enumerated_estimates(table, sizes, contrast, cap, with_vhat)
+    taus, vhats = _enumerated_estimates(table, sizes, contrast, with_vhat)
     mean_gap = np.max(np.abs(taus.mean(axis=0) - estimators.tau_true(table, contrast)))
     truth_cov = estimators.neyman_cov_true(table, contrast, sizes)
     cov_gap = np.max(np.abs(_pop_cov(taus) - truth_cov))
@@ -231,11 +228,11 @@ def _moment_metrics(metrics, table, sizes, contrast, cap, prefix=""):
         ))
 
 
-def _indicator_metric(metrics, sizes, cap):
+def _indicator_metric(metrics, sizes):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     q_arms = len(sizes)
-    labels = _enumerated(sizes, cap)
+    labels = _enumerated(sizes)
     inds = (labels[:, :, np.newaxis] == np.arange(1, q_arms + 1)).astype(float)  # (count, N, Q)
     count = inds.shape[0]
     emp_mean = inds.mean(axis=0)
@@ -253,11 +250,11 @@ def _indicator_metric(metrics, sizes, cap):
     ))
 
 
-def _rank_cov_metric(metrics, sizes, cap):
+def _rank_cov_metric(metrics, sizes):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     ranks = np.arange(1.0, n + 1.0)  # sharp null: ranks are fixed over assignments
-    stats = randtests.standardized_rank_means(_enumerated(sizes, cap), ranks)
+    stats = randtests.standardized_rank_means(_enumerated(sizes), ranks)
     mean_gap = np.max(np.abs(stats.mean(axis=0)))
     cov_gap = np.max(np.abs(_pop_cov(stats) - randtests.rank_null_cov(sizes)))
     metrics.append(_gap_metric(
@@ -267,14 +264,14 @@ def _rank_cov_metric(metrics, sizes, cap):
     ))
 
 
-def _regression_metric(metrics, cap):
+def _regression_metric(metrics):
     table, x = _REG_TABLE, _REG_X
     beta_fixed = (np.zeros(1), np.zeros(1))
     beta_opt = (
         estimators.finite_pop_ls(table[:, 0], x),
         estimators.finite_pop_ls(table[:, 1], x),
     )
-    labels = _enumerated((3, 3), cap)
+    labels = _enumerated((3, 3))
     observed = _observed(table, labels)
     fixed_vals, opt_vals = np.array([
         [estimators.regression_adjusted(lab, y, x, *beta).point[0]
@@ -304,17 +301,16 @@ def run_oracle_suite(config: ExperimentConfig) -> Report:
         raise ValidationError(f"oracle suite got config kind {config.kind!r}")
     start = time.perf_counter()
     metrics: list[MetricResult] = []
-    cap = config.cap
 
-    _moment_metrics(metrics, _ORACLE_TABLE, _ORACLE_SIZES, _ORACLE_CONTRAST, cap)
-    _indicator_metric(metrics, _ORACLE_SIZES, cap)
-    _rank_cov_metric(metrics, _ORACLE_SIZES, cap)
-    _regression_metric(metrics, cap)
+    _moment_metrics(metrics, _ORACLE_TABLE, _ORACLE_SIZES, _ORACLE_CONTRAST)
+    _indicator_metric(metrics, _ORACLE_SIZES)
+    _rank_cov_metric(metrics, _ORACLE_SIZES)
+    _regression_metric(metrics)
 
     # sharp null: the heterogeneity term vanishes, so the variance estimator
     # is exactly unbiased
     sharp = np.stack([_ORACLE_TABLE[:, 0]] * 2, axis=1)
-    taus, vhats = _enumerated_estimates(sharp, (3, 3), [1.0, -1.0], cap, True)
+    taus, vhats = _enumerated_estimates(sharp, (3, 3), [1.0, -1.0], True)
     truth = estimators.neyman_cov_true(sharp, [1.0, -1.0], (3, 3))
     sharp_gap = abs(float(vhats.mean(axis=0)[0, 0] - truth[0, 0]))
     metrics.append(_gap_metric(
@@ -324,7 +320,7 @@ def run_oracle_suite(config: ExperimentConfig) -> Report:
     ))
 
     # two-assignment design with enumerated estimator variance exactly 4
-    taus, _ = _enumerated_estimates(_TWO_POINT_TABLE, (1, 1), [1.0, -1.0], cap, False)
+    taus, _ = _enumerated_estimates(_TWO_POINT_TABLE, (1, 1), [1.0, -1.0], False)
     metrics.append(_gap_metric(
         "two_assignment_var_gap", abs(float(_pop_cov(taus)[0, 0]) - 4.0), _GAP_TOL,
         "enumerated variance of the two-arm estimator on the size-(1,1) "
@@ -602,8 +598,8 @@ KIND_DEFAULTS = {
 
 
 def default_config(kind: str, seed: int, reps: int | None = None, alpha: float = 0.05,
-                   population: str | None = None, ns=None, tol: float | None = None,
-                   cap: int | None = None) -> ExperimentConfig:
+                   population: str | None = None, ns=None,
+                   tol: float | None = None) -> ExperimentConfig:
     """ExperimentConfig of `kind` with every field left as None taken from
     KIND_DEFAULTS."""
     pop_default, ns_default, reps_default, tol_default = KIND_DEFAULTS[kind]
@@ -615,18 +611,17 @@ def default_config(kind: str, seed: int, reps: int | None = None, alpha: float =
         population=pop_default if population is None else population,
         ns=ns_default if ns is None else tuple(ns),
         tol=tol_default if tol is None else tol,
-        cap=cap,
     )
 
 
-def _suite_configs(suite, seed, reps, alpha, population, ns, cap, tol=None):
+def _suite_configs(suite, seed, reps, alpha, population, ns, tol=None):
     if suite == "coverage":
         return [
             ("coverage_" + pop, default_config("coverage", seed, reps, alpha, pop, ns, tol))
             for pop in (COVERAGE_TABLES if population is None else (population,))
         ]
     if suite in KIND_DEFAULTS:
-        return [(suite, default_config(suite, seed, reps, alpha, population, ns, tol, cap))]
+        return [(suite, default_config(suite, seed, reps, alpha, population, ns, tol))]
     raise ValidationError(f"unknown suite {suite!r}; choose from {list(SUITES)}")
 
 
@@ -638,7 +633,7 @@ _RUNNERS = {
 
 
 def run_suite(suite: str, seed: int, reps: int | None = None, alpha: float = 0.05,
-              population: str | None = None, ns=None, cap: int | None = None,
+              population: str | None = None, ns=None,
               tol: float | None = None) -> Report:
     """Run a named verification suite and merge its component reports; reps,
     population, ns and tol left as None take their KIND_DEFAULTS values."""
@@ -646,9 +641,9 @@ def run_suite(suite: str, seed: int, reps: int | None = None, alpha: float = 0.0
     if suite == "all":
         parts = []
         for name in ("oracle", "clt", "rerand", "coverage"):
-            parts.extend(_suite_configs(name, seed, reps, alpha, population, ns, cap, tol))
+            parts.extend(_suite_configs(name, seed, reps, alpha, population, ns, tol))
     else:
-        parts = _suite_configs(suite, seed, reps, alpha, population, ns, cap, tol)
+        parts = _suite_configs(suite, seed, reps, alpha, population, ns, tol)
     metrics: list[MetricResult] = []
     echoes = []
     for kind, group in itertools.groupby(parts, key=lambda part: part[1].kind):

@@ -1,11 +1,11 @@
-"""CSV ingestion and export.
+"""CSV ingestion.
 
 Two schemas are understood: `arm` files carry columns arm,y with optional
 covariates x1..xk and an optional cluster column; `iv` files carry z,d,y.
-Parsed carriers hold the columns exactly as written, so export followed by
-ingest reproduces the data bit for bit; covariate centering happens on
-access (`centered_x`) with the column means recorded at ingest and noted in
-the log, never in the stored arrays.
+Parsed carriers hold the columns exactly as written, so floats written in
+shortest round-trip form (repr) ingest bit for bit; covariate centering
+happens on access (`centered_x`) with the column means recorded at ingest
+and noted in the log, never in the stored arrays.
 
 The header is read by `csv.reader` and the body in one pass by numpy's C
 reader. A file that the fast read rejects is read again cell by cell, only
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ValidationError
 
-__all__ = ["ObservedData", "IVData", "ingest_csv", "export_csv"]
+__all__ = ["ObservedData", "IVData", "ingest_csv"]
 
 logger = logging.getLogger(__name__)
 
@@ -293,37 +293,3 @@ def ingest_csv(path: str, schema: str):
         return _ingest_iv(str(path))
     raise ValidationError(f"unknown schema {schema!r}; use 'arm' or 'iv'")
 
-
-def export_csv(data, path: str) -> None:
-    """Write a carrier back to CSV so that ingest_csv reproduces it exactly.
-
-    Floats are written in shortest round-trip form (repr), which parses back
-    to the identical bit pattern.
-    """
-    path = str(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if isinstance(data, ObservedData):
-            header = ["arm", "y", *data.x_names]
-            if data.clusters is not None:
-                header.append("cluster")
-            writer.writerow(header)
-            for i in range(data.n_units):
-                row = [str(int(data.labels[i])), repr(float(data.y[i]))]
-                if data.x is not None:
-                    row.extend(repr(float(v)) for v in data.x[i])
-                if data.clusters is not None:
-                    row.append(str(int(data.clusters[i])))
-                writer.writerow(row)
-        elif isinstance(data, IVData):
-            writer.writerow(["z", "d", "y"])
-            for i in range(data.n_units):
-                writer.writerow([
-                    str(int(data.z[i])),
-                    repr(float(data.d[i])),
-                    repr(float(data.y[i])),
-                ])
-        else:
-            raise ValidationError(
-                f"export expects ObservedData or IVData, got {type(data).__name__}"
-            )

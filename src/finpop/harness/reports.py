@@ -1,14 +1,14 @@
 """Machine-readable verification reports.
 
 A Report is a deterministic function of (config, seed) except for the
-wall_clock_s field; its JSON form uses sorted keys so byte comparisons work.
+wall_clock_s field; the CLI writes its dict form with sorted keys, so byte
+comparisons work.
 Every metric carries the tolerance it was judged against (None marks an
 informational value with no gate) and its verdict.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +81,3 @@ class Report:
             "passed": self.passed,
             "wall_clock_s": float(self.wall_clock_s),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

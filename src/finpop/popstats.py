@@ -25,6 +25,7 @@ __all__ = [
     "hajek_condition_stat",
     "partition_condition_stat",
     "lindeberg_stat",
+    "unit_contrasts",
     "pot_cov_structure",
     "cre_condition_stats",
 ]

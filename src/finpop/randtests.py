@@ -22,7 +22,6 @@ tie-adjusted results are tagged as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -33,7 +32,6 @@ from .designs import (
     as_rng,
     draw_partition_batch,
     enumerate_partition_blocks,
-    multinomial_count,
 )
 from .errors import (
     DegenerateInputError,
@@ -184,6 +182,8 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValidationError("statistic values must be a non-empty 1-d array")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("statistic values must be finite")
     center = float(values.mean())
     centered = values - center
     if kind == "diff":
@@ -383,7 +383,7 @@ def rank_stat_normal_pvalue(
     # n_q (Rbar_q - (N + 1) / 2), the arm sums of centered ranks
     sums = tilde * sd * sizes_arr
     sims = statistic.reduce(sums[:, :, np.newaxis], sizes_arr)
-    count = int(np.sum(sims >= observed))
+    count = int(np.count_nonzero(_is_extreme(sims, observed, "greater")))
     return TestResult(
         statistic=float(observed),
         p_value=(1 + count) / (b + 1),
@@ -398,7 +398,7 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     The statistic is the number of ones in arm 1. Under the sharp null it is
     hypergeometric with mean n N_1 / N and variance
     N_1 (N - N_1) n (N - n) / (N^2 (N - 1)). Mode 'exact' sums the
-    hypergeometric law directly (tail ordering by |x - mean| when two-sided);
+    hypergeometric law in integers, selecting x by `_is_extreme` on x - mean;
     mode 'normal' applies the normal approximation with a 0.5 continuity
     correction, which is used precisely because the statistic is
     lattice-valued.
@@ -413,8 +413,7 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     ones_total = int(y_arr.sum())
     observed = int(y_arr[labels == 1].sum())
     _check_alternative(alternative)
-    mean_frac = Fraction(n * ones_total, n_total)
-    null_mean = float(mean_frac)
+    null_mean = n * ones_total / n_total
     null_var = (
         ones_total * (n_total - ones_total) * n * (n_total - n)
         / (n_total**2 * (n_total - 1.0))
@@ -422,18 +421,14 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     lo = max(0, n - (n_total - ones_total))
     hi = min(n, ones_total)
     if mode == "exact":
-        total = comb(n_total, n)
-        weight = 0
+        extreme = _is_extreme(np.arange(lo, hi + 1) - null_mean, observed - null_mean, alternative)
+        # w(x) = C(N_1, x) C(N - N_1, n - x), each from the last by its exact ratio
+        w, weight = comb(ones_total, lo) * comb(n_total - ones_total, n - lo), 0
         for x in range(lo, hi + 1):
-            if alternative == "greater":
-                extreme = x >= observed
-            elif alternative == "less":
-                extreme = x <= observed
-            else:
-                extreme = abs(x - mean_frac) >= abs(observed - mean_frac)
-            if extreme:
-                weight += comb(ones_total, x) * comb(n_total - ones_total, n - x)
-        p_value = float(Fraction(weight, total))
+            if extreme[x - lo]:
+                weight += w
+            w = w * (ones_total - x) * (n - x) // ((x + 1) * (n_total - ones_total - n + x + 1))
+        p_value = weight / comb(n_total, n)
         method = "exact"
     elif mode == "normal":
         sd = float(np.sqrt(null_var))
@@ -492,7 +487,7 @@ def _check_alternative(alternative: str) -> None:
 
 def _is_extreme(ref: np.ndarray, observed: float, alternative: str) -> np.ndarray:
     """Reference statistics as or more extreme than the observed one, ties
-    judged within _TIE_RTOL."""
+    judged within _TIE_RTOL; every p-value compares through this rule."""
     tol = _TIE_RTOL * max(1.0, abs(observed))
     if alternative == "greater":
         return ref >= observed - tol
@@ -501,26 +496,33 @@ def _is_extreme(ref: np.ndarray, observed: float, alternative: str) -> np.ndarra
     return np.abs(ref) >= abs(observed) - tol
 
 
-def _block_evaluator(stat_fn, labels: np.ndarray, y):
-    """(arm sizes, function from a (B, N) label block to its B statistics).
+def _tail_count(stat_fn, labels, y, alternative: str, blocks) -> tuple[float, int, int]:
+    """(observed statistic, reference rows as or more extreme, reference rows)
+    over the label blocks `blocks(sizes)` yields for the arm sizes of `labels`.
 
-    A SumStatistic evaluates the block through the arm-sum kernel; any other
-    callable `stat_fn(labels, y)` is called once per row.
+    A SumStatistic evaluates a block through the arm-sum kernel, any other
+    `stat_fn(labels, y)` once per row. The observed assignment goes the same
+    way, as a block of one row, and must give a finite statistic: no
+    reference ties NaN or infinity, so it could not count itself.
     """
     if isinstance(stat_fn, SumStatistic):
         sizes = arm_sizes(labels, stat_fn.q)
-        return sizes.tolist(), lambda block: stat_fn.block(block, sizes)
-    y = np.asarray(y)
-    return arm_sizes(labels).tolist(), lambda block: np.array(
-        [float(stat_fn(row, y)) for row in block]
-    )
 
+        def evaluate(block):
+            return stat_fn.block(block, sizes)
+    else:
+        sizes, y = arm_sizes(labels), np.asarray(y)
 
-def _count_extreme(evaluate, blocks, observed: float, alternative: str) -> int:
-    return sum(
-        int(np.count_nonzero(_is_extreme(evaluate(block), observed, alternative)))
-        for block in blocks
-    )
+        def evaluate(block):
+            return np.array([float(stat_fn(row, y)) for row in block])
+    observed = float(evaluate(labels[np.newaxis])[0])
+    if not np.isfinite(observed):
+        raise ValidationError(f"the observed statistic must be finite, got {observed!r}")
+    count = rows = 0
+    for block in blocks(sizes.tolist()):
+        count += int(np.count_nonzero(_is_extreme(evaluate(block), observed, alternative)))
+        rows += block.shape[0]
+    return observed, count, rows
 
 
 def mc_randomization_pvalue(
@@ -544,15 +546,13 @@ def mc_randomization_pvalue(
         raise ValidationError(f"replication count must be >= 1, got {b}")
     _check_alternative(alternative)
     b = int(b)
-    labels = np.asarray(labels)
-    sizes, evaluate = _block_evaluator(stat_fn, labels, y)
-    observed = float(evaluate(labels[np.newaxis])[0])
-    rng = as_rng(seed)
-    chunks = (
-        draw_partition_batch(sizes, min(_MC_CHUNK, b - start), rng)
-        for start in range(0, b, _MC_CHUNK)
-    )
-    count = _count_extreme(evaluate, chunks, observed, alternative)
+
+    def chunks(sizes):
+        rng = as_rng(seed)
+        for start in range(0, b, _MC_CHUNK):
+            yield draw_partition_batch(sizes, min(_MC_CHUNK, b - start), rng)
+
+    observed, count, _ = _tail_count(stat_fn, np.asarray(labels), y, alternative, chunks)
     seed_tag = seed if isinstance(seed, (int, np.integer)) else "external"
     return TestResult(
         statistic=observed,
@@ -580,12 +580,9 @@ def exact_randomization_pvalue(
     """
     _check_alternative(alternative)
     labels = np.asarray(labels)
-    sizes, evaluate = _block_evaluator(stat_fn, labels, y)
-    observed = float(evaluate(labels[np.newaxis])[0])
     block = max(1, min(_EXACT_BLOCK, _EXACT_BLOCK_CELLS // labels.size))
-    blocks = enumerate_partition_blocks(sizes, cap, block)
-    total = multinomial_count(sizes)
-    count = _count_extreme(evaluate, blocks, observed, alternative)
+    observed, count, total = _tail_count(
+        stat_fn, labels, y, alternative, lambda sizes: enumerate_partition_blocks(sizes, cap, block))
     return TestResult(
         statistic=observed,
         p_value=count / total,

@@ -1,13 +1,16 @@
-"""Shared fixtures, and the scalar reference statistics that the tests
-compare the `randtests.sum_statistic` kernel with: each computes one
-assignment's statistic directly from masked or per-arm means, and no
-package path calls them."""
+"""Shared fixtures; the scalar reference statistics that the tests compare
+the `randtests.sum_statistic` kernel with (each computes one assignment's
+statistic directly from masked or per-arm means, and no package path calls
+them); and `export_csv`, the CSV writer of the ingest tests."""
+
+import csv
 
 import numpy as np
 import pytest
 
 from finpop.errors import ValidationError
 from finpop.estimators import arm_sizes, tau_hat
+from finpop.harness.ingest import IVData, ObservedData
 from finpop.randtests import rank_transform
 
 
@@ -71,3 +74,38 @@ def dose_rank_stat(labels, ranks, doses) -> float:
     if doses.shape != means.shape:
         raise ValidationError(f"need one dose per arm ({means.size}), got shape {doses.shape}")
     return float(doses @ means)
+
+
+def export_csv(data, path: str) -> None:
+    """Write a carrier back to CSV so that ingest_csv reproduces it exactly.
+
+    Floats are written in shortest round-trip form (repr), which parses back
+    to the identical bit pattern.
+    """
+    path = str(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if isinstance(data, ObservedData):
+            header = ["arm", "y", *data.x_names]
+            if data.clusters is not None:
+                header.append("cluster")
+            writer.writerow(header)
+            for i in range(data.n_units):
+                row = [str(int(data.labels[i])), repr(float(data.y[i]))]
+                if data.x is not None:
+                    row.extend(repr(float(v)) for v in data.x[i])
+                if data.clusters is not None:
+                    row.append(str(int(data.clusters[i])))
+                writer.writerow(row)
+        elif isinstance(data, IVData):
+            writer.writerow(["z", "d", "y"])
+            for i in range(data.n_units):
+                writer.writerow([
+                    str(int(data.z[i])),
+                    repr(float(data.d[i])),
+                    repr(float(data.y[i])),
+                ])
+        else:
+            raise ValidationError(
+                f"export expects ObservedData or IVData, got {type(data).__name__}"
+            )

@@ -22,12 +22,12 @@ from finpop.harness import (
     ObservedData,
     Report,
     SCHEMA_VERSION,
-    export_csv,
     ingest_csv,
     run_clt_experiment,
     run_oracle_suite,
     run_suite,
 )
+from conftest import export_csv
 from finpop import distlib, estimators, randtests
 from finpop.harness import cli, experiments, ingest
 from finpop.harness.cli import main
@@ -399,17 +399,20 @@ def test_as_jsonable_rejects_foreign_objects():
         as_jsonable(object())
 
 
-def test_report_json_is_deterministic_and_versioned():
+def test_report_json_is_deterministic_and_versioned(tmp_path):
     metric = MetricResult(
         name="gap", value=1e-13, tolerance=1e-10, passed=True, checks="enumerated"
     )
     info = MetricResult(
         name="note", value=0.5, tolerance=None, passed=True, checks="informational"
     )
-    report_a = Report(experiment={"kind": "oracle"}, metrics=(metric, info), wall_clock_s=1.0)
-    report_b = Report(experiment={"kind": "oracle"}, metrics=(metric, info), wall_clock_s=1.0)
-    assert report_a.to_json() == report_b.to_json()
-    payload = json.loads(report_a.to_json())
+    texts = []
+    for name in ("a.json", "b.json"):
+        report = Report(experiment={"kind": "oracle"}, metrics=(metric, info), wall_clock_s=1.0)
+        cli._emit(report.to_dict(), str(tmp_path / name))
+        texts.append((tmp_path / name).read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["passed"] is True
     assert payload["metrics"][0]["tolerance"] == 1e-10
@@ -807,6 +810,22 @@ def test_cli_test_rejects_non_finite_doses(tmp_path, capsys, method, doses):
     assert "doses must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["normal", "exact", "mc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_test_rejects_non_finite_outcomes(tmp_path, capsys, method, value):
+    # the observed assignment counts itself, so a NaN statistic's exact p = 0
+    # and Monte Carlo p = 1/(B + 1) were impossible values
+    path = _write(tmp_path / "y.csv", "arm,y\n" + "".join(
+        f"{arm},{v}\n" for arm, v in zip((1, 1, 1, 2, 2, 2), (4.0, 1.0, value, 6.0, 2.0, 5.0))))
+    argv = ["test", "--data", path, "--stat", "diff", "--method", method,
+            "--seed", "1", "--reps", "200"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: statistic values must be finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_test_has_no_alpha(tmp_path, capsys):
     path = _two_arm_csv(tmp_path)
     assert main(["test", "--data", path, "--stat", "diff", "--alpha", "0.1"]) == 1
@@ -925,9 +944,12 @@ def test_cli_rerand_population_is_a_usage_error(capsys):
 
 
 def test_cli_simulate_rejects_cap(capsys):
-    argv = ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--cap", "10"]
-    assert main(argv) == 1
-    assert "--cap" in capsys.readouterr().err
+    for argv in (
+        ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--cap", "10"],
+        ["verify", "--suite", "oracle", "--seed", "2", "--cap", "10"],
+    ):
+        assert main(argv) == 1
+        assert "--cap" in capsys.readouterr().err
 
 
 def test_cli_simulate_clt(tmp_path, capsys):
@@ -943,7 +965,7 @@ def test_cli_simulate_clt(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["clt", "rerand", "coverage"])
 def test_simulate_and_verify_share_experiment_defaults(kind):
     args = cli.build_parser().parse_args(["simulate", "--kind", kind, "--seed", "4"])
-    (_, suite_config), *_ = experiments._suite_configs(kind, 4, None, 0.05, None, None, None)
+    (_, suite_config), *_ = experiments._suite_configs(kind, 4, None, 0.05, None, None)
     assert cli._experiment_config(args, kind) == suite_config
 
 

@@ -7,10 +7,11 @@ resolution the replication count supports.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import diff_in_means_stat, dose_rank_stat, extreme_rank_stats, wilcoxon_stat
 from finpop import designs, randtests
@@ -396,6 +397,45 @@ def test_hypergeom_exact_tail_fractions():
     assert centered.p_value == 1.0  # observed at the null mean
 
 
+def _hypergeom_fraction_pvalue(n, n_total, ones_total, observed, alternative):
+    """Exact hypergeometric p-value in rational arithmetic: two `comb` calls
+    per support point and a three-way rule on the distance from the mean."""
+    mean = Fraction(n * ones_total, n_total)
+    weight = 0
+    for x in range(max(0, n - (n_total - ones_total)), min(n, ones_total) + 1):
+        if alternative == "greater":
+            extreme = x >= observed
+        elif alternative == "less":
+            extreme = x <= observed
+        else:
+            extreme = abs(x - mean) >= abs(observed - mean)
+        if extreme:
+            weight += comb(ones_total, x) * comb(n_total - ones_total, n - x)
+    return float(Fraction(weight, comb(n_total, n)))
+
+
+@given(
+    n1=st.integers(1, 150),
+    n0=st.integers(1, 150),
+    ones1=st.integers(0, 150),
+    ones0=st.integers(0, 150),
+    alternative=st.sampled_from(["two_sided", "greater", "less"]),
+)
+# two-sided ties at a half-integer mean: x = 4 ties the observed 1 about 2.5,
+# x = 12 ties 3 about 7.5, and x = 7 ties 0 about 3.5
+@example(n1=5, n0=5, ones1=1, ones0=4, alternative="two_sided")
+@example(n1=15, n0=15, ones1=3, ones0=12, alternative="two_sided")
+@example(n1=7, n0=9, ones1=0, ones0=8, alternative="two_sided")
+@settings(max_examples=150, deadline=None)
+def test_hypergeom_exact_matches_rational_comb_loop(n1, n0, ones1, ones0, alternative):
+    ones1, ones0 = min(ones1, n1), min(ones0, n0)
+    labels = np.repeat([1, 2], [n1, n0])
+    y = np.concatenate([np.arange(n1) < ones1, np.arange(n0) < ones0]).astype(int)
+    result = randtests.hypergeom_test(labels, y, alternative=alternative)
+    want = _hypergeom_fraction_pvalue(n1, n1 + n0, ones1 + ones0, ones1, alternative)
+    assert result.p_value == want
+
+
 def test_hypergeom_normal_mode_continuity_correction():
     labels = np.array([1, 1, 2, 2])
     y = np.array([1, 1, 0, 0])
@@ -631,6 +671,24 @@ def test_engines_agree_between_block_path_and_scalar_adapter(stat, sizes):
             stat_fn, labels, y, alternative).p_value == exact.p_value
         assert randtests.mc_randomization_pvalue(
             stat_fn, labels, y, 2500, 35, alternative).p_value == mc.p_value
+
+
+@pytest.mark.parametrize("observed", [float("nan"), float("inf"), -float("inf")])
+def test_engines_refuse_a_non_finite_observed_statistic(observed):
+    # no reference compares as extreme as NaN or +-inf, so the exact p-value
+    # was 0 and the Monte Carlo one 1 / (B + 1), below the observed
+    # assignment's own share
+    labels = np.array([1, 1, 1, 2, 2, 2])
+    observed_labels = labels.tolist()
+
+    def stat_fn(lab, y):
+        return observed if lab.tolist() == observed_labels else 0.0
+
+    y = np.arange(6.0)
+    with pytest.raises(ValidationError, match="observed statistic must be finite"):
+        randtests.exact_randomization_pvalue(stat_fn, labels, y, "greater")
+    with pytest.raises(ValidationError, match="observed statistic must be finite"):
+        randtests.mc_randomization_pvalue(stat_fn, labels, y, 99, 1, "greater")
 
 
 def test_exact_diff_counts_round_off_ties():
