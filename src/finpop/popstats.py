@@ -136,10 +136,7 @@ def hajek_condition_stat(values, n: int) -> float:
         raise ValidationError(
             f"sample size must satisfy 1 <= n <= N - 1 = {big_n - 1}, got {n}"
         )
-    m = pop_moments(y)
-    if m.variance == 0.0:
-        raise DegenerateInputError("constant population: m_N / v_N is undefined")
-    return (1.0 / min(n, big_n - n)) * (m.max_sq_dev / m.variance)
+    return partition_condition_stat(y, (n, big_n - n))
 
 
 def partition_condition_stat(values, sizes) -> float:

@@ -22,6 +22,7 @@ tie-adjusted results are tagged as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -142,9 +143,9 @@ class SumStatistic:
     assignments, so the statistic of every row of a (B, N) label block is
     `reduce(ArmBlock(block, q).sums(values), sizes)` with `sizes` the float arm
     sizes the rows share; `reduce` returns a length-B vector. Calling the
-    object evaluates one assignment through the same kernel, so it is also a
-    valid `stat_fn(labels, y)` for the engines; `y` is ignored, the values
-    are fixed at construction. `sum_statistic` builds the CLI statistics.
+    object evaluates one assignment through the same kernel. `sum_statistic`
+    builds the CLI statistics; a custom one, say a studentized difference
+    in means, is a reduction of the arm sums of the columns [y, y^2].
     """
 
     def __init__(self, values, q: int, reduce):
@@ -158,7 +159,7 @@ class SumStatistic:
         sums = ArmBlock(label_block, self.q).sums(self.values)
         return self.reduce(sums, np.asarray(sizes, dtype=float))
 
-    def __call__(self, labels, y=None) -> float:
+    def __call__(self, labels) -> float:
         labels = np.asarray(labels)
         return float(self.block(labels[np.newaxis], arm_sizes(labels, self.q))[0])
 
@@ -363,31 +364,32 @@ def rank_stat_normal_pvalue(
     law: standardized rank means are simulated from N(0, V_R) with V_R the
     exact null covariance, mapped back to centered arm rank sums, and the
     `sum_statistic(kind)` reduction of untied ranks (max, range, or
-    dose-weighted sum) is compared with the observed value.
+    dose-weighted sum) is compared with the observed value, which must be
+    finite; p = (1 + #{as or more extreme}) / (B + 1).
 
     This standardizes each arm rank mean by its exact null mean and variance,
     which is one concrete reading of "properly standardized"; the simulated
-    functional is the corresponding multivariate-normal functional.
+    functional is the corresponding multivariate-normal functional. The draws
+    come in chunks of 1024 rows of one seeded stream, so memory is bounded.
     """
-    if b < 1:
-        raise ValidationError(f"replication count must be >= 1, got {b}")
     sizes_arr = np.asarray([int(s) for s in sizes], dtype=float)
     n = float(sizes_arr.sum())
     statistic = sum_statistic(kind, np.arange(1.0, n + 1.0), sizes_arr.size, doses)
-    cov = rank_null_cov(sizes_arr)
-    w, v = np.linalg.eigh(cov)
+    w, v = np.linalg.eigh(rank_null_cov(sizes_arr))
     root = v * np.sqrt(np.clip(w, 0.0, None))
-    rng = as_rng(seed)
-    tilde = rng.standard_normal((int(b), sizes_arr.size)) @ root.T
     sd = np.sqrt((n + 1.0) * (n - sizes_arr) / (12.0 * sizes_arr))
-    # n_q (Rbar_q - (N + 1) / 2), the arm sums of centered ranks
-    sums = tilde * sd * sizes_arr
-    sims = statistic.reduce(sums[:, :, np.newaxis], sizes_arr)
-    count = int(np.count_nonzero(_is_extreme(sims, observed, "greater")))
+
+    def simulate(rows, rng):
+        tilde = rng.standard_normal((rows, sizes_arr.size)) @ root.T
+        # n_q (Rbar_q - (N + 1) / 2), the arm sums of centered ranks
+        sums = tilde * sd * sizes_arr
+        return statistic.reduce(sums[:, :, np.newaxis], sizes_arr)
+
+    count, rows = _tail_count(float(observed), "greater", _seeded_chunks(b, seed, simulate))
     return TestResult(
         statistic=float(observed),
-        p_value=(1 + count) / (b + 1),
-        method=f"normal_approx(B={int(b)})",
+        p_value=(1 + count) / (rows + 1),
+        method=f"normal_approx(B={rows})",
         alternative="greater",
     )
 
@@ -481,7 +483,7 @@ def diff_normal_test(labels, values, alternative: str = "two_sided") -> TestResu
 
 
 def _check_alternative(alternative: str) -> None:
-    if alternative not in _ALTERNATIVES:
+    if not isinstance(alternative, str) or alternative not in _ALTERNATIVES:
         raise ValidationError(f"unknown alternative {alternative!r}")
 
 
@@ -496,37 +498,47 @@ def _is_extreme(ref: np.ndarray, observed: float, alternative: str) -> np.ndarra
     return np.abs(ref) >= abs(observed) - tol
 
 
-def _tail_count(stat_fn, labels, y, alternative: str, blocks) -> tuple[float, int, int]:
-    """(observed statistic, reference rows as or more extreme, reference rows)
-    over the label blocks `blocks(sizes)` yields for the arm sizes of `labels`.
-
-    A SumStatistic evaluates a block through the arm-sum kernel, any other
-    `stat_fn(labels, y)` once per row. The observed assignment goes the same
-    way, as a block of one row, and must give a finite statistic: no
-    reference ties NaN or infinity, so it could not count itself.
-    """
-    if isinstance(stat_fn, SumStatistic):
-        sizes = arm_sizes(labels, stat_fn.q)
-
-        def evaluate(block):
-            return stat_fn.block(block, sizes)
-    else:
-        sizes, y = arm_sizes(labels), np.asarray(y)
-
-        def evaluate(block):
-            return np.array([float(stat_fn(row, y)) for row in block])
-    observed = float(evaluate(labels[np.newaxis])[0])
+def _tail_count(observed: float, alternative: str, blocks) -> tuple[int, int]:
+    """(reference values as or more extreme than `observed`, reference values)
+    over the blocks of reference statistics `blocks` yields, for the exact,
+    Monte Carlo and simulated normal references alike. `observed` must be
+    finite: no reference ties NaN or infinity, so it could not count itself."""
     if not np.isfinite(observed):
         raise ValidationError(f"the observed statistic must be finite, got {observed!r}")
     count = rows = 0
-    for block in blocks(sizes.tolist()):
-        count += int(np.count_nonzero(_is_extreme(evaluate(block), observed, alternative)))
-        rows += block.shape[0]
-    return observed, count, rows
+    for ref in blocks:
+        count += int(np.count_nonzero(_is_extreme(ref, observed, alternative)))
+        rows += ref.shape[0]
+    return count, rows
+
+
+def _seeded_chunks(b: int, seed, draw):
+    """`draw(rows, rng)` for chunks of at most 1024 rows, B rows in all, from
+    one generator seeded by `seed`; B must be an integer >= 1."""
+    if not isinstance(b, (int, np.integer)) or b < 1:
+        raise ValidationError(f"replication count must be an integer >= 1, got {b!r}")
+    rng = as_rng(seed)
+    return (draw(min(_MC_CHUNK, b - start), rng) for start in range(0, b, _MC_CHUNK))
+
+
+def _engine_count(statistic, labels, alternative: str, label_blocks) -> tuple[float, int, int]:
+    """(observed statistic, reference rows as or more extreme, reference rows)
+    of a SumStatistic over the label blocks `label_blocks(sizes)` yields for
+    the arm sizes of `labels`. The observed assignment is a block of one row
+    through the same kernel as the references."""
+    if not isinstance(statistic, SumStatistic):
+        raise ValidationError("the engines take a sum_statistic(kind, values, q) or a "
+                              f"SumStatistic(values, q, reduce), got {type(statistic).__name__}")
+    _check_alternative(alternative)
+    labels = np.asarray(labels)
+    sizes = arm_sizes(labels, statistic.q)
+    observed = float(statistic.block(labels[np.newaxis], sizes)[0])
+    blocks = (statistic.block(block, sizes) for block in label_blocks(sizes.tolist()))
+    return (observed, *_tail_count(observed, alternative, blocks))
 
 
 def mc_randomization_pvalue(
-    stat_fn, labels, y, b: int, seed, alternative: str = "two_sided"
+    statistic: SumStatistic, labels, b: int, seed, alternative: str = "two_sided"
 ) -> TestResult:
     """Monte Carlo randomization p-value with the observed-included convention
     p = (1 + #{reference stats as or more extreme}) / (B + 1), which is valid
@@ -534,36 +546,26 @@ def mc_randomization_pvalue(
 
     The B reference assignments are drawn in chunks of 1024 rows by
     `draw_partition_batch`, so a seed gives the same draws whatever the
-    statistic. A `SumStatistic` evaluates each chunk through the arm-sum
-    kernel; any other `stat_fn(labels, y)` must be a pure function and is
-    called once per drawn assignment. A reference statistic within 1e-12
-    (relative to max(1, |observed|)) of the observed one counts as a tie.
-    Two-sided ordering is by absolute value, appropriate for statistics
-    centered at zero under the null; max-type statistics should use
+    statistic. A reference statistic within 1e-12 (relative to
+    max(1, |observed|)) of the observed one counts as a tie. Two-sided
+    ordering is by absolute value, appropriate for statistics centered at
+    zero under the null; max-type statistics should use
     alternative='greater'.
     """
-    if b < 1:
-        raise ValidationError(f"replication count must be >= 1, got {b}")
-    _check_alternative(alternative)
-    b = int(b)
-
-    def chunks(sizes):
-        rng = as_rng(seed)
-        for start in range(0, b, _MC_CHUNK):
-            yield draw_partition_batch(sizes, min(_MC_CHUNK, b - start), rng)
-
-    observed, count, _ = _tail_count(stat_fn, np.asarray(labels), y, alternative, chunks)
+    observed, count, rows = _engine_count(
+        statistic, labels, alternative,
+        lambda sizes: _seeded_chunks(b, seed, partial(draw_partition_batch, sizes)))
     seed_tag = seed if isinstance(seed, (int, np.integer)) else "external"
     return TestResult(
         statistic=observed,
-        p_value=(1 + count) / (b + 1),
-        method=f"monte_carlo(B={b}, seed={seed_tag})",
+        p_value=(1 + count) / (rows + 1),
+        method=f"monte_carlo(B={rows}, seed={seed_tag})",
         alternative=alternative,
     )
 
 
 def exact_randomization_pvalue(
-    stat_fn, labels, y, alternative: str = "two_sided", cap: int | None = None
+    statistic: SumStatistic, labels, alternative: str = "two_sided", cap: int | None = None
 ) -> TestResult:
     """Exact randomization p-value: the proportion of all assignments whose
     statistic is as or more extreme than the observed one.
@@ -571,18 +573,14 @@ def exact_randomization_pvalue(
     Assignments are enumerated in blocks of at most 4096 rows (fewer when
     N > 256, keeping a block near 2^20 labels) by
     `enumerate_partition_blocks`, which refuses counts above the cap. A
-    `SumStatistic` evaluates each block through the arm-sum kernel; any other
-    `stat_fn(labels, y)` is called once per assignment. The observed value is
-    the statistic evaluated the same way on the observed assignment, and a
-    reference statistic within 1e-12 (relative to max(1, |observed|)) of it
-    counts as a tie, so the observed assignment always counts itself and
-    p >= 1 / #assignments.
+    reference statistic within 1e-12 (relative to max(1, |observed|)) of
+    the observed one counts as a tie, so the observed assignment always
+    counts itself and p >= 1 / #assignments.
     """
-    _check_alternative(alternative)
-    labels = np.asarray(labels)
-    block = max(1, min(_EXACT_BLOCK, _EXACT_BLOCK_CELLS // labels.size))
-    observed, count, total = _tail_count(
-        stat_fn, labels, y, alternative, lambda sizes: enumerate_partition_blocks(sizes, cap, block))
+    block = max(1, min(_EXACT_BLOCK, _EXACT_BLOCK_CELLS // np.size(labels)))
+    observed, count, total = _engine_count(
+        statistic, labels, alternative,
+        lambda sizes: enumerate_partition_blocks(sizes, cap, block))
     return TestResult(
         statistic=observed,
         p_value=count / total,
@@ -630,7 +628,7 @@ def randomization_test(
     q = 2 if kind == "diff" else arm_sizes(labels).size
     statistic = sum_statistic(kind, values, q, doses)
     if method == "exact":
-        return exact_randomization_pvalue(statistic, labels, y, alternative, cap)
+        return exact_randomization_pvalue(statistic, labels, alternative, cap)
     if method == "mc":
-        return mc_randomization_pvalue(statistic, labels, y, b, seed, alternative)
+        return mc_randomization_pvalue(statistic, labels, b, seed, alternative)
     return rank_stat_normal_pvalue(arm_sizes(labels, q), statistic(labels), kind, b, seed, doses)
