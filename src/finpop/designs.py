@@ -14,6 +14,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -71,8 +72,19 @@ def as_rng(seed) -> np.random.Generator:
     return derive_rng(seed)
 
 
+def _whole(size) -> int:
+    if not isinstance(size, (bool, np.bool_)):
+        if isinstance(size, numbers.Integral):
+            return int(size)
+        if isinstance(size, (float, np.floating)) and float(size).is_integer():
+            return int(size)
+    raise ValidationError(f"arm sizes must be whole numbers, got {size!r}")
+
+
 def _check_sizes(sizes) -> list[int]:
-    sizes = [int(s) for s in sizes]
+    """The arm sizes as ints. Whole floats and numpy integers are accepted;
+    any other size (2.5, True, NaN, a string) is refused, never truncated."""
+    sizes = [_whole(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValidationError(f"arm sizes must be a non-empty list of positive counts, got {sizes}")
     return sizes

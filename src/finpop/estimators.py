@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distlib
-from .designs import ArmBlock, FactorialSpec, check_centered
+from .designs import ArmBlock, FactorialSpec, _check_sizes, check_centered
 from .errors import SingularMatrixError, ValidationError
 from .popstats import as_contrast, as_table, pot_cov_structure, sample_cov
 
@@ -161,9 +161,9 @@ def neyman_cov_true(table, contrast, sizes) -> np.ndarray:
     t = as_table(table)
     n, q_arms, _ = t.shape
     a = as_contrast(contrast, q_arms)
-    sizes = [int(s) for s in sizes]
-    if len(sizes) != q_arms or any(s < 1 for s in sizes):
-        raise ValidationError(f"need {q_arms} positive arm sizes, got {sizes}")
+    sizes = _check_sizes(sizes)
+    if len(sizes) != q_arms:
+        raise ValidationError(f"need {q_arms} arm sizes, got {sizes}")
     if sum(sizes) != n:
         raise ValidationError(f"arm sizes {sizes} must sum to N = {n}")
     structure = pot_cov_structure(t, a)
@@ -176,12 +176,18 @@ def neyman_cov_true(table, contrast, sizes) -> np.ndarray:
 def _arm_scatter(arms: ArmBlock, y, means) -> np.ndarray:
     """(B, Q, p, p) arm sums of products of deviations of the (B, N, p)
     outcomes from their (B, Q, p) arm means. This second pass of arm sums
-    follows the means, so a common offset in y cancels before squaring."""
+    follows the means, so a common offset in y cancels before squaring.
+    Only the p (p + 1) / 2 products on and above the diagonal are summed;
+    the lower triangle mirrors them."""
     dev = arms.spread(means)
-    b, n, p = dev.shape
     np.subtract(y, dev, out=dev)
-    products = np.einsum("bnp,bnr->bnpr", dev, dev).reshape(b, n, p * p)
-    return arms.sums(products).reshape(arms.counts.shape + (p, p))
+    p = dev.shape[-1]
+    rows, cols = np.triu_indices(p)
+    upper = arms.sums(dev[:, :, rows] * dev[:, :, cols])
+    out = np.empty(arms.counts.shape + (p, p))
+    out[:, :, rows, cols] = upper
+    out[:, :, cols, rows] = upper
+    return out
 
 
 def cov_estimator(labels, y, contrast) -> np.ndarray:
@@ -385,9 +391,9 @@ def factorial_null_moments(v_n: float, sizes, spec: FactorialSpec):
     """
     if v_n < 0.0:
         raise ValidationError(f"population variance must be >= 0, got {v_n}")
-    sizes = np.asarray([int(s) for s in sizes], dtype=float)
-    if sizes.shape != (spec.q_arms,) or np.any(sizes < 1):
-        raise ValidationError(f"need {spec.q_arms} positive arm sizes")
+    sizes = np.asarray(_check_sizes(sizes), dtype=float)
+    if sizes.shape != (spec.q_arms,):
+        raise ValidationError(f"need {spec.q_arms} arm sizes, got {sizes.size}")
     inv = 1.0 / sizes
     total = float(inv.sum())
     n_effects = spec.q_arms - 1

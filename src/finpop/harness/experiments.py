@@ -21,15 +21,20 @@ reduce arm sums through `designs.ArmBlock`), never by a copy of the formula
 here; coverage counts the intervals of `estimators.normal_interval`.
 
 Randomness is drawn from generators derived as (seed, stream ints) per chunk
-of at most 4096 replicates, so any chunk is reproducible in isolation and a
-replicate-parallel run reduces to the same metric values as a serial one.
+of at most 4096 replicates, so any chunk is reproducible in isolation. The
+chunks of a campaign are drawn on a thread pool as wide as the usable cores
+(numpy releases the GIL while it shuffles), each in sub-batches of about 2^20
+labels, and joined in chunk order: the metrics do not depend on the core
+count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,12 +173,6 @@ _REG_TABLE = np.array([
     [9.0, 4.0],
     [12.0, 10.0],
 ])
-
-
-def _slices(labels: np.ndarray) -> list[np.ndarray]:
-    # slices of 2^17 labels keep an estimator call's temporaries in cache
-    rows = max(1, (1 << 17) // labels.shape[1])
-    return np.split(labels, range(rows, labels.shape[0], rows))
 
 
 def _observed(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -380,21 +379,40 @@ def _batched(reps: int, seed: int, *stream: int):
         chunk_idx += 1
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _drawn(sizes, reps: int, seed: int, n_index: int, stat) -> np.ndarray:
     """stat of reps uniform assignments of `sizes`, stacked in draw order.
 
-    Chunk i is drawn from derive_rng(seed, _STREAM_ASSIGN, n_index, i), and
-    `stat` maps each of its label slices to one row per assignment. Each
-    chunk is reduced before the next is drawn (100,000 draws at N = 1024 are
-    800 MB of labels), and its slice results are joined at once, since
-    hundreds of small arrays kept to the end fragment the heap and raise the
-    peak resident size.
+    Chunk i is drawn from derive_rng(seed, _STREAM_ASSIGN, n_index, i). The
+    chunks are mapped over a pool of min(usable cores, chunks) threads and
+    their results joined in chunk order. A worker draws its chunk in
+    sub-batches of about 2^20 labels, so memory is bounded by the pool width,
+    and `stat` maps each slice of about 2^17 labels (which keeps an estimator
+    call's temporaries in cache) to one row per assignment. Sub-batches are
+    whole slices, and a generator's successive batches are the rows of one
+    batch, so the result is the same bits for any pool width.
     """
-    chunks = []
-    for m, rng in _batched(reps, seed, _STREAM_ASSIGN, n_index):
-        labels = designs.draw_partition_batch(sizes, m, rng)
-        chunks.append(np.concatenate([stat(part) for part in _slices(labels)]))
-    return np.concatenate(chunks)
+    n = sum(sizes)
+    rows = max(1, (1 << 17) // n)
+    batch = max(rows, ((1 << 20) // n) // rows * rows)
+
+    def reduce_chunk(job) -> np.ndarray:
+        m, rng = job
+        parts = []
+        for start in range(0, m, batch):
+            labels = designs.draw_partition_batch(sizes, min(batch, m - start), rng)
+            parts.extend(stat(labels[i:i + rows]) for i in range(0, labels.shape[0], rows))
+        return np.concatenate(parts)
+
+    jobs = list(_batched(reps, seed, _STREAM_ASSIGN, n_index))
+    with ThreadPoolExecutor(max_workers=min(_usable_cores(), len(jobs))) as pool:
+        return np.concatenate(list(pool.map(reduce_chunk, jobs)))
 
 
 def _srs_standardized(pop: np.ndarray, n: int, reps: int, seed: int,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import _check_sizes
 from .errors import DegenerateInputError, ValidationError
 
 __all__ = [
@@ -143,9 +144,7 @@ def partition_condition_stat(values, sizes) -> float:
     """Joint-normality diagnostic for the arm means of a random partition:
     (1 / min_q n_q) * (m_N / v_N)."""
     y = _as_population(values)
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes):
-        raise ValidationError(f"arm sizes must be positive, got {sizes}")
+    sizes = _check_sizes(sizes)
     if sum(sizes) != y.size:
         raise ValidationError(
             f"arm sizes {sizes} sum to {sum(sizes)}, expected N = {y.size}"
@@ -256,9 +255,9 @@ def cre_condition_stats(table, contrast, sizes) -> CREConditionStats:
     t = as_table(table)
     n, q_arms, _p = t.shape
     a = as_contrast(contrast, q_arms)
-    sizes = [int(s) for s in sizes]
-    if len(sizes) != q_arms or any(s < 1 for s in sizes):
-        raise ValidationError(f"need {q_arms} positive arm sizes, got {sizes}")
+    sizes = _check_sizes(sizes)
+    if len(sizes) != q_arms:
+        raise ValidationError(f"need {q_arms} arm sizes, got {sizes}")
     if sum(sizes) != n:
         raise ValidationError(f"arm sizes {sizes} must sum to N = {n}")
     if n < 2:

@@ -30,6 +30,7 @@ import numpy as np
 from . import distlib
 from .designs import (
     ArmBlock,
+    _check_sizes,
     as_rng,
     draw_partition_batch,
     enumerate_partition_blocks,
@@ -251,9 +252,9 @@ def standardized_rank_means(labels, ranks) -> np.ndarray:
 def rank_null_cov(sizes) -> np.ndarray:
     """Exact sharp-null covariance of the standardized rank means: unit
     diagonal, off-diagonal entries -sqrt(n_q n_r / ((N - n_q)(N - n_r)))."""
-    sizes = np.asarray([int(s) for s in sizes], dtype=float)
-    if sizes.ndim != 1 or sizes.size < 2 or np.any(sizes < 1):
-        raise ValidationError("need at least two positive arm sizes")
+    sizes = np.asarray(_check_sizes(sizes), dtype=float)
+    if sizes.size < 2:
+        raise ValidationError("need at least two arm sizes")
     n = sizes.sum()
     ratio = np.sqrt(sizes / (n - sizes))
     cov = -np.outer(ratio, ratio)
@@ -372,7 +373,7 @@ def rank_stat_normal_pvalue(
     functional is the corresponding multivariate-normal functional. The draws
     come in chunks of 1024 rows of one seeded stream, so memory is bounded.
     """
-    sizes_arr = np.asarray([int(s) for s in sizes], dtype=float)
+    sizes_arr = np.asarray(_check_sizes(sizes), dtype=float)
     n = float(sizes_arr.sum())
     statistic = sum_statistic(kind, np.arange(1.0, n + 1.0), sizes_arr.size, doses)
     w, v = np.linalg.eigh(rank_null_cov(sizes_arr))

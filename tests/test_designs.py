@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpop import designs
+from finpop import designs, estimators, popstats, randtests
 from finpop.errors import (
     EnumerationCapError,
     RejectionLimitError,
@@ -411,6 +411,38 @@ def test_random_draw_lies_in_enumeration(sizes):
     universe = {tuple(lab) for lab in designs.enumerate_partitions(sizes)}
     lab = designs.draw_partition(sizes, 3)
     assert tuple(lab) in universe
+
+
+@pytest.mark.parametrize("size", [2.5, True, np.True_, float("nan"), float("inf"), "3", None])
+def test_check_sizes_refuses_a_size_that_is_not_a_whole_number(size):
+    with pytest.raises(ValidationError, match="whole numbers"):
+        designs._check_sizes((3, size))
+
+
+def test_check_sizes_accepts_whole_floats_and_numpy_integers():
+    sizes = designs._check_sizes((3.0, np.int64(2), np.int32(4), np.float64(1.0), np.uint8(5)))
+    assert sizes == [3, 2, 4, 1, 5]
+    assert all(type(s) is int for s in sizes)
+
+
+_FIVE = np.array([1.0, 4.0, 2.0, 8.0, 3.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda sizes: estimators.neyman_cov_true(np.stack([_FIVE, _FIVE], axis=1), [1.0, -1.0], sizes),
+    lambda sizes: estimators.factorial_null_moments(1.0, (1, 1) + sizes,
+                                                    designs.factorial_contrasts(2)),
+    lambda sizes: popstats.partition_condition_stat(_FIVE, sizes),
+    lambda sizes: popstats.cre_condition_stats(np.stack([_FIVE, _FIVE], axis=1), [1.0, -1.0],
+                                               sizes),
+    lambda sizes: randtests.rank_null_cov(sizes),
+    lambda sizes: randtests.rank_stat_normal_pvalue(sizes, 1.0, "max", 100, 1),
+], ids=["neyman_cov_true", "factorial_null_moments", "partition_condition_stat",
+        "cre_condition_stats", "rank_null_cov", "rank_stat_normal_pvalue"])
+def test_every_size_argument_is_checked_by_check_sizes(call):
+    # (2.5, 2.5) sums to N = 5; truncated to (2, 2) it would not
+    with pytest.raises(ValidationError, match="whole numbers, got 2.5"):
+        call((2.5, 2.5))
 
 
 def test_draw_partition_rejects_bad_sizes():

@@ -309,6 +309,38 @@ def test_fit_ls_coefs_matches_lstsq_oracle():
         assert beta == pytest.approx(coef[1:], abs=1e-10)
 
 
+def _full_square_scatter(arms, y, means):
+    # all p^2 products summed, the form the mirrored upper triangle replaces
+    dev = y - arms.spread(means)
+    b, n, p = dev.shape
+    products = np.einsum("bnp,bnr->bnpr", dev, dev).reshape(b, n, p * p)
+    return arms.sums(products).reshape(arms.counts.shape + (p, p))
+
+
+@pytest.mark.parametrize("b, n, p", [(1, 7, 1), (5, 30, 2), (3, 101, 4), (2, 64, 6)])
+def test_arm_scatter_upper_triangle_is_the_full_square_bit_for_bit(b, n, p):
+    rng = np.random.default_rng(100 * p + n)
+    arms = designs.ArmBlock(designs.draw_partition_batch((n // 3, n - n // 3), b, 5), 2)
+    y = 1e3 + rng.standard_normal((b, n, p)) * rng.uniform(0.1, 50.0, p)
+    means = arms.sums(y) / arms.counts[:, :, np.newaxis]
+    got = estimators._arm_scatter(arms, y, means)
+    np.testing.assert_array_equal(got, _full_square_scatter(arms, y, means))
+    np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
+
+
+def test_fit_ls_coefs_is_unchanged_by_the_mirrored_scatter(monkeypatch):
+    rng = np.random.default_rng(12)
+    n = 500
+    labels = designs.draw_partition((240, 260), rng)
+    x = rng.normal(size=(n, 3))
+    y = 5.0 + x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n)
+    mirrored = estimators.fit_ls_coefs(labels, y, x)
+    monkeypatch.setattr(estimators, "_arm_scatter", _full_square_scatter)
+    full = estimators.fit_ls_coefs(labels, y, x)
+    for got, want in zip(mirrored, full):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_adjusted_estimators_are_two_pass_under_a_large_offset():
     # masked per-arm references; the 1e8 offset cancels in the arm deviations,
     # and points keep the absolute error of means near 1e8 (spacing 1.5e-8)

@@ -10,6 +10,7 @@ import csv
 import json
 import logging
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from finpop.harness import (
     run_suite,
 )
 from conftest import export_csv
-from finpop import distlib, estimators, randtests
+from finpop import designs, distlib, estimators, randtests
 from finpop.harness import cli, experiments, ingest
 from finpop.harness.cli import main
 from finpop.harness.experiments import synthetic_population
@@ -575,19 +576,82 @@ def test_coverage_counts_are_offset_invariant():
 
 
 def test_coverage_suite_draws_each_chunk_once(monkeypatch):
-    # both tables are evaluated on one draw of every chunk of reps
+    # both tables are evaluated on one draw of every chunk of reps: the rows
+    # drawn add up to reps, not 2 reps, from one generator per chunk
     calls = []
     draw = experiments.designs.draw_partition_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return draw(*args, **kwargs)
+    def counted(sizes, b, rng):
+        calls.append((b, rng))
+        return draw(sizes, b, rng)
 
     monkeypatch.setattr(experiments.designs, "draw_partition_batch", counted)
     reps = 2 * experiments._CHUNK + 1000
     report = run_suite("coverage", seed=26, reps=reps)
     assert len(report.experiment["runs"]) == 2
-    assert len(calls) == 3
+    assert sum(b for b, _ in calls) == reps
+    assert len({id(rng) for _, rng in calls}) == 3
+
+
+def _serial_drawn(sizes, reps, seed, n_index, stat):
+    # one whole-chunk draw per chunk generator and one stat call per row
+    rows = []
+    for i in range(-(-reps // experiments._CHUNK)):
+        m = min(experiments._CHUNK, reps - i * experiments._CHUNK)
+        labels = designs.draw_partition_batch(sizes, m, designs.derive_rng(seed, 1, n_index, i))
+        rows.extend(stat(row[np.newaxis]) for row in labels)
+    return np.concatenate(rows)
+
+
+def _label_digest(labels):
+    # exact integer columns: a weighted label sum and the first labels
+    weights = np.arange(1, labels.shape[1] + 1)
+    return np.column_stack([labels @ weights, labels[:, :4]])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_drawn_equals_a_serial_whole_chunk_reference(monkeypatch, workers):
+    # N = 1024 draws each chunk in four sub-batches of eight stat slices
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: workers)
+    sizes, reps = (512, 512), 2 * experiments._CHUNK + 100
+    got = experiments._drawn(sizes, reps, 26, 3, _label_digest)
+    assert got.shape == (reps, 5)
+    np.testing.assert_array_equal(got, _serial_drawn(sizes, reps, 26, 3, _label_digest))
+
+
+def test_drawn_pool_is_no_wider_than_cores_or_chunks(monkeypatch):
+    widths = []
+    pool = experiments.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        widths.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 64)
+    experiments._drawn((3, 3), experiments._CHUNK + 1, 1, 0, _label_digest)
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+    experiments._drawn((3, 3), 3 * experiments._CHUNK, 1, 0, _label_digest)
+    assert widths == [2, 1]
+
+
+def test_drawn_propagates_an_exception_raised_by_stat(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    error = ArithmeticError("stat failed")
+
+    def failing(labels):
+        raise error
+
+    with pytest.raises(ArithmeticError) as info:
+        experiments._drawn((4, 4), 2 * experiments._CHUNK + 1, 26, 0, failing)
+    assert info.value is error
+
+
+def test_run_suite_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+    baseline = threading.active_count()
+    run_suite("coverage", seed=26, reps=2 * experiments._CHUNK + 1)
+    assert threading.active_count() == baseline
 
 
 def test_planted_cov_estimator_defect_fails_oracle_and_moves_coverage(monkeypatch):

@@ -263,6 +263,18 @@ def test_cre_condition_stats_degenerate_flag():
     assert stats.degenerate
 
 
+def test_partition_condition_stat_refuses_fractional_sizes():
+    # truncated, (2.5, 3.9) would run as (2, 3), which sums to N = 5
+    with pytest.raises(ValidationError, match="whole numbers, got 2.5"):
+        popstats.partition_condition_stat([1.0, 4.0, 2.0, 8.0, 3.0], (2.5, 3.9))
+
+
+def test_hajek_condition_stat_names_a_fractional_sample_size():
+    with pytest.raises(ValidationError) as info:
+        popstats.hajek_condition_stat([1, 2, 3, 4], 2.5)
+    assert "2.5" in str(info.value)
+
+
 def test_cre_condition_stats_rejects_size_mismatch():
     with pytest.raises(ValidationError):
         popstats.cre_condition_stats([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0], (1, 2))
