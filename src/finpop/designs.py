@@ -1,6 +1,7 @@
-"""Assignment mechanisms: simple random sampling, random partitions into Q
-arms, rerandomization, cluster expansion, factorial contrast matrices, and the
-exhaustive enumeration oracle used to verify closed-form moments.
+"""Assignment mechanisms: random partitions into Q arms (a simple random
+sample is arm 1 of a two-arm partition), rerandomization, cluster expansion,
+factorial contrast matrices, and the exhaustive enumeration oracle used to
+verify closed-form moments.
 
 Conventions used across the package:
   - arm labels are 1..Q; `sizes[q-1]` is the number of units in arm q;
@@ -32,11 +33,9 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "derive_rng",
     "as_rng",
-    "draw_srs",
     "draw_partition",
     "draw_partition_batch",
     "multinomial_count",
-    "enumeration_cap",
     "enumerate_partition_blocks",
     "enumerate_partitions",
     "ArmBlock",
@@ -72,18 +71,20 @@ def as_rng(seed) -> np.random.Generator:
     return derive_rng(seed)
 
 
-def _whole(size) -> int:
-    if not isinstance(size, (bool, np.bool_)):
-        if isinstance(size, numbers.Integral):
-            return int(size)
-        if isinstance(size, (float, np.floating)) and float(size).is_integer():
-            return int(size)
-    raise ValidationError(f"arm sizes must be whole numbers, got {size!r}")
+def _whole(value, what: str = "arm sizes") -> int:
+    """`value` as an int: whole floats and numpy integers are accepted, any
+    other value (2.5, True, NaN, a string, None) is refused, never
+    truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            return int(value)
+    raise ValidationError(f"{what} must be whole numbers, got {value!r}")
 
 
 def _check_sizes(sizes) -> list[int]:
-    """The arm sizes as ints. Whole floats and numpy integers are accepted;
-    any other size (2.5, True, NaN, a string) is refused, never truncated."""
+    """The arm sizes as ints, each by the `_whole` rule."""
     sizes = [_whole(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValidationError(f"arm sizes must be a non-empty list of positive counts, got {sizes}")
@@ -114,20 +115,6 @@ def draw_partition_batch(sizes, b: int, seed) -> np.ndarray:
     return out
 
 
-def draw_srs(n_total: int, n: int, seed) -> np.ndarray:
-    """Inclusion vector of a simple random sample: exactly n ones among
-    n_total entries, each subset with probability n! (N - n)! / N!."""
-    n_total, n = int(n_total), int(n)
-    if n_total < 1:
-        raise ValidationError(f"population size must be >= 1, got {n_total}")
-    if not 1 <= n <= n_total:
-        raise ValidationError(f"sample size must satisfy 1 <= n <= {n_total}, got {n}")
-    if n == n_total:
-        return np.ones(n_total, dtype=np.int64)
-    labels = draw_partition((n, n_total - n), seed)
-    return (labels == 1).astype(np.int64)
-
-
 def multinomial_count(sizes) -> int:
     """N! / (n_1! ... n_Q!), the number of distinct assignments."""
     sizes = _check_sizes(sizes)
@@ -135,17 +122,6 @@ def multinomial_count(sizes) -> int:
     for s in sizes:
         count //= math.factorial(s)
     return count
-
-
-def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve the enumeration cap: the explicit argument, else the built-in
-    default DEFAULT_ENUM_CAP."""
-    if cap is None:
-        return DEFAULT_ENUM_CAP
-    cap = int(cap)
-    if cap < 1:
-        raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
-    return cap
 
 
 def _unrank_partitions(sizes: list[int], count: int, ranks: np.ndarray) -> np.ndarray:
@@ -187,13 +163,16 @@ def enumerate_partition_blocks(
     `block` rows, rows in lexicographic label order across blocks.
 
     Refuses up front (with the exact count) when the multinomial count exceeds
-    the cap; see `enumeration_cap` for how the cap is resolved. Each block is a
-    fresh array, so callers may keep or modify it.
+    the cap, a whole number >= 1 that defaults to DEFAULT_ENUM_CAP. Each block
+    is a fresh array, so callers may keep or modify it.
     """
     sizes = _check_sizes(sizes)
+    cap = DEFAULT_ENUM_CAP if cap is None else _whole(cap, "enumeration caps")
+    if cap < 1:
+        raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
     count = multinomial_count(sizes)
     # the per-position sub-counts times an arm size must fit in int64
-    cap_value = min(enumeration_cap(cap), np.iinfo(np.int64).max // sum(sizes))
+    cap_value = min(cap, np.iinfo(np.int64).max // sum(sizes))
     if count > cap_value:
         raise EnumerationCapError(count, cap_value)
     block = int(block)

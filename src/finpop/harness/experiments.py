@@ -94,15 +94,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("oracle", "clt", "rerand", "coverage"):
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        if self.seed is None or isinstance(self.seed, bool):
-            raise ValidationError("an integer seed is required")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "seed", designs._whole(self.seed, "seeds"))
+        object.__setattr__(self, "reps", designs._whole(self.reps, "replication counts"))
         if self.reps < 1:
             raise ValidationError(f"replication count must be >= 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        ns = tuple(int(n) for n in self.ns)
+        ns = tuple(designs._whole(n, "population sizes") for n in self.ns)
         if not ns or any(n < 4 for n in ns):
             raise ValidationError(f"population sizes must all be >= 4, got {list(ns)}")
         object.__setattr__(self, "ns", ns)

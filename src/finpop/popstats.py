@@ -25,7 +25,6 @@ __all__ = [
     "srs_mean_var",
     "hajek_condition_stat",
     "partition_condition_stat",
-    "lindeberg_stat",
     "unit_contrasts",
     "pot_cov_structure",
     "cre_condition_stats",
@@ -153,29 +152,6 @@ def partition_condition_stat(values, sizes) -> float:
     if m.variance == 0.0:
         raise DegenerateInputError("constant population: m_N / v_N is undefined")
     return (1.0 / min(sizes)) * (m.max_sq_dev / m.variance)
-
-
-def lindeberg_stat(values, n: int, eps: float) -> float:
-    """Lindeberg-type tail mass of the standardized deviations:
-    (N - 1)^{-1} sum of delta_i^2 over {i : |delta_i| > eps sqrt(n (N - n) / N)}
-    with delta_i = (y_i - ybar) / sqrt(v_N). Diagnostic only; the sample mean is
-    asymptotically normal exactly when this vanishes for every eps > 0.
-    """
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    y = _as_population(values)
-    big_n = y.size
-    if not 1 <= n <= big_n - 1:
-        raise ValidationError(
-            f"sample size must satisfy 1 <= n <= N - 1 = {big_n - 1}, got {n}"
-        )
-    m = pop_moments(y)
-    if m.variance == 0.0:
-        raise DegenerateInputError("constant population: standardization is undefined")
-    delta = (y - m.mean) / np.sqrt(m.variance)
-    threshold = eps * np.sqrt(n * (big_n - n) / big_n)
-    tail = delta[np.abs(delta) > threshold]
-    return float(tail @ tail / (big_n - 1))
 
 
 def as_table(table) -> np.ndarray:

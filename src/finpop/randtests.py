@@ -13,10 +13,13 @@ that does not change across assignments (the outcomes, or their ranks).
 once, and `SumStatistic` pairs it with the reduction, so the exact and Monte
 Carlo engines evaluate a block of assignments per call instead of one.
 
-Ranks default to the strict no-ties policy. Midranks are opt-in; with ties
-present the rank-variance identities that the no-ties theory relies on (for
-example the closed-form null variance N(N+1)/12) no longer hold verbatim, so
-tie-adjusted results are tagged as such.
+The normal reference needs only the statistic's values and the arm sizes:
+by the finite-population central limit theorem the arm sums of any fixed
+vector are asymptotically jointly normal, with a covariance set by that
+vector's own variance. So it holds for outcomes, ranks and midranks alike.
+
+Ranks default to the strict no-ties policy. Midranks are opt-in; the
+Kruskal-Wallis result computed from them is tagged ties_adjusted.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import arm_sizes, tau_hat
-from .popstats import pop_moments, sample_cov
+from .popstats import sample_cov
 
 __all__ = [
     "TestResult",
@@ -57,9 +60,7 @@ __all__ = [
     "rank_null_cov",
     "kruskal_wallis",
     "joint_test",
-    "rank_stat_normal_pvalue",
     "hypergeom_test",
-    "diff_normal_test",
     "mc_randomization_pvalue",
     "exact_randomization_pvalue",
 ]
@@ -250,8 +251,10 @@ def standardized_rank_means(labels, ranks) -> np.ndarray:
 
 
 def rank_null_cov(sizes) -> np.ndarray:
-    """Exact sharp-null covariance of the standardized rank means: unit
-    diagonal, off-diagonal entries -sqrt(n_q n_r / ((N - n_q)(N - n_r)))."""
+    """Exact sharp-null correlation of the Q arm means of any fixed vector
+    with nonzero variance (the standardized rank means are one case): unit
+    diagonal, off-diagonal entries -sqrt(n_q n_r / ((N - n_q)(N - n_r))).
+    It depends on the arm sizes only."""
     sizes = np.asarray(_check_sizes(sizes), dtype=float)
     if sizes.size < 2:
         raise ValidationError("need at least two arm sizes")
@@ -358,43 +361,6 @@ def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: s
     )
 
 
-def rank_stat_normal_pvalue(
-    sizes, observed: float, kind: str, b: int, seed, doses=None
-) -> TestResult:
-    """Upper-tail p-value of a rank-mean functional under its limiting normal
-    law: standardized rank means are simulated from N(0, V_R) with V_R the
-    exact null covariance, mapped back to centered arm rank sums, and the
-    `sum_statistic(kind)` reduction of untied ranks (max, range, or
-    dose-weighted sum) is compared with the observed value, which must be
-    finite; p = (1 + #{as or more extreme}) / (B + 1).
-
-    This standardizes each arm rank mean by its exact null mean and variance,
-    which is one concrete reading of "properly standardized"; the simulated
-    functional is the corresponding multivariate-normal functional. The draws
-    come in chunks of 1024 rows of one seeded stream, so memory is bounded.
-    """
-    sizes_arr = np.asarray(_check_sizes(sizes), dtype=float)
-    n = float(sizes_arr.sum())
-    statistic = sum_statistic(kind, np.arange(1.0, n + 1.0), sizes_arr.size, doses)
-    w, v = np.linalg.eigh(rank_null_cov(sizes_arr))
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-    sd = np.sqrt((n + 1.0) * (n - sizes_arr) / (12.0 * sizes_arr))
-
-    def simulate(rows, rng):
-        tilde = rng.standard_normal((rows, sizes_arr.size)) @ root.T
-        # n_q (Rbar_q - (N + 1) / 2), the arm sums of centered ranks
-        sums = tilde * sd * sizes_arr
-        return statistic.reduce(sums[:, :, np.newaxis], sizes_arr)
-
-    count, rows = _tail_count(float(observed), "greater", _seeded_chunks(b, seed, simulate))
-    return TestResult(
-        statistic=float(observed),
-        p_value=(1 + count) / (rows + 1),
-        method=f"normal_approx(B={rows})",
-        alternative="greater",
-    )
-
-
 def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided") -> TestResult:
     """Count test for a binary outcome in a two-arm experiment.
 
@@ -461,25 +427,49 @@ def _normal_p_value(shift: float, sd: float, alternative: str, correction: float
     return 1.0 if gap <= 0.0 else min(1.0, 2.0 * distlib.std_normal_cdf(-gap / sd))
 
 
-def diff_normal_test(labels, values, alternative: str = "two_sided") -> TestResult:
-    """Normal-reference test of the difference in arm means of `values` (the
-    outcomes, or their ranks for the Wilcoxon form) in a two-arm experiment.
+def _normal_reference(kind: str, statistic: SumStatistic, sizes, observed: float,
+                      alternative: str, b: int, seed) -> TestResult:
+    """p-value of `observed` under the limiting normal law of a
+    `sum_statistic(kind, ...)` at the given arm sizes.
 
-    Under the sharp null the difference has mean zero and variance
-    N / (n_1 n_0) S^2, with S^2 the variance of `values` (divisor N - 1).
+    Under the sharp null the arm sums of the statistic's centered values v
+    are asymptotically jointly normal with covariance S^2 (diag(n) - n n'/N),
+    S^2 = v'v / (N - 1), whatever v is (outcomes, ranks or midranks). The
+    'diff' kind is linear in them: its tail is Phi(-z) in closed form with
+    null variance N S^2 / (n_1 n_0). Any other kind reduces B simulated arm
+    sums, drawn in chunks of 1024 rows of one seeded stream as
+    n_q sd_q Z_q with sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
+    `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
     """
-    labels = np.asarray(labels)
-    observed = sum_statistic("diff", values)(labels)
-    counts = arm_sizes(labels, 2)
-    var0 = labels.size / (int(counts[0]) * int(counts[1])) * pop_moments(values).variance
-    if var0 <= 0.0:
-        raise ValidationError("constant outcomes: the null variance is zero")
+    sizes = np.asarray(sizes, dtype=float)
+    values = statistic.values[:, 0]
+    s2 = float(values @ values / (values.size - 1))
+    if kind == "diff":
+        var0 = values.size / (int(sizes[0]) * int(sizes[1])) * s2
+        if var0 <= 0.0:
+            raise ValidationError("constant outcomes: the null variance is zero")
+        return TestResult(
+            statistic=observed,
+            p_value=_normal_p_value(observed, np.sqrt(var0), alternative),
+            method="normal_approx",
+            alternative=alternative,
+            null_variance=var0,
+        )
+    n = float(values.size)
+    sd = np.sqrt(s2 * (n - sizes) / (n * sizes))
+    w, v = np.linalg.eigh(rank_null_cov(sizes))
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+
+    def simulate(rows, rng):
+        sums = rng.standard_normal((rows, sizes.size)) @ root.T * sd * sizes
+        return statistic.reduce(sums[:, :, np.newaxis], sizes)
+
+    count, rows = _tail_count(observed, alternative, _seeded_chunks(b, seed, simulate))
     return TestResult(
         statistic=observed,
-        p_value=_normal_p_value(observed, np.sqrt(var0), alternative),
-        method="normal_approx",
+        p_value=(1 + count) / (rows + 1),
+        method=f"normal_approx(B={rows})",
         alternative=alternative,
-        null_variance=var0,
     )
 
 
@@ -624,12 +614,11 @@ def randomization_test(
         if method == "normal":
             return chi2
     values = rank_transform(y, ties) if on_ranks else np.asarray(y, dtype=float)
-    if method == "normal" and kind == "diff":
-        return diff_normal_test(labels, values, alternative)
     q = 2 if kind == "diff" else arm_sizes(labels).size
     statistic = sum_statistic(kind, values, q, doses)
     if method == "exact":
         return exact_randomization_pvalue(statistic, labels, alternative, cap)
     if method == "mc":
         return mc_randomization_pvalue(statistic, labels, b, seed, alternative)
-    return rank_stat_normal_pvalue(arm_sizes(labels, q), statistic(labels), kind, b, seed, doses)
+    return _normal_reference(kind, statistic, arm_sizes(labels, q), statistic(labels),
+                             alternative, b, seed)

@@ -447,6 +447,23 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="clt", seed=1, tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("reps", 2.7), ("ns", (16.9,)), ("ns", (16, "32")), ("seed", True),
+])
+def test_experiment_config_refuses_counts_that_are_not_whole(field, value):
+    # seed 1.5, reps 2.7 and ns (16.9,) ran as seed 1, reps 2 and ns (16,)
+    settings = {"seed": 1, "reps": 100, "ns": (16,), field: value}
+    with pytest.raises(ValidationError, match="must be whole numbers"):
+        ExperimentConfig(kind="clt", **settings)
+
+
+def test_experiment_config_accepts_whole_floats_and_numpy_integers():
+    config = ExperimentConfig(kind="clt", seed=np.int64(3), reps=100.0,
+                              ns=(np.int32(16), 32.0))
+    assert (config.seed, config.reps, config.ns) == (3, 100, (16, 32))
+    assert all(type(v) is int for v in (config.seed, config.reps, *config.ns))
+
+
 def test_experiment_config_rejects_nan_tolerance():
     # a NaN tolerance would fail every gate it reaches
     with pytest.raises(ValidationError, match="tolerance"):

@@ -122,20 +122,6 @@ def test_partition_condition_matches_hajek_for_two_arms():
     )
 
 
-def test_lindeberg_stat_worked_example():
-    # pop [0,0,0,3]: standardized deviations (-.5,-.5,-.5,1.5) at n=2
-    pop = [0.0, 0.0, 0.0, 3.0]
-    assert popstats.lindeberg_stat(pop, 2, 0.4) == pytest.approx(1.0, abs=1e-12)
-    assert popstats.lindeberg_stat(pop, 2, 1.0) == pytest.approx(0.75, abs=1e-12)
-    assert popstats.lindeberg_stat(pop, 2, 2.0) == 0.0
-
-
-def test_lindeberg_stat_decreasing_in_threshold():
-    pop = np.array([0.1, -2.0, 3.0, 0.4, -1.1, 0.0])
-    values = [popstats.lindeberg_stat(pop, 3, eps) for eps in (0.01, 0.5, 1.0, 3.0)]
-    assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
 # =========================================================================
 # Table and contrast coercion
 # =========================================================================

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import diff_in_means_stat, dose_rank_stat, extreme_rank_stats, wilcoxon_stat
-from finpop import designs, randtests
+from finpop import designs, distlib, randtests
 from finpop.errors import DegenerateInputError, TieError, ValidationError
 
 # mpmath, dps=40
@@ -287,14 +287,22 @@ def test_dose_rank_stat_hand_value():
     assert dose_rank_stat(labels, _Y4, doses) == pytest.approx(3.5)
 
 
+def _simulated_normal(sizes, observed, kind, b, seed, doses=None):
+    """The simulated normal reference of `sum_statistic(kind)` of untied ranks
+    1..N at the given arm sizes, evaluated at `observed`."""
+    n = float(sum(sizes))
+    statistic = randtests.sum_statistic(kind, np.arange(1.0, n + 1.0), len(sizes), doses)
+    return randtests._normal_reference(kind, statistic, sizes, observed, "greater", b, seed)
+
+
 def test_rank_stat_normal_pvalue_is_seeded_and_bounded():
-    a = randtests.rank_stat_normal_pvalue((4, 4, 4), 10.5, "max", 4000, 13)
-    b = randtests.rank_stat_normal_pvalue((4, 4, 4), 10.5, "max", 4000, 13)
+    a = _simulated_normal((4, 4, 4), 10.5, "max", 4000, 13)
+    b = _simulated_normal((4, 4, 4), 10.5, "max", 4000, 13)
     assert a.p_value == b.p_value
     assert a.method == "normal_approx(B=4000)"
     assert a.alternative == "greater"
     assert 0.0 < a.p_value <= 1.0
-    sky_high = randtests.rank_stat_normal_pvalue((4, 4, 4), 1e9, "max", 999, 13)
+    sky_high = _simulated_normal((4, 4, 4), 1e9, "max", 999, 13)
     assert sky_high.p_value == pytest.approx(1.0 / 1000.0)
 
 
@@ -313,24 +321,27 @@ def test_rank_stat_normal_pvalue_tracks_enumeration():
         randtests.sum_statistic("max", ranks, 3), labels, alternative="greater"
     )
     assert exact.statistic == pytest.approx(observed, abs=1e-12)
-    approx = randtests.rank_stat_normal_pvalue(
-        (3, 3, 3), observed - 1.0 / 6.0, "max", 40000, 5
-    )
+    approx = _simulated_normal((3, 3, 3), observed - 1.0 / 6.0, "max", 40000, 5)
     assert abs(approx.p_value - exact.p_value) < 0.05
 
 
 def test_rank_stat_normal_pvalue_validates_inputs():
+    labels, y = np.array([1, 1, 1, 2, 2, 2]), np.arange(6.0)
     with pytest.raises(ValidationError):
-        randtests.rank_stat_normal_pvalue((3, 3), 1.0, "max", 0, 1)
+        randtests.randomization_test("max", labels, y, "normal", b=0, seed=1)
     with pytest.raises(ValidationError):
-        randtests.rank_stat_normal_pvalue((3, 3), 1.0, "slope", 10, 1)
+        _simulated_normal((3, 3), 1.0, "slope", 10, 1)
     with pytest.raises(ValidationError):
-        randtests.rank_stat_normal_pvalue((3, 3), 1.0, "dose", 10, 1, doses=[1.0])
+        randtests.randomization_test("dose", labels, y, "normal", doses=[1.0], b=10, seed=1)
 
 
 # Frozen p-values of the simulated functional as computed from arm rank
-# means Rbar_q = (N + 1)/2 + sd_q Rtilde_q directly, before the functional
-# became the `sum_statistic` reduction of the centered arm sums.
+# means Rbar_q = (N + 1)/2 + sd_q Rtilde_q directly, with the untied-rank
+# sd_q^2 = (N + 1)(N - n_q) / (12 n_q), before the functional became the
+# `sum_statistic` reduction of the centered arm sums and sd_q the values' own
+# S^2 (N - n_q) / (N n_q), equal to it for ranks 1..N. The dose row's
+# observed value lies outside the support of every assignment, which is why
+# the reference takes the observed value rather than labels.
 @pytest.mark.parametrize("sizes, observed, kind, b, seed, doses, p_value", [
     ((4, 4, 4), 10.5, "max", 4000, 13, None, 0.01274681329667583),
     ((3, 3, 3), 4.0, "range", 5000, 2, None, 0.16296740651869626),
@@ -340,8 +351,24 @@ def test_rank_stat_normal_pvalue_validates_inputs():
     ((5, 5), 2.5, "dose", 2500, 3, (-1.0, 0.5), 0.0007996801279488205),
 ])
 def test_rank_stat_normal_pvalue_is_frozen(sizes, observed, kind, b, seed, doses, p_value):
-    result = randtests.rank_stat_normal_pvalue(sizes, observed, kind, b, seed, doses)
+    result = _simulated_normal(sizes, observed, kind, b, seed, doses)
     assert result.p_value == p_value
+
+
+def test_simulated_normal_reference_uses_the_midrank_variance():
+    # a binary outcome under midranks: the dose statistic's null variance is
+    # S^2 (sum d^2 / n - (sum d)^2 / N) with S^2 the midrank variance (511.9),
+    # not the untied-rank variance 682.5, which gave p = 0.0142 here
+    labels = np.repeat([1, 2, 3], 30)
+    y = np.concatenate([(np.arange(30) < ones).astype(float) for ones in (10, 15, 20)])
+    doses, b = np.array([0.0, 1.0, 2.0]), 20_000
+    result = randtests.randomization_test("dose", labels, y, "normal", ties="midrank",
+                                          doses=doses, b=b, seed=1)
+    ranks = randtests.rank_transform(y, "midrank")
+    var0 = ranks.var(ddof=1) * (doses @ doses / 30 - doses.sum() ** 2 / 90)
+    tail = distlib.std_normal_cdf(-(result.statistic - ranks.mean() * doses.sum()) / var0**0.5)
+    assert tail == pytest.approx(0.00512, abs=5e-5)
+    assert abs(result.p_value - tail) <= 4.5 * (tail * (1 - tail) / b) ** 0.5 + 1 / (b + 1)
 
 
 @pytest.mark.parametrize("doses", [(np.nan, 1.0, 2.0), (1.0, np.inf, 2.0), None])
@@ -349,7 +376,8 @@ def test_dose_statistic_needs_finite_doses(doses):
     with pytest.raises(ValidationError):
         randtests.sum_statistic("dose", np.arange(1.0, 7.0), 3, doses)
     with pytest.raises(ValidationError):
-        randtests.rank_stat_normal_pvalue((2, 2, 2), 10.0, "dose", 10, 1, doses)
+        randtests.randomization_test("dose", np.repeat([1, 2, 3], 2), np.arange(6.0), "normal",
+                                     doses=doses, b=10, seed=1)
 
 
 def test_randomization_test_validates_its_arguments():
@@ -454,7 +482,7 @@ def test_normal_reference_p_values_far_in_the_upper_tail(mp):
         ref = sides * mp.ncdf(-shift / mp.sqrt(count.null_variance))
         assert shift / count.null_variance**0.5 > 9.0
         assert abs(count.p_value - ref) <= 1e-12 * ref, alternative
-        diff = randtests.diff_normal_test(labels, y, alternative=alternative)
+        diff = randtests.randomization_test("diff", labels, y, "normal", alternative)
         z = diff.statistic / mp.sqrt(diff.null_variance)
         assert z > 7.5
         ref = sides * mp.ncdf(-z)
@@ -567,7 +595,8 @@ def test_simulated_references_refuse_a_non_integer_replication_count(b):
     # B = 2.5 drew two rows but divided by 3.5 (normal), or was truncated to
     # two rows (Monte Carlo)
     with pytest.raises(ValidationError, match="replication count must be an integer >= 1"):
-        randtests.rank_stat_normal_pvalue((3, 3, 3), 5.0, "max", b, 1)
+        randtests.randomization_test("max", np.repeat([1, 2, 3], 3), np.arange(9.0), "normal",
+                                     b=b, seed=1)
     with pytest.raises(ValidationError, match="replication count must be an integer >= 1"):
         randtests.mc_randomization_pvalue(randtests.sum_statistic("diff", _Y4), _LAB4, b, 1)
 
@@ -713,7 +742,7 @@ def test_engines_refuse_a_non_finite_observed_statistic(observed):
 def test_rank_stat_normal_pvalue_refuses_a_non_finite_observed_value(observed):
     # NaN and +inf gave p = 1 / (B + 1), -inf gave 1
     with pytest.raises(ValidationError, match="observed statistic must be finite"):
-        randtests.rank_stat_normal_pvalue((3, 3, 3), observed, "max", 1000, 1)
+        _simulated_normal((3, 3, 3), observed, "max", 1000, 1)
 
 
 def test_rank_stat_normal_pvalue_memory_does_not_grow_with_b():
@@ -723,7 +752,7 @@ def test_rank_stat_normal_pvalue_memory_does_not_grow_with_b():
 
     tracemalloc.start()
     try:
-        result = randtests.rank_stat_normal_pvalue((300, 300, 300), 460.0, "max", 1_000_000, 1)
+        result = _simulated_normal((300, 300, 300), 460.0, "max", 1_000_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
