@@ -1,6 +1,6 @@
 """Assignment mechanisms: random partitions into Q arms (a simple random
-sample is arm 1 of a two-arm partition), rerandomization, cluster expansion,
-factorial contrast matrices, and the exhaustive enumeration oracle used to
+sample is arm 1 of a two-arm partition), rerandomization, factorial
+contrast matrices, and the exhaustive enumeration oracle used to
 verify closed-form moments.
 
 Conventions used across the package:
@@ -46,7 +46,6 @@ __all__ = [
     "check_centered",
     "compute_delta",
     "draw_rerandomized",
-    "cluster_expand",
 ]
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -54,8 +53,8 @@ DEFAULT_ENUM_CAP = 10_000_000
 
 def derive_rng(base_seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator for (base_seed, stream...), Philox-backed; every
-    entry must be a non-negative integer."""
-    entropy = (int(base_seed), *map(int, stream))
+    entry must be a non-negative whole number by the `_whole` rule."""
+    entropy = tuple(_whole(s, "seeds") for s in (base_seed, *stream))
     if min(entropy) < 0:
         raise ValidationError(f"a seed must be a non-negative integer, got {min(entropy)}")
     ss = np.random.SeedSequence(entropy=entropy)
@@ -107,6 +106,7 @@ def draw_partition_batch(sizes, b: int, seed) -> np.ndarray:
     shuffles of the label multiset; exactness follows from the uniformity of
     the permutation."""
     sizes = _check_sizes(sizes)
+    b = _whole(b, "batch sizes")
     if b < 1:
         raise ValidationError(f"batch size must be >= 1, got {b}")
     rng = as_rng(seed)
@@ -295,7 +295,7 @@ class FactorialSpec:
 
 def factorial_contrasts(k: int) -> FactorialSpec:
     """Build the level rows and the full +/-1 contrast matrix for K factors."""
-    k = int(k)
+    k = _whole(k, "factor counts")
     if not 1 <= k <= 12:
         raise ValidationError(f"factor count must satisfy 1 <= K <= 12, got {k}")
     q_arms = 2**k
@@ -401,19 +401,3 @@ def draw_rerandomized(sizes, x, threshold: float, seed, max_tries: int = 100_000
             return labels, tries
     raise RejectionLimitError(max_tries, accepted=0)
 
-
-def cluster_expand(cluster_labels, membership) -> np.ndarray:
-    """Expand a cluster-level assignment to units: each unit inherits the arm
-    of its cluster. `membership[i]` is the cluster id (1..M) of unit i."""
-    cluster_labels = np.asarray(cluster_labels, dtype=np.int64)
-    membership = np.asarray(membership, dtype=np.int64)
-    m_clusters = cluster_labels.shape[0]
-    if membership.ndim != 1 or membership.size == 0:
-        raise ValidationError("membership must be a non-empty 1-d array of cluster ids")
-    bad = (membership < 1) | (membership > m_clusters)
-    if np.any(bad):
-        raise ValidationError(
-            f"units {np.flatnonzero(bad).tolist()} map to unknown clusters "
-            f"(valid ids are 1..{m_clusters})"
-        )
-    return cluster_labels[membership - 1]

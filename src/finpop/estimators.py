@@ -31,7 +31,6 @@ __all__ = [
     "cov_estimator",
     "wald_region",
     "normal_interval",
-    "neyman_ci",
     "regression_adjusted",
     "fit_ls_coefs",
     "finite_pop_ls",
@@ -240,15 +239,6 @@ def normal_interval(point, variance, alpha: float) -> tuple:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance)
     return point - half, point + half
-
-
-def neyman_ci(labels, y, alpha: float) -> tuple[float, float]:
-    """Two-arm scalar confidence interval
-    tau_hat +/- Phi^{-1}(1 - alpha/2) (s2_1/n_1 + s2_0/n_0)^{1/2}."""
-    y = _scalar_outcomes(y, "this interval is")
-    point = float(tau_hat(labels, y, [1.0, -1.0])[0])
-    v = float(cov_estimator(labels, y, [1.0, -1.0])[0, 0])
-    return normal_interval(point, v, alpha)
 
 
 def _as_covariates(x, n: int) -> np.ndarray:

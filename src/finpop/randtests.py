@@ -17,6 +17,10 @@ The normal reference needs only the statistic's values and the arm sizes:
 by the finite-population central limit theorem the arm sums of any fixed
 vector are asymptotically jointly normal, with a covariance set by that
 vector's own variance. So it holds for outcomes, ranks and midranks alike.
+The linear statistics (diff, dose) take its tail in closed form and
+Kruskal-Wallis its chi-square limit; only max and range are simulated, so
+the replication count and seed drive the Monte Carlo reference and those
+two alone.
 
 Ranks default to the strict no-ties policy. Midranks are opt-in; the
 Kruskal-Wallis result computed from them is tagged ties_adjusted.
@@ -25,6 +29,7 @@ Kruskal-Wallis result computed from them is tagged ties_adjusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from math import comb
 
@@ -58,7 +63,6 @@ __all__ = [
     "sum_statistic",
     "standardized_rank_means",
     "rank_null_cov",
-    "kruskal_wallis",
     "joint_test",
     "hypergeom_test",
     "mc_randomization_pvalue",
@@ -172,7 +176,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
 
     - 'diff': vbar_1 - vbar_2, the mean of arm 1 minus the mean of arm 2
       (on ranks, the Wilcoxon rank-mean difference); two arms;
-    - 'kw': the analysis-of-variance form of `kruskal_wallis`,
+    - 'kw': the Kruskal-Wallis statistic in analysis-of-variance form,
       (N - 1) sum_q S_q^2 / n_q / sum_i (v_i - vbar)^2 with S_q the arm sums
       of centered values; 0 for constant values;
     - 'max': max_q vbar_q, the largest arm mean;
@@ -263,50 +267,6 @@ def rank_null_cov(sizes) -> np.ndarray:
     cov = -np.outer(ratio, ratio)
     np.fill_diagonal(cov, 1.0)
     return cov
-
-
-def kruskal_wallis(labels, y, tie_policy: str = "strict") -> TestResult:
-    """Rank analysis-of-variance statistic over Q arms with its chi-square
-    (Q - 1) upper-tail p-value.
-
-    The statistic is `sum_statistic('kw')` of the ranks,
-    (N - 1) sum_q S_q^2 / n_q / sum_i (R_i - Rbar)^2 with S_q the arm sums of
-    centered ranks. For untied ranks it is checked against the algebraically
-    equal form sum_q ((N - n_q)/N) Rtilde_q^2, and any disagreement beyond
-    rounding is an internal error. With midranks and ties present only the
-    first form is valid; the result is tagged ties_adjusted.
-    """
-    ranks = rank_transform(y, tie_policy)
-    labels = np.asarray(labels)
-    counts = arm_sizes(labels)
-    q_arms = counts.size
-    if q_arms < 2:
-        raise ValidationError("the test needs at least two arms")
-    n = ranks.size
-    if ranks.min() == ranks.max():
-        return TestResult(
-            statistic=0.0,
-            p_value=1.0,
-            method="chi2_approx,degenerate",
-            null_mean=float(q_arms - 1),
-        )
-    h_anova = sum_statistic("kw", ranks, q_arms)(labels)
-    method = "chi2_approx"
-    if np.unique(ranks).size == n:
-        tilde = standardized_rank_means(labels, ranks)
-        h_std = float(((n - counts) / n) @ (tilde**2))
-        if abs(h_anova - h_std) > 1e-10 * max(1.0, abs(h_anova)):
-            raise InternalCheckError(
-                f"rank statistic forms disagree: {h_anova!r} vs {h_std!r}"
-            )
-    else:
-        method = "chi2_approx,ties_adjusted"
-    return TestResult(
-        statistic=h_anova,
-        p_value=distlib.chi2_sf(h_anova, q_arms - 1),
-        method=method,
-        null_mean=float(q_arms - 1),
-    )
 
 
 def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: str = "strict") -> JointTestResult:
@@ -427,33 +387,64 @@ def _normal_p_value(shift: float, sd: float, alternative: str, correction: float
     return 1.0 if gap <= 0.0 else min(1.0, 2.0 * distlib.std_normal_cdf(-gap / sd))
 
 
+def _linear_factor(weights, sizes) -> float:
+    """c = sum_q d_q^2 / n_q - (sum_q d_q)^2 / N for the weights d and arm
+    sizes n, in exact rationals rounded once: sum_q d_q vbar_q has null
+    variance S^2 c."""
+    d = [Fraction(w) for w in weights]
+    n = [int(s) for s in sizes]
+    return float(sum(w * w / m for w, m in zip(d, n)) - sum(d) ** 2 / sum(n))
+
+
 def _normal_reference(kind: str, statistic: SumStatistic, sizes, observed: float,
-                      alternative: str, b: int, seed) -> TestResult:
+                      alternative: str, b: int, seed, doses=None) -> TestResult:
     """p-value of `observed` under the limiting normal law of a
     `sum_statistic(kind, ...)` at the given arm sizes.
 
     Under the sharp null the arm sums of the statistic's centered values v
     are asymptotically jointly normal with covariance S^2 (diag(n) - n n'/N),
-    S^2 = v'v / (N - 1), whatever v is (outcomes, ranks or midranks). The
-    'diff' kind is linear in them: its tail is Phi(-z) in closed form with
-    null variance N S^2 / (n_1 n_0). Any other kind reduces B simulated arm
-    sums, drawn in chunks of 1024 rows of one seeded stream as
-    n_q sd_q Z_q with sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
-    `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
+    S^2 = v'v / (N - 1), whatever v is (outcomes, ranks or midranks). Each
+    kind takes the tail of that law in its own form:
+
+    - linear kinds, sum_q d_q vbar_q ('diff' with d = (1, -1), 'dose' with
+      d the doses): Phi(-z) in closed form, with null variance S^2 c and
+      c = `_linear_factor(d, sizes)`, so diff's c is N / (n_1 n_0) to the bit;
+    - 'kw', a quadratic form in them: the chi-square (Q - 1) upper tail,
+      tagged ties_adjusted for tied midranks and degenerate for constant
+      values;
+    - 'max' and 'range': B simulated arm sums, drawn in chunks of 1024 rows
+      of one seeded stream as n_q sd_q Z_q with
+      sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
+      `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
     """
     sizes = np.asarray(sizes, dtype=float)
     values = statistic.values[:, 0]
     s2 = float(values @ values / (values.size - 1))
-    if kind == "diff":
-        var0 = values.size / (int(sizes[0]) * int(sizes[1])) * s2
+    if kind in ("diff", "dose"):
+        weights = (1, -1) if kind == "diff" else np.asarray(doses, dtype=float).tolist()
+        var0 = _linear_factor(weights, sizes) * s2
         if var0 <= 0.0:
-            raise ValidationError("constant outcomes: the null variance is zero")
+            raise ValidationError("the null variance is zero (constant outcomes, "
+                                  "or doses proportional to the arm sizes)")
+        null_mean = float(statistic.reduce(np.zeros((1, sizes.size, 1)), sizes)[0])
         return TestResult(
             statistic=observed,
-            p_value=_normal_p_value(observed, np.sqrt(var0), alternative),
+            p_value=_normal_p_value(observed - null_mean, np.sqrt(var0), alternative),
             method="normal_approx",
             alternative=alternative,
             null_variance=var0,
+        )
+    if kind == "kw":
+        method = "chi2_approx"
+        if values.min() == values.max():
+            method += ",degenerate"
+        elif np.unique(values).size < values.size:
+            method += ",ties_adjusted"
+        return TestResult(
+            statistic=observed,
+            p_value=distlib.chi2_sf(observed, sizes.size - 1),
+            method=method,
+            null_mean=float(sizes.size - 1),
         )
     n = float(values.size)
     sd = np.sqrt(s2 * (n - sizes) / (n * sizes))
@@ -471,6 +462,23 @@ def _normal_reference(kind: str, statistic: SumStatistic, sizes, observed: float
         method=f"normal_approx(B={rows})",
         alternative=alternative,
     )
+
+
+def _check_kw(labels, ranks, observed: float) -> None:
+    """Refuse fewer than two arms, and check the observed kw statistic of
+    untied ranks against its algebraically equal form
+    sum_q ((N - n_q)/N) Rtilde_q^2 with Rtilde the standardized rank means:
+    a disagreement beyond rounding is an internal error. Tied midranks have
+    only the analysis-of-variance form and are not checked."""
+    counts = arm_sizes(labels)
+    if counts.size < 2:
+        raise ValidationError("the test needs at least two arms")
+    n = ranks.size
+    if np.unique(ranks).size < n:
+        return
+    h_std = float(((n - counts) / n) @ (standardized_rank_means(labels, ranks) ** 2))
+    if abs(observed - h_std) > 1e-10 * max(1.0, abs(observed)):
+        raise InternalCheckError(f"rank statistic forms disagree: {observed!r} vs {h_std!r}")
 
 
 def _check_alternative(alternative: str) -> None:
@@ -506,7 +514,7 @@ def _tail_count(observed: float, alternative: str, blocks) -> tuple[int, int]:
 def _seeded_chunks(b: int, seed, draw):
     """`draw(rows, rng)` for chunks of at most 1024 rows, B rows in all, from
     one generator seeded by `seed`; B must be an integer >= 1."""
-    if not isinstance(b, (int, np.integer)) or b < 1:
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 1:
         raise ValidationError(f"replication count must be an integer >= 1, got {b!r}")
     rng = as_rng(seed)
     return (draw(min(_MC_CHUNK, b - start), rng) for start in range(0, b, _MC_CHUNK))
@@ -590,9 +598,11 @@ def randomization_test(
     Every reference evaluates one `sum_statistic` of y or of its ranks (tie
     policy `ties`), so the statistic does not depend on the method. The
     alternative defaults to 'greater', the only one an upper-tailed statistic
-    takes, or to 'two_sided'. `b` and `seed` drive the Monte Carlo and the
-    simulated normal references, `cap` the exact one; 'hyper' has no Monte
-    Carlo reference.
+    takes, or to 'two_sided'. `b` and `seed` drive the Monte Carlo reference
+    and the simulated normal reference of 'max' and 'range' only; the normal
+    reference of the other statistics is deterministic. `cap` drives the
+    exact reference; 'hyper' has no Monte Carlo reference. The kw statistic
+    of untied ranks is checked against its dual form under every method.
     """
     if stat not in TEST_STATISTICS:
         raise ValidationError(f"unknown statistic {stat!r}; use one of {list(TEST_STATISTICS)}")
@@ -607,18 +617,14 @@ def randomization_test(
         if method == "mc":
             raise ValidationError(f"{stat!r} has the exact and normal references only")
         return hypergeom_test(labels, y, mode=method, alternative=alternative)
-    if kind == "kw":
-        # the dual-form check on the observed assignment, and the chi-square
-        # reference
-        chi2 = kruskal_wallis(labels, y, ties)
-        if method == "normal":
-            return chi2
     values = rank_transform(y, ties) if on_ranks else np.asarray(y, dtype=float)
     q = 2 if kind == "diff" else arm_sizes(labels).size
     statistic = sum_statistic(kind, values, q, doses)
+    if kind == "kw":
+        _check_kw(labels, values, statistic(labels))
     if method == "exact":
         return exact_randomization_pvalue(statistic, labels, alternative, cap)
     if method == "mc":
         return mc_randomization_pvalue(statistic, labels, b, seed, alternative)
     return _normal_reference(kind, statistic, arm_sizes(labels, q), statistic(labels),
-                             alternative, b, seed)
+                             alternative, b, seed, doses)

@@ -198,13 +198,13 @@ def test_criterion_05_kruskal_wallis_dual_form(capsys):
         n = sum(sizes)
         y = rng.normal(size=n)  # continuous, so ties have probability zero
         labels = designs.draw_partition(sizes, rng)
-        h = randtests.kruskal_wallis(labels, y).statistic
+        h = randtests.randomization_test("kw", labels, y).statistic
         tilde = randtests.standardized_rank_means(
             labels, randtests.rank_transform(y))
         dual = float(((n - np.asarray(sizes, dtype=float)) / n) @ (tilde ** 2))
         gap = max(gap, abs(h - dual))
-    canonical = randtests.kruskal_wallis(
-        np.array([2, 2, 1, 1]), np.array([1.0, 2.0, 3.0, 4.0])).statistic
+    canonical = randtests.randomization_test(
+        "kw", np.array([2, 2, 1, 1]), np.array([1.0, 2.0, 3.0, 4.0])).statistic
     canon_gap = abs(canonical - 2.4)
     ok = gap <= 1e-10 and canon_gap <= 1e-12
     _verdict(capsys, 5, "Kruskal-Wallis dual form", ok,

@@ -162,6 +162,23 @@ def test_negative_seeds_are_validation_errors():
         designs.draw_partition((2, 2), -5)
 
 
+@pytest.mark.parametrize("seed", [1.7, True, "1", float("nan")])
+def test_seeds_are_refused_unless_whole(seed):
+    # derive_rng(1.7) was truncated to the stream of derive_rng(1)
+    with pytest.raises(ValidationError, match="seeds must be whole numbers"):
+        designs.derive_rng(seed)
+    with pytest.raises(ValidationError, match="seeds must be whole numbers"):
+        designs.derive_rng(3, seed)
+    assert designs.derive_rng(np.int64(3), 2.0).random() == designs.derive_rng(3, 2).random()
+
+
+@pytest.mark.parametrize("b", [2.5, True, "2", None])
+def test_draw_partition_batch_refuses_a_batch_size_that_is_not_whole(b):
+    # 2.5 reached numpy as a TypeError
+    with pytest.raises(ValidationError, match="batch sizes must be whole numbers"):
+        designs.draw_partition_batch((2, 2), b, 1)
+
+
 def test_draw_partition_frequencies_match_uniform_law():
     # sizes (1,1,1): 6 equally likely permutations
     rng = designs.as_rng(17)
@@ -247,6 +264,10 @@ def test_factorial_contrasts_rejects_bad_k():
         designs.factorial_contrasts(0)
     with pytest.raises(ValidationError):
         designs.factorial_contrasts(13)
+    for k in (2.5, True, "2"):  # 2.5 was truncated to two factors
+        with pytest.raises(ValidationError, match="factor counts must be whole numbers"):
+            designs.factorial_contrasts(k)
+    assert designs.factorial_contrasts(2.0).k == 2
 
 
 # =========================================================================
@@ -384,23 +405,6 @@ def test_draw_rerandomized_gives_up_with_tiny_threshold():
     with pytest.raises(RejectionLimitError) as info:
         designs.draw_rerandomized((5, 5), x, 1e-12, 3, max_tries=50)
     assert info.value.max_tries == 50
-
-
-# =========================================================================
-# Cluster expansion
-# =========================================================================
-
-
-def test_cluster_expand_maps_membership_to_units():
-    cluster_labels = np.array([1, 2, 2, 1])  # arms of clusters 1..4
-    membership = np.array([1, 1, 2, 3, 4, 4, 4])  # cluster of units 1..7
-    unit_labels = designs.cluster_expand(cluster_labels, membership)
-    assert unit_labels.tolist() == [1, 1, 2, 2, 1, 1, 1]
-
-
-def test_cluster_expand_rejects_unknown_cluster():
-    with pytest.raises(ValidationError):
-        designs.cluster_expand(np.array([1, 2]), np.array([1, 3]))
 
 
 # =========================================================================

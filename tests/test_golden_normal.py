@@ -10,6 +10,8 @@ three streams byte for byte.
 Regenerate (only when an output is meant to move) with
 
     PYTHONPATH=src python tests/test_golden_normal.py
+
+which prints the id of every case whose stored output changed.
 """
 
 import contextlib
@@ -89,6 +91,10 @@ def _regenerate() -> None:
             (pathlib.Path(workdir) / f"{name}.csv").write_text(text, encoding="utf-8")
         expected = {case["id"]: _run(case, pathlib.Path(workdir) / f"{case['data']}.csv")
                     for case in _cases()}
+    stored = _golden()["expected"] if _GOLDEN.exists() else {}
+    for case_id, output in expected.items():
+        if stored.get(case_id) != output:
+            print(case_id)
     _GOLDEN.write_text(json.dumps({"csv": csvs, "expected": expected}, indent=1) + "\n",
                        encoding="utf-8")
 

@@ -762,7 +762,10 @@ def test_cli_interval_is_neyman_ci(tmp_path, capsys):
     assert main(["estimate", "--data", path, "--alpha", "0.1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     data = ingest_csv(path, "arm")
-    assert payload["ci"] == list(estimators.neyman_ci(data.labels, data.y, 0.1))
+    contrast = [1.0, -1.0]
+    assert payload["ci"] == list(estimators.normal_interval(
+        estimators.tau_hat(data.labels, data.y, contrast)[0],
+        estimators.cov_estimator(data.labels, data.y, contrast)[0, 0], 0.1))
 
 
 def test_cli_estimate_uses_covariates_when_present(tmp_path, capsys):
@@ -849,6 +852,16 @@ def test_cli_test_max_normal_requires_seed(tmp_path, capsys):
     path = _write(tmp_path / "m.csv", "arm,y\n1,1.0\n1,2.0\n2,3.0\n2,4.0\n")
     assert main(["test", "--data", path, "--stat", "max"]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+def test_cli_test_dose_normal_needs_no_seed(tmp_path, capsys):
+    path = _write(tmp_path / "d.csv", "arm,y\n" + "".join(
+        f"{arm},{v}\n" for arm, v in zip((1, 1, 2, 2, 3, 3), (4.0, 1.0, 6.0, 2.0, 5.0, 3.0))))
+    assert main(["test", "--data", path, "--stat", "dose", "--doses", "0,1,2",
+                 "--method", "normal"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "normal_approx"
+    assert payload["null_variance"] > 0.0
 
 
 def test_cli_test_hyper_rejects_mc(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import diff_in_means_stat, dose_rank_stat, extreme_rank_stats, wilcoxon_stat
 from finpop import designs, distlib, randtests
-from finpop.errors import DegenerateInputError, TieError, ValidationError
+from finpop.errors import DegenerateInputError, InternalCheckError, TieError, ValidationError
 
 # mpmath, dps=40
 CHI2_SF_24_1 = 0.12133525035848214653
@@ -142,7 +142,7 @@ def test_rank_null_cov_closed_form():
 
 
 def test_kruskal_wallis_canonical_value():
-    result = randtests.kruskal_wallis(_LAB4, _Y4)
+    result = randtests.randomization_test("kw", _LAB4, _Y4)
     assert result.statistic == pytest.approx(2.4, abs=1e-12)
     assert result.p_value == pytest.approx(CHI2_SF_24_1, abs=1e-12)
     assert result.method == "chi2_approx"
@@ -158,7 +158,7 @@ def test_kruskal_wallis_dual_forms_agree_on_random_instances():
             continue
         labels = designs.draw_partition(sizes.tolist(), rng)
         y = rng.permutation(np.arange(1.0, n + 1.0))
-        result = randtests.kruskal_wallis(labels, y)  # internal check active
+        result = randtests.randomization_test("kw", labels, y)  # internal check active
         ranks = randtests.rank_transform(y)
         tilde = randtests.standardized_rank_means(labels, ranks)
         counts = np.array([np.sum(labels == q) for q in range(1, q_arms + 1)])
@@ -167,8 +167,8 @@ def test_kruskal_wallis_dual_forms_agree_on_random_instances():
 
 
 def test_kruskal_wallis_constant_outcome_is_degenerate():
-    result = randtests.kruskal_wallis(
-        np.array([1, 1, 2, 2]), np.ones(4), tie_policy="midrank"
+    result = randtests.randomization_test(
+        "kw", np.array([1, 1, 2, 2]), np.ones(4), ties="midrank"
     )
     assert result.statistic == 0.0
     assert result.p_value == 1.0
@@ -176,8 +176,8 @@ def test_kruskal_wallis_constant_outcome_is_degenerate():
 
 
 def test_kruskal_wallis_tags_tie_adjustment():
-    result = randtests.kruskal_wallis(
-        np.array([1, 1, 2, 2]), np.array([1.0, 1.0, 2.0, 3.0]), tie_policy="midrank"
+    result = randtests.randomization_test(
+        "kw", np.array([1, 1, 2, 2]), np.array([1.0, 1.0, 2.0, 3.0]), ties="midrank"
     )
     assert result.method == "chi2_approx,ties_adjusted"
 
@@ -188,7 +188,7 @@ def test_kruskal_wallis_chi2_close_to_exact_enumeration():
     rng = np.random.default_rng(4)
     labels = designs.draw_partition((3, 3, 3), rng)
     y = rng.permutation(np.arange(1.0, 10.0))
-    approx = randtests.kruskal_wallis(labels, y)
+    approx = randtests.randomization_test("kw", labels, y)
     exact = randtests.exact_randomization_pvalue(
         randtests.sum_statistic("kw", randtests.rank_transform(y), 3),
         labels,
@@ -287,11 +287,12 @@ def test_dose_rank_stat_hand_value():
     assert dose_rank_stat(labels, _Y4, doses) == pytest.approx(3.5)
 
 
-def _simulated_normal(sizes, observed, kind, b, seed, doses=None):
-    """The simulated normal reference of `sum_statistic(kind)` of untied ranks
-    1..N at the given arm sizes, evaluated at `observed`."""
+def _simulated_normal(sizes, observed, kind, b, seed):
+    """The simulated normal reference of `sum_statistic(kind)` ('max' or
+    'range') of untied ranks 1..N at the given arm sizes, evaluated at
+    `observed`."""
     n = float(sum(sizes))
-    statistic = randtests.sum_statistic(kind, np.arange(1.0, n + 1.0), len(sizes), doses)
+    statistic = randtests.sum_statistic(kind, np.arange(1.0, n + 1.0), len(sizes))
     return randtests._normal_reference(kind, statistic, sizes, observed, "greater", b, seed)
 
 
@@ -339,36 +340,70 @@ def test_rank_stat_normal_pvalue_validates_inputs():
 # means Rbar_q = (N + 1)/2 + sd_q Rtilde_q directly, with the untied-rank
 # sd_q^2 = (N + 1)(N - n_q) / (12 n_q), before the functional became the
 # `sum_statistic` reduction of the centered arm sums and sd_q the values' own
-# S^2 (N - n_q) / (N n_q), equal to it for ranks 1..N. The dose row's
-# observed value lies outside the support of every assignment, which is why
-# the reference takes the observed value rather than labels.
+# S^2 (N - n_q) / (N n_q), equal to it for ranks 1..N.
 @pytest.mark.parametrize("sizes, observed, kind, b, seed, doses, p_value", [
     ((4, 4, 4), 10.5, "max", 4000, 13, None, 0.01274681329667583),
     ((3, 3, 3), 4.0, "range", 5000, 2, None, 0.16296740651869626),
     ((5, 3), 5.6, "max", 3000, 7, None, 0.21159613462179275),
     ((6, 5, 4), 1.5, "range", 2000, 11, None, 0.8570714642678661),
-    ((4, 4, 3), 19.5, "dose", 3000, 21, (0.0, 1.0, 2.0), 0.3045651449516828),
-    ((5, 5), 2.5, "dose", 2500, 3, (-1.0, 0.5), 0.0007996801279488205),
 ])
 def test_rank_stat_normal_pvalue_is_frozen(sizes, observed, kind, b, seed, doses, p_value):
-    result = _simulated_normal(sizes, observed, kind, b, seed, doses)
+    result = _simulated_normal(sizes, observed, kind, b, seed)
     assert result.p_value == p_value
+
+
+def test_dose_normal_reference_is_the_closed_form():
+    # sum_q d_q Rbar_q has null mean Rbar sum_q d_q and variance
+    # S^2 (sum_q d_q^2 / n_q - (sum_q d_q)^2 / N); no seed is needed
+    rng = np.random.default_rng(19)
+    sizes = np.array([4.0, 5.0, 6.0])
+    labels = rng.permutation(np.repeat([1, 2, 3], [4, 5, 6]))
+    y = rng.normal(size=15) + 0.4 * labels
+    doses = np.array([0.0, 1.0, 2.5])
+    result = randtests.randomization_test("dose", labels, y, "normal", doses=doses)
+    ranks = randtests.rank_transform(y)
+    var0 = ranks.var(ddof=1) * (doses @ (doses / sizes) - doses.sum() ** 2 / 15)
+    shift = result.statistic - ranks.mean() * doses.sum()
+    assert result.method == "normal_approx"
+    assert result.null_variance == pytest.approx(var0, rel=1e-12)
+    assert result.p_value == pytest.approx(distlib.std_normal_cdf(-shift / var0**0.5), rel=1e-9)
+
+
+def test_linear_factor_of_diff_is_n_over_n1_n0_to_the_bit():
+    rng = np.random.default_rng(20)
+    for n1, n0 in rng.integers(1, 10**6, size=(5000, 2)).tolist():
+        assert randtests._linear_factor((1, -1), (n1, n0)) == (n1 + n0) / (n1 * n0)
+    assert randtests._linear_factor((0.0, 1.0, 2.0), (3, 3, 3)) == 2 / 3
+
+
+@pytest.mark.parametrize("method", ["normal", "exact", "mc"])
+def test_kw_dual_form_check_catches_a_planted_error(monkeypatch, method):
+    exact_form = randtests.standardized_rank_means
+    monkeypatch.setattr(randtests, "standardized_rank_means",
+                        lambda labels, ranks: exact_form(labels, ranks) + 1e-6)
+    # unequal sizes: with equal ones the error cancels to first order
+    labels = np.repeat([1, 2, 3], [2, 3, 4])
+    y = np.array([4.0, 1.0, 2.0, 6.0, 3.0, 5.0, 9.0, 8.0, 7.0])
+    with pytest.raises(InternalCheckError, match="rank statistic forms disagree"):
+        randtests.randomization_test("kw", labels, y, method, b=99, seed=1)
 
 
 def test_simulated_normal_reference_uses_the_midrank_variance():
     # a binary outcome under midranks: the dose statistic's null variance is
     # S^2 (sum d^2 / n - (sum d)^2 / N) with S^2 the midrank variance (511.9),
-    # not the untied-rank variance 682.5, which gave p = 0.0142 here
+    # not the untied-rank variance 682.5, which gave p = 0.0142 here; the
+    # closed form needs no seed
     labels = np.repeat([1, 2, 3], 30)
     y = np.concatenate([(np.arange(30) < ones).astype(float) for ones in (10, 15, 20)])
-    doses, b = np.array([0.0, 1.0, 2.0]), 20_000
+    doses = np.array([0.0, 1.0, 2.0])
     result = randtests.randomization_test("dose", labels, y, "normal", ties="midrank",
-                                          doses=doses, b=b, seed=1)
+                                          doses=doses)
     ranks = randtests.rank_transform(y, "midrank")
     var0 = ranks.var(ddof=1) * (doses @ doses / 30 - doses.sum() ** 2 / 90)
     tail = distlib.std_normal_cdf(-(result.statistic - ranks.mean() * doses.sum()) / var0**0.5)
     assert tail == pytest.approx(0.00512, abs=5e-5)
-    assert abs(result.p_value - tail) <= 4.5 * (tail * (1 - tail) / b) ** 0.5 + 1 / (b + 1)
+    assert result.null_variance == pytest.approx(var0, rel=1e-12)
+    assert result.p_value == pytest.approx(tail, rel=1e-9)
 
 
 @pytest.mark.parametrize("doses", [(np.nan, 1.0, 2.0), (1.0, np.inf, 2.0), None])
@@ -590,7 +625,7 @@ def test_engines_take_a_sum_statistic_only(stat_fn):
         randtests.mc_randomization_pvalue(stat_fn, _LAB4, 99, 1)
 
 
-@pytest.mark.parametrize("b", [2.5, 5.0, "100", None])
+@pytest.mark.parametrize("b", [2.5, 5.0, "100", None, True, np.True_])
 def test_simulated_references_refuse_a_non_integer_replication_count(b):
     # B = 2.5 drew two rows but divided by 3.5 (normal), or was truncated to
     # two rows (Monte Carlo)
@@ -641,7 +676,7 @@ def _scalar_and_kernel(stat, y, q, ties="strict"):
         return (lambda lab, yy: wilcoxon_stat(lab, yy, ties),
                 randtests.sum_statistic("diff", ranks))
     if stat == "kw":
-        return (lambda lab, yy: randtests.kruskal_wallis(lab, yy, ties).statistic,
+        return (lambda lab, yy: randtests.randomization_test("kw", lab, yy, ties=ties).statistic,
                 randtests.sum_statistic("kw", ranks, q))
     if stat == "dose":
         return (lambda lab, yy: dose_rank_stat(lab, ranks, doses),
