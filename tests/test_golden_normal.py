@@ -1,9 +1,13 @@
-"""Golden outputs of `finpop test --method normal`.
+"""Golden outputs of `finpop test` under every `--method`.
 
 `tests/data/golden_test_normal.json` holds, for every statistic of
 `randtests.TEST_STATISTICS`, the exit code, stdout and stderr of the CLI on
-small fixed CSVs (untied outcomes, and a binary one for 'hyper') at three
-`--seed`/`--reps` pairs. The CSV text sits in the same file, so each case is
+small fixed CSVs (untied outcomes, and a binary one for 'hyper'). The
+normal and Monte Carlo references run at three `--seed`/`--reps` pairs, the
+exact one once; the two-sided statistics also run each one-sided
+alternative, and the rank statistics also run the binary file's midranks.
+'hyper' has no Monte Carlo reference, so its golden output there is the
+error. The CSV text sits in the same file, so each case is
 self-contained. The test replays every case in process and compares the
 three streams byte for byte.
 
@@ -23,6 +27,7 @@ import tempfile
 import pytest
 
 from finpop.harness.cli import main
+from finpop.randtests import TEST_METHODS
 
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_test_normal.json"
 
@@ -38,20 +43,33 @@ _DATA_OF = {"diff": "two_arm", "wilcoxon": "two_arm", "hyper": "binary",
             "kw": "three_arm", "max": "three_arm", "range": "three_arm",
             "dose": "three_arm"}
 _SEED_REPS = ((1, 999), (7, 2000), (26, 4000))
+# the rank statistics, run on the tied binary file with --ties midrank
+_MIDRANK_STATS = ("wilcoxon", "kw", "max", "range", "dose")
 
 
 def _cases() -> list[dict]:
     cases = []
-    for stat, data in _DATA_OF.items():
-        extra = ["--doses", "0,1,2"] if stat == "dose" else []
-        for seed, reps in _SEED_REPS:
-            cases.append({"id": f"{stat}-seed{seed}-reps{reps}", "data": data,
-                          "argv": ["--stat", stat, *extra, "--seed", str(seed),
-                                   "--reps", str(reps)]})
-        if stat in ("diff", "wilcoxon", "hyper"):
-            for alternative in ("greater", "less"):
-                cases.append({"id": f"{stat}-{alternative}", "data": data,
-                              "argv": ["--stat", stat, "--alternative", alternative]})
+    for method in TEST_METHODS:
+        tag = "" if method == "normal" else f"-{method}"
+        for stat, data in _DATA_OF.items():
+            extra = ["--method", method, "--stat", stat]
+            extra += ["--doses", "0,1,2"] if stat == "dose" else []
+            runs = (("", []),) if method == "exact" else tuple(
+                (f"-seed{seed}-reps{reps}", ["--seed", str(seed), "--reps", str(reps)])
+                for seed, reps in _SEED_REPS)
+            for suffix, argv in runs:
+                cases.append({"id": f"{stat}{tag}{suffix}", "data": data, "argv": extra + argv})
+            if stat in ("diff", "wilcoxon", "hyper"):
+                for alternative in ("greater", "less"):
+                    cases.append({"id": f"{stat}{tag}-{alternative}", "data": data,
+                                  "argv": [*extra, "--alternative", alternative,
+                                           *(runs[0][1] if method == "mc" else [])]})
+    for method in TEST_METHODS:
+        for stat in _MIDRANK_STATS:
+            extra = ["--doses", "0,1"] if stat == "dose" else []
+            cases.append({"id": f"{stat}-midrank-{method}", "data": "binary",
+                          "argv": ["--method", method, "--stat", stat, "--ties", "midrank",
+                                   *extra, "--seed", "3", "--reps", "999"]})
     return cases
 
 
@@ -62,7 +80,7 @@ def _csv_text(header: str, rows) -> str:
 def _run(case: dict, csv_path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["test", "--data", str(csv_path), "--method", "normal", *case["argv"]])
+        code = main(["test", "--data", str(csv_path), *case["argv"]])
     return {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
