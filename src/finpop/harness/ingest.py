@@ -7,14 +7,16 @@ shortest round-trip form (repr) ingest bit for bit; covariate centering
 happens on access (`centered_x`) with the column means recorded at ingest
 and noted in the log, never in the stored arrays.
 
-The header is read by `csv.reader` and the body in one pass by numpy's C
-reader. A file that the fast read rejects is read again cell by cell, only
-to report the line and the column of its first problem.
+The file is read once, as bytes, so a pipe serves as well as a regular
+file. Its header is parsed by `csv.reader` and its body in one pass by
+numpy's C reader. A body that the fast read rejects is parsed again cell by
+cell, only to report the line and the column of its first problem.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 import warnings
@@ -82,24 +84,20 @@ _INT64_MAX = np.iinfo(np.int64).max
 _MISSING_SHOWN = 10
 
 
-def _read_header(path: str) -> tuple[list[str], int]:
-    """The first non-empty record and the number of lines up to and
-    including it; a file without a further non-empty record is rejected."""
-    header = None
+def _text(data: bytes) -> io.TextIOWrapper:
+    """The file's bytes as text, decoded chunk by chunk as it is read, so
+    the whole text is never held at once."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
+def _records(path: str, data: bytes):
+    """The non-empty csv records of the file's bytes as (physical line
+    number, cells), the line being the last one a record spans."""
+    reader = csv.reader(_text(data))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                if header is not None:
-                    return header, skip
-                header, skip = row, reader.line_num
-    except (OSError, UnicodeError) as exc:
+        yield from ((reader.line_num, row) for row in reader if row)
+    except UnicodeError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise ValidationError(f"{path}: empty file, a header row is required")
-    raise ValidationError(f"{path}: no data rows after the header")
 
 
 def _column_map(header: list[str], path: str, required: tuple[str, ...],
@@ -182,22 +180,15 @@ def _int_cell(cell: str, path: str, lineno: int, column: str) -> int:
     return value
 
 
-def _diagnose(path: str, header: list[str], order: list[str]) -> None:
+def _diagnose(path: str, header: list[str], order: list[str], rows: list) -> None:
     """Raise the first problem of a body that the fast read rejected, with
     the line and the column where it sits.
 
-    The file is read again record by record. Line numbers are physical
-    lines, blank ones included; a record with a quoted cell that spans lines
-    is numbered by its last line. Row widths are checked first, then the
-    cells of each row in `order`.
+    `rows` are the body's records, as `_records` yields them. Line numbers
+    are physical lines, blank ones included; a record with a quoted cell
+    that spans lines is numbered by its last line. Row widths are checked
+    first, then the cells of each row in `order`.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row]
-    except (OSError, UnicodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    rows = rows[1:]
     for lineno, row in rows:
         if len(row) != len(header):
             raise ValidationError(
@@ -216,9 +207,20 @@ def _read_columns(path: str, required: tuple[str, ...], optional: tuple[str, ...
     in _INT_COLUMNS and float64 for the rest, and the covariate names x1..xk.
 
     numpy's C reader parses the body in one pass. Only when it fails, or a
-    value is out of range, is the file read again cell by cell to say where.
+    value is out of range, are the records parsed cell by cell to say where.
     """
-    header, skip = _read_header(path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    records = _records(path, data)
+    skip, header = next(records, (0, None))
+    if header is None:
+        raise ValidationError(f"{path}: empty file, a header row is required")
+    first = next(records, None)
+    if first is None:
+        raise ValidationError(f"{path}: no data rows after the header")
     cols = _column_map(header, path, required, optional, allow_x)
     x_names = _x_columns(header, path) if allow_x else []
     order = [*required, *x_names, *(name for name in optional if name in cols)]
@@ -230,14 +232,14 @@ def _read_columns(path: str, required: tuple[str, ...], optional: tuple[str, ...
             # numpy 1.x reads a non-integer cell of an int column through
             # float, truncating it, and only warns
             warnings.simplefilter("error", DeprecationWarning)
-            body = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, skiprows=skip, ndmin=1, encoding="utf-8-sig")
+            body = np.loadtxt(_text(data), dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, skiprows=skip, ndmin=1)
         for name, (low, high, complaint) in _INT_COLUMNS.items():
             if name in cols and (body[name].min() < low
                                  or (high is not None and body[name].max() > high)):
                 raise ValueError(complaint)
     except (ValueError, DeprecationWarning) as exc:
-        _diagnose(path, header, order)
+        _diagnose(path, header, order, [first, *records])
         raise ValidationError(f"{path}: {exc}") from exc
     return {name: np.ascontiguousarray(body[name]) for name in order}, x_names
 

@@ -16,11 +16,11 @@ Carlo engines evaluate a block of assignments per call instead of one.
 The normal reference needs only the statistic's values and the arm sizes:
 by the finite-population central limit theorem the arm sums of any fixed
 vector are asymptotically jointly normal, with a covariance set by that
-vector's own variance. So it holds for outcomes, ranks and midranks alike.
-The linear statistics (diff, dose) take its tail in closed form and
-Kruskal-Wallis its chi-square limit; only max and range are simulated, so
-the replication count and seed drive the Monte Carlo reference and those
-two alone.
+vector's own variance. So it holds for outcomes, ranks and midranks alike,
+and `sum_statistic` defines each statistic's tail next to its reduction:
+closed form for the linear ones (diff, dose), the chi-square limit for
+Kruskal-Wallis, and a simulation for max and range, so the replication
+count and seed drive the Monte Carlo reference and those two alone.
 
 Ranks default to the strict no-ties policy. Midranks are opt-in; the
 Kruskal-Wallis result computed from them is tagged ties_adjusted.
@@ -150,8 +150,9 @@ class SumStatistic:
     `reduce(ArmBlock(block, q).sums(values), sizes)` with `sizes` the float arm
     sizes the rows share; `reduce` returns a length-B vector. Calling the
     object evaluates one assignment through the same kernel. `sum_statistic`
-    builds the CLI statistics; a custom one, say a studentized difference
-    in means, is a reduction of the arm sums of the columns [y, y^2].
+    builds the CLI statistics, each with its normal tail; a custom one, say
+    a studentized difference in means, is a reduction of the arm sums of
+    the columns [y, y^2] and has only the exact and Monte Carlo references.
     """
 
     def __init__(self, values, q: int, reduce):
@@ -176,15 +177,34 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
 
     - 'diff': vbar_1 - vbar_2, the mean of arm 1 minus the mean of arm 2
       (on ranks, the Wilcoxon rank-mean difference); two arms;
+    - 'dose': sum_q dose_q vbar_q, with one finite dose per arm;
     - 'kw': the Kruskal-Wallis statistic in analysis-of-variance form,
       (N - 1) sum_q S_q^2 / n_q / sum_i (v_i - vbar)^2 with S_q the arm sums
       of centered values; 0 for constant values;
     - 'max': max_q vbar_q, the largest arm mean;
     - 'range': max_q vbar_q - min_q vbar_q, the largest minus the smallest
-      arm mean;
-    - 'dose': sum_q dose_q vbar_q, with one finite dose per arm.
+      arm mean.
 
     Here vbar_q is the mean of `values` over the units of arm q.
+
+    Each kind also sets its normal tail, the p-value of an observed value
+    at given arm sizes. Under the sharp null the arm sums of the centered
+    values v are asymptotically jointly normal with covariance
+    S^2 (diag(n) - n n'/N), S^2 = v'v / (N - 1), whatever v is (outcomes,
+    ranks or midranks), and each kind takes the tail of that law in its form:
+
+    - the linear kinds, sum_q d_q vbar_q ('diff' with d = (1, -1), 'dose'
+      with d the doses): Phi(-z) in closed form, with null variance S^2 c
+      and c = `_linear_factor(d, sizes)`, so diff's c is N / (n_1 n_0) to
+      the bit;
+    - 'kw', a quadratic form in them: the chi-square (Q - 1) upper tail,
+      tagged ties_adjusted for tied midranks and degenerate for constant
+      values; an observed value of untied ranks is checked against its equal
+      form sum_q ((N - n_q)/N) Rtilde_q^2 (`standardized_rank_means`);
+    - 'max' and 'range': B simulated arm sums, drawn in chunks of 1024 rows
+      of one seeded stream as n_q sd_q Z_q with
+      sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
+      `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -193,29 +213,14 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
         raise ValidationError("statistic values must be finite")
     center = float(values.mean())
     centered = values - center
-    if kind == "diff":
-        if q != 2:
-            raise ValidationError(f"'diff' compares two arms, got q={q}")
-
-        def reduce(sums, sizes):
-            return sums[:, 0, 0] / sizes[0] - sums[:, 1, 0] / sizes[1]
-    elif kind == "kw":
-        constant = values.min() == values.max()
-        ss_total = float(centered @ centered)
-
-        def reduce(sums, sizes):
-            if constant:
-                return np.zeros(sums.shape[0])
-            return (values.size - 1.0) * np.sum(sums[:, :, 0] ** 2 / sizes, axis=1) / ss_total
-    elif kind == "max":
-        def reduce(sums, sizes):
-            return (sums[:, :, 0] / sizes).max(axis=1) + center
-    elif kind == "range":
-        def reduce(sums, sizes):
-            means = sums[:, :, 0] / sizes
-            return means.max(axis=1) - means.min(axis=1)
-    elif kind == "dose":
-        if doses is None:
+    s2 = float(centered @ centered / max(values.size - 1, 1))
+    check = None
+    if kind in ("diff", "dose"):
+        if kind == "diff":
+            if q != 2:
+                raise ValidationError(f"'diff' compares two arms, got q={q}")
+            doses = (1.0, -1.0)
+        elif doses is None:
             raise ValidationError(f"the 'dose' statistic needs one dose per arm ({q})")
         doses = np.asarray(doses, dtype=float)
         if doses.shape != (q,):
@@ -226,11 +231,84 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
 
         def reduce(sums, sizes):
             return sums[:, :, 0] / sizes @ doses + offset
+
+        def tail(observed, sizes, alternative, b, seed):
+            var0 = _linear_factor(doses.tolist(), sizes) * s2
+            if var0 <= 0.0:
+                raise ValidationError("the null variance is zero (constant outcomes, "
+                                      "or doses proportional to the arm sizes)")
+            return TestResult(
+                statistic=observed,
+                p_value=_normal_p_value(observed - offset, np.sqrt(var0), alternative),
+                method="normal_approx",
+                alternative=alternative,
+                null_variance=var0,
+            )
+    elif kind == "kw":
+        constant = values.min() == values.max()
+        ss_total = float(centered @ centered)
+
+        def reduce(sums, sizes):
+            if constant:
+                return np.zeros(sums.shape[0])
+            return (values.size - 1.0) * np.sum(sums[:, :, 0] ** 2 / sizes, axis=1) / ss_total
+
+        def tail(observed, sizes, alternative, b, seed):
+            method = "chi2_approx"
+            if centered.min() == centered.max():
+                method += ",degenerate"
+            elif np.unique(centered).size < centered.size:
+                method += ",ties_adjusted"
+            return TestResult(
+                statistic=observed,
+                p_value=distlib.chi2_sf(observed, sizes.size - 1),
+                method=method,
+                null_mean=float(sizes.size - 1),
+            )
+
+        def check(labels, observed):
+            # a disagreement beyond rounding is an internal error; tied
+            # midranks have only the analysis-of-variance form
+            n = values.size
+            if np.unique(values).size < n:
+                return
+            counts = arm_sizes(labels)
+            h_std = float(((n - counts) / n) @ (standardized_rank_means(labels, values) ** 2))
+            if abs(observed - h_std) > 1e-10 * max(1.0, abs(observed)):
+                raise InternalCheckError(f"rank statistic forms disagree: {observed!r} vs {h_std!r}")
+    elif kind in ("max", "range"):
+        if kind == "max":
+            def reduce(sums, sizes):
+                return (sums[:, :, 0] / sizes).max(axis=1) + center
+        else:
+            def reduce(sums, sizes):
+                means = sums[:, :, 0] / sizes
+                return means.max(axis=1) - means.min(axis=1)
+
+        def tail(observed, sizes, alternative, b, seed):
+            n = float(values.size)
+            sd = np.sqrt(s2 * (n - sizes) / (n * sizes))
+            w, v = np.linalg.eigh(rank_null_cov(sizes))
+            root = v * np.sqrt(np.clip(w, 0.0, None))
+
+            def simulate(rows, rng):
+                sums = rng.standard_normal((rows, sizes.size)) @ root.T * sd * sizes
+                return reduce(sums[:, :, np.newaxis], sizes)
+
+            count, rows = _tail_count(observed, alternative, _seeded_chunks(b, seed, simulate))
+            return TestResult(
+                statistic=observed,
+                p_value=(1 + count) / (rows + 1),
+                method=f"normal_approx(B={rows})",
+                alternative=alternative,
+            )
     else:
         raise ValidationError(
             f"kind must be 'diff', 'kw', 'max', 'range' or 'dose', got {kind!r}"
         )
-    return SumStatistic(centered, q, reduce)
+    statistic = SumStatistic(centered, q, reduce)
+    statistic._normal_tail, statistic._check_observed = tail, check
+    return statistic
 
 
 def standardized_rank_means(labels, ranks) -> np.ndarray:
@@ -396,91 +474,6 @@ def _linear_factor(weights, sizes) -> float:
     return float(sum(w * w / m for w, m in zip(d, n)) - sum(d) ** 2 / sum(n))
 
 
-def _normal_reference(kind: str, statistic: SumStatistic, sizes, observed: float,
-                      alternative: str, b: int, seed, doses=None) -> TestResult:
-    """p-value of `observed` under the limiting normal law of a
-    `sum_statistic(kind, ...)` at the given arm sizes.
-
-    Under the sharp null the arm sums of the statistic's centered values v
-    are asymptotically jointly normal with covariance S^2 (diag(n) - n n'/N),
-    S^2 = v'v / (N - 1), whatever v is (outcomes, ranks or midranks). Each
-    kind takes the tail of that law in its own form:
-
-    - linear kinds, sum_q d_q vbar_q ('diff' with d = (1, -1), 'dose' with
-      d the doses): Phi(-z) in closed form, with null variance S^2 c and
-      c = `_linear_factor(d, sizes)`, so diff's c is N / (n_1 n_0) to the bit;
-    - 'kw', a quadratic form in them: the chi-square (Q - 1) upper tail,
-      tagged ties_adjusted for tied midranks and degenerate for constant
-      values;
-    - 'max' and 'range': B simulated arm sums, drawn in chunks of 1024 rows
-      of one seeded stream as n_q sd_q Z_q with
-      sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
-      `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    values = statistic.values[:, 0]
-    s2 = float(values @ values / (values.size - 1))
-    if kind in ("diff", "dose"):
-        weights = (1, -1) if kind == "diff" else np.asarray(doses, dtype=float).tolist()
-        var0 = _linear_factor(weights, sizes) * s2
-        if var0 <= 0.0:
-            raise ValidationError("the null variance is zero (constant outcomes, "
-                                  "or doses proportional to the arm sizes)")
-        null_mean = float(statistic.reduce(np.zeros((1, sizes.size, 1)), sizes)[0])
-        return TestResult(
-            statistic=observed,
-            p_value=_normal_p_value(observed - null_mean, np.sqrt(var0), alternative),
-            method="normal_approx",
-            alternative=alternative,
-            null_variance=var0,
-        )
-    if kind == "kw":
-        method = "chi2_approx"
-        if values.min() == values.max():
-            method += ",degenerate"
-        elif np.unique(values).size < values.size:
-            method += ",ties_adjusted"
-        return TestResult(
-            statistic=observed,
-            p_value=distlib.chi2_sf(observed, sizes.size - 1),
-            method=method,
-            null_mean=float(sizes.size - 1),
-        )
-    n = float(values.size)
-    sd = np.sqrt(s2 * (n - sizes) / (n * sizes))
-    w, v = np.linalg.eigh(rank_null_cov(sizes))
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-
-    def simulate(rows, rng):
-        sums = rng.standard_normal((rows, sizes.size)) @ root.T * sd * sizes
-        return statistic.reduce(sums[:, :, np.newaxis], sizes)
-
-    count, rows = _tail_count(observed, alternative, _seeded_chunks(b, seed, simulate))
-    return TestResult(
-        statistic=observed,
-        p_value=(1 + count) / (rows + 1),
-        method=f"normal_approx(B={rows})",
-        alternative=alternative,
-    )
-
-
-def _check_kw(labels, ranks, observed: float) -> None:
-    """Refuse fewer than two arms, and check the observed kw statistic of
-    untied ranks against its algebraically equal form
-    sum_q ((N - n_q)/N) Rtilde_q^2 with Rtilde the standardized rank means:
-    a disagreement beyond rounding is an internal error. Tied midranks have
-    only the analysis-of-variance form and are not checked."""
-    counts = arm_sizes(labels)
-    if counts.size < 2:
-        raise ValidationError("the test needs at least two arms")
-    n = ranks.size
-    if np.unique(ranks).size < n:
-        return
-    h_std = float(((n - counts) / n) @ (standardized_rank_means(labels, ranks) ** 2))
-    if abs(observed - h_std) > 1e-10 * max(1.0, abs(observed)):
-        raise InternalCheckError(f"rank statistic forms disagree: {observed!r} vs {h_std!r}")
-
-
 def _check_alternative(alternative: str) -> None:
     if not isinstance(alternative, str) or alternative not in _ALTERNATIVES:
         raise ValidationError(f"unknown alternative {alternative!r}")
@@ -596,13 +589,14 @@ def randomization_test(
     normal, exact or Monte Carlo ('mc') reference.
 
     Every reference evaluates one `sum_statistic` of y or of its ranks (tie
-    policy `ties`), so the statistic does not depend on the method. The
-    alternative defaults to 'greater', the only one an upper-tailed statistic
-    takes, or to 'two_sided'. `b` and `seed` drive the Monte Carlo reference
-    and the simulated normal reference of 'max' and 'range' only; the normal
-    reference of the other statistics is deterministic. `cap` drives the
-    exact reference; 'hyper' has no Monte Carlo reference. The kw statistic
-    of untied ranks is checked against its dual form under every method.
+    policy `ties`), so the statistic does not depend on the method, and the
+    normal reference is that statistic's own tail. Every statistic needs at
+    least two arms. The alternative defaults to 'greater', the only one an
+    upper-tailed statistic takes, or to 'two_sided'. `b` and `seed` drive
+    the Monte Carlo reference and the simulated normal reference of 'max'
+    and 'range' only. `cap` drives the exact reference; 'hyper' has no Monte
+    Carlo reference. The kw statistic of untied ranks is checked against its
+    dual form under every method.
     """
     if stat not in TEST_STATISTICS:
         raise ValidationError(f"unknown statistic {stat!r}; use one of {list(TEST_STATISTICS)}")
@@ -610,21 +604,23 @@ def randomization_test(
         raise ValidationError(f"unknown method {method!r}; use one of {list(TEST_METHODS)}")
     kind, on_ranks, upper_tailed = TEST_STATISTICS[stat]
     alternative = alternative or ("greater" if upper_tailed else "two_sided")
+    _check_alternative(alternative)
     if upper_tailed and alternative != "greater":
         raise ValidationError(f"{stat!r} is upper-tailed; its alternative is 'greater'")
     labels = np.asarray(labels)
+    sizes = arm_sizes(labels).astype(float)
+    if sizes.size < 2:
+        raise ValidationError("the test needs at least two arms")
     if kind is None:
         if method == "mc":
             raise ValidationError(f"{stat!r} has the exact and normal references only")
         return hypergeom_test(labels, y, mode=method, alternative=alternative)
     values = rank_transform(y, ties) if on_ranks else np.asarray(y, dtype=float)
-    q = 2 if kind == "diff" else arm_sizes(labels).size
-    statistic = sum_statistic(kind, values, q, doses)
-    if kind == "kw":
-        _check_kw(labels, values, statistic(labels))
+    statistic = sum_statistic(kind, values, sizes.size, doses)
+    if statistic._check_observed is not None:
+        statistic._check_observed(labels, statistic(labels))
     if method == "exact":
         return exact_randomization_pvalue(statistic, labels, alternative, cap)
     if method == "mc":
         return mc_randomization_pvalue(statistic, labels, b, seed, alternative)
-    return _normal_reference(kind, statistic, arm_sizes(labels, q), statistic(labels),
-                             alternative, b, seed, doses)
+    return statistic._normal_tail(statistic(labels), sizes, alternative, b, seed)

@@ -9,6 +9,7 @@ failed) is asserted directly.
 import csv
 import json
 import logging
+import os
 import pathlib
 import threading
 
@@ -333,6 +334,31 @@ def test_ingest_errors_name_physical_lines_after_multiline_cells(tmp_path, case)
     with pytest.raises(ValidationError) as info:
         ingest_csv(path, "arm")
     assert str(info.value) == f"{path}: {message}"
+
+
+def _ingest_pipe(text, schema="arm"):
+    """ingest_csv of `text` written into an anonymous pipe, by its /dev/fd
+    path: a file that can be read once."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    try:
+        return ingest_csv(f"/dev/fd/{read_end}", schema)
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_ingest_reads_a_pipe_once(tmp_path):
+    # the header, the body and the diagnosis of a bad cell all come from one
+    # read; a second open of a pipe found it drained, and the body was empty
+    text = "\ufeffarm,y,x1\r\n1,1.5,0.25\r\n\r\n2,-2.5,1e-3\r\n1,3.0,7\r\n"
+    want = _ingested_columns(ingest_csv(_write(tmp_path / "f.csv", text), "arm"))
+    got = _ingested_columns(_ingest_pipe(text))
+    assert sorted(got) == sorted(want)
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+    with pytest.raises(ValidationError, match=r"line 3, column 'y': could not parse 'y'"):
+        _ingest_pipe("arm,y\n1,1.5\n2,y\n")
 
 
 def test_contiguity_error_is_bounded(tmp_path):
@@ -918,6 +944,18 @@ def test_cli_test_rejects_non_finite_outcomes(tmp_path, capsys, method, value):
     assert captured.out == ""
     assert "error: statistic values must be finite" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("method", ["normal", "exact", "mc"])
+@pytest.mark.parametrize("stat", list(randtests.TEST_STATISTICS))
+def test_cli_test_refuses_one_arm(tmp_path, capsys, stat, method):
+    # max, range and dose under exact and mc gave p = 1 with exit 0
+    path = _write(tmp_path / "one.csv", "arm,y\n1,1\n1,0\n1,1\n1,0\n")
+    argv = ["test", "--data", path, "--stat", stat, "--method", method,
+            "--seed", "1", "--reps", "99", *(["--doses", "1"] if stat == "dose" else [])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the test needs at least two arms\n")
 
 
 def test_cli_test_has_no_alpha(tmp_path, capsys):

@@ -293,7 +293,7 @@ def _simulated_normal(sizes, observed, kind, b, seed):
     `observed`."""
     n = float(sum(sizes))
     statistic = randtests.sum_statistic(kind, np.arange(1.0, n + 1.0), len(sizes))
-    return randtests._normal_reference(kind, statistic, sizes, observed, "greater", b, seed)
+    return statistic._normal_tail(observed, np.asarray(sizes, dtype=float), "greater", b, seed)
 
 
 def test_rank_stat_normal_pvalue_is_seeded_and_bounded():
@@ -431,6 +431,26 @@ def test_randomization_test_validates_its_arguments():
     assert (result.alternative, result.method) == (None, "chi2_approx")
     result = randtests.randomization_test("wilcoxon", labels, y, method="exact")
     assert (result.alternative, result.p_value) == ("two_sided", 2.0 / 6.0)
+
+
+@pytest.mark.parametrize("method", randtests.TEST_METHODS)
+@pytest.mark.parametrize("stat", list(randtests.TEST_STATISTICS))
+def test_randomization_test_needs_two_arms(stat, method):
+    # max, range and dose under exact and mc returned p = 1 on one arm
+    labels, y = np.ones(6, dtype=np.int64), np.array([1, 0, 1, 1, 0, 0])
+    with pytest.raises(ValidationError, match="the test needs at least two arms"):
+        randtests.randomization_test(stat, labels, y, method, doses=[1.0], b=99, seed=1)
+
+
+@pytest.mark.parametrize("method", randtests.TEST_METHODS)
+@pytest.mark.parametrize("stat", ["diff", "wilcoxon", "hyper"])
+@pytest.mark.parametrize("alternative", ["bogus", "Greater", "two-sided"])
+def test_randomization_test_refuses_unknown_alternatives(alternative, stat, method):
+    # the normal reference of diff and wilcoxon took any unknown value for
+    # 'two_sided' and reported it as the alternative
+    labels, y = np.array([1, 1, 1, 2, 2, 2]), np.array([1, 0, 1, 1, 0, 0])
+    with pytest.raises(ValidationError, match="unknown alternative"):
+        randtests.randomization_test(stat, labels, y, method, alternative, b=99, seed=1)
 
 
 # =========================================================================
