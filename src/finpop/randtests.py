@@ -213,7 +213,8 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
         raise ValidationError("statistic values must be finite")
     center = float(values.mean())
     centered = values - center
-    s2 = float(centered @ centered / max(values.size - 1, 1))
+    ss_total = float(centered @ centered)
+    s2 = ss_total / max(values.size - 1, 1)
     check = None
     if kind in ("diff", "dose"):
         if kind == "diff":
@@ -246,7 +247,6 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             )
     elif kind == "kw":
         constant = values.min() == values.max()
-        ss_total = float(centered @ centered)
 
         def reduce(sums, sizes):
             if constant:
