@@ -3,7 +3,10 @@
 Standard normal cdf/quantile, chi-square cdf/sf/quantile for integer degrees
 of freedom, the equal-threshold lower-orthant probability of a bivariate
 standard normal, and the critical value c solving
-P(max of a correlated standard-normal pair > c) = alpha.
+P(max of a correlated standard-normal pair > c) = alpha. The orthant gives
+the normal reference of the 'joint' statistic of `randtests.sum_statistic`,
+P(max > m) = 2 Phi(-m) - P(X <= -m, Y <= -m), and the pair rejects at level
+alpha exactly when m exceeds that critical value.
 
 The normal and chi-square functions need only the standard library:
 math.erfc, statistics.NormalDist (Wichura's AS241 quantile) and the finite

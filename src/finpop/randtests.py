@@ -3,12 +3,12 @@
 Under the sharp null every potential outcome is known, so the randomization
 distribution of any statistic is known exactly: it can be enumerated, sampled
 by Monte Carlo, or approximated by the normal/chi-square limits. This module
-provides the statistics (difference in means, rank statistics, counts), the
-three reference-distribution engines, and the joint-test rule based on the
-maximum of two correlated standardized statistics.
+provides the statistics (difference in means, rank statistics, counts, and
+the joint rule on the larger of two standardized differences in means) and
+the three reference-distribution engines.
 
-Every statistic the CLI tests is a reduction of the Q arm sums of a vector
-that does not change across assignments (the outcomes, or their ranks).
+Every statistic the CLI tests is a reduction of the Q arm sums of columns
+that do not change across assignments (the outcomes, their ranks, or both).
 `designs.ArmBlock` computes those sums for a whole block of assignments at
 once, and `SumStatistic` pairs it with the reduction, so the exact and Monte
 Carlo engines evaluate a block of assignments per call instead of one.
@@ -19,8 +19,9 @@ vector are asymptotically jointly normal, with a covariance set by that
 vector's own variance. So it holds for outcomes, ranks and midranks alike,
 and `sum_statistic` defines each statistic's tail next to its reduction:
 closed form for the linear ones (diff, dose), the chi-square limit for
-Kruskal-Wallis, and a simulation for max and range, so the replication
-count and seed drive the Monte Carlo reference and those two alone.
+Kruskal-Wallis, the bivariate normal orthant for joint, and a simulation
+for max and range, so the replication count and seed drive the Monte Carlo
+reference and those two alone.
 
 Ranks default to the strict no-ties policy. Midranks are opt-in; the
 Kruskal-Wallis result computed from them is tagged ties_adjusted.
@@ -50,11 +51,9 @@ from .errors import (
     ValidationError,
 )
 from .estimators import arm_sizes, tau_hat
-from .popstats import sample_cov
 
 __all__ = [
     "TestResult",
-    "JointTestResult",
     "TEST_STATISTICS",
     "TEST_METHODS",
     "randomization_test",
@@ -63,7 +62,6 @@ __all__ = [
     "sum_statistic",
     "standardized_rank_means",
     "rank_null_cov",
-    "joint_test",
     "hypergeom_test",
     "mc_randomization_pvalue",
     "exact_randomization_pvalue",
@@ -71,16 +69,18 @@ __all__ = [
 
 _ALTERNATIVES = ("two_sided", "greater", "less")
 # The statistics `randomization_test` offers, by name: (the `sum_statistic`
-# kind, whether it acts on the ranks of y, whether it is upper-tailed).
-# 'hyper' is the hypergeometric count of a binary outcome and has no kind.
+# kind, the columns it acts on, y and/or the ranks of y, whether it is
+# upper-tailed). 'hyper' is the hypergeometric count of a binary outcome and
+# has no kind.
 TEST_STATISTICS = {
-    "kw": ("kw", True, True),
-    "diff": ("diff", False, False),
-    "wilcoxon": ("diff", True, False),
-    "max": ("max", True, True),
-    "range": ("range", True, True),
-    "dose": ("dose", True, True),
-    "hyper": (None, False, False),
+    "kw": ("kw", ("ranks",), True),
+    "diff": ("diff", ("y",), False),
+    "wilcoxon": ("diff", ("ranks",), False),
+    "max": ("max", ("ranks",), True),
+    "range": ("range", ("ranks",), True),
+    "dose": ("dose", ("ranks",), True),
+    "joint": ("joint", ("y", "ranks"), True),
+    "hyper": (None, ("y",), False),
 }
 TEST_METHODS = ("normal", "exact", "mc")
 _MC_CHUNK = 1024
@@ -104,20 +104,6 @@ class TestResult:
     alternative: str | None = None
     null_mean: float | None = None
     null_variance: float | None = None
-
-
-@dataclass(frozen=True)
-class JointTestResult:
-    """Outcome of the max-of-two-statistics joint rule."""
-
-    statistics: tuple[float, float]
-    standardized: tuple[float, float]
-    correlation: float
-    critical_value: float
-    alpha: float
-    reject: bool
-    p_value: float
-    method: str
 
 
 def rank_transform(y, policy: str = "strict") -> np.ndarray:
@@ -183,9 +169,14 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
       of centered values; 0 for constant values;
     - 'max': max_q vbar_q, the largest arm mean;
     - 'range': max_q vbar_q - min_q vbar_q, the largest minus the smallest
-      arm mean.
+      arm mean;
+    - 'joint': on the two columns of an (N, 2) array (y and its ranks, or
+      two outcomes), the larger of the two standardized differences
+      (vbar_1j - vbar_2j) / sqrt(c S_j^2), c = N / (n_1 n_0); two arms, and
+      a column with zero variance raises DegenerateInputError.
 
-    Here vbar_q is the mean of `values` over the units of arm q.
+    Here vbar_q is the mean of `values` over the units of arm q. Only
+    'dose' takes doses.
 
     Each kind also sets its normal tail, the p-value of an observed value
     at given arm sizes. Under the sharp null the arm sums of the centered
@@ -201,20 +192,31 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
       tagged ties_adjusted for tied midranks and degenerate for constant
       values; an observed value of untied ranks is checked against its equal
       form sum_q ((N - n_q)/N) Rtilde_q^2 (`standardized_rank_means`);
+    - 'joint', the larger of a standard normal pair with the correlation
+      rho of its two centered columns:
+      P(max > m) = 2 Phi(-m) - `distlib.bvn_lower_orthant(-m, rho)`, so
+      the pair rejects at level alpha exactly when
+      m > `distlib.solve_gamma_c(rho, alpha)`;
     - 'max' and 'range': B simulated arm sums, drawn in chunks of 1024 rows
       of one seeded stream as n_q sd_q Z_q with
       sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
       `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("statistic values must be a non-empty 1-d array")
+    # column-major, so that a column's mean is summed pairwise, as a 1-d array's is
+    values = np.asarray(values, dtype=float, order="F")
+    width = (2,) if kind == "joint" else ()
+    if values.ndim != 1 + len(width) or values.shape[1:] != width or values.size == 0:
+        shape = "(N, 2)" if width else "1-d"
+        raise ValidationError(f"statistic values must be a non-empty {shape} array")
     if not np.all(np.isfinite(values)):
         raise ValidationError("statistic values must be finite")
-    center = float(values.mean())
+    if doses is not None and kind != "dose":
+        raise ValidationError(f"only the 'dose' statistic takes doses, not {kind!r}")
+    center = values.mean(axis=0)
     centered = values - center
-    ss_total = float(centered @ centered)
-    s2 = ss_total / max(values.size - 1, 1)
+    # the centered sum of squares; the 2 x 2 cross products for 'joint'
+    gram = centered.T @ centered
+    s2 = gram / max(values.shape[0] - 1, 1)
     check = None
     if kind in ("diff", "dose"):
         if kind == "diff":
@@ -251,7 +253,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
         def reduce(sums, sizes):
             if constant:
                 return np.zeros(sums.shape[0])
-            return (values.size - 1.0) * np.sum(sums[:, :, 0] ** 2 / sizes, axis=1) / ss_total
+            return (values.size - 1.0) * np.sum(sums[:, :, 0] ** 2 / sizes, axis=1) / gram
 
         def tail(observed, sizes, alternative, b, seed):
             method = "chi2_approx"
@@ -263,6 +265,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
                 statistic=observed,
                 p_value=distlib.chi2_sf(observed, sizes.size - 1),
                 method=method,
+                alternative=alternative,
                 null_mean=float(sizes.size - 1),
             )
 
@@ -276,6 +279,29 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             h_std = float(((n - counts) / n) @ (standardized_rank_means(labels, values) ** 2))
             if abs(observed - h_std) > 1e-10 * max(1.0, abs(observed)):
                 raise InternalCheckError(f"rank statistic forms disagree: {observed!r} vs {h_std!r}")
+    elif kind == "joint":
+        if q != 2:
+            raise ValidationError(f"'joint' compares two arms, got q={q}")
+        if np.any(values.min(axis=0) == values.max(axis=0)):
+            raise DegenerateInputError("a column has zero variance: the differences "
+                                       "cannot be standardized")
+        variances = np.diag(s2)
+        rho = min(1.0, max(-1.0, float(gram[0, 1] / np.sqrt(gram[0, 0] * gram[1, 1]))))
+
+        def reduce(sums, sizes):
+            diffs = sums[:, 0] / sizes[0] - sums[:, 1] / sizes[1]
+            return (diffs / np.sqrt(_linear_factor((1, -1), sizes) * variances)).max(axis=1)
+
+        def tail(observed, sizes, alternative, b, seed):
+            # 1 - (orthant at m) would round to 0 far out
+            p_value = (2.0 * distlib.std_normal_cdf(-observed)
+                       - distlib.bvn_lower_orthant(-observed, rho))
+            return TestResult(
+                statistic=observed,
+                p_value=min(1.0, max(0.0, p_value)),
+                method="normal_approx",
+                alternative=alternative,
+            )
     elif kind in ("max", "range"):
         if kind == "max":
             def reduce(sums, sizes):
@@ -304,7 +330,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             )
     else:
         raise ValidationError(
-            f"kind must be 'diff', 'kw', 'max', 'range' or 'dose', got {kind!r}"
+            f"kind must be 'diff', 'kw', 'max', 'range', 'dose' or 'joint', got {kind!r}"
         )
     statistic = SumStatistic(centered, q, reduce)
     statistic._normal_tail, statistic._check_observed = tail, check
@@ -345,58 +371,6 @@ def rank_null_cov(sizes) -> np.ndarray:
     cov = -np.outer(ratio, ratio)
     np.fill_diagonal(cov, 1.0)
     return cov
-
-
-def joint_test(labels, y, alpha: float = 0.05, mode: str = "rank", tie_policy: str = "strict") -> JointTestResult:
-    """Two-arm joint test that rejects when the larger of two standardized
-    statistics exceeds the critical value c with
-    P(max of a correlated standard-normal pair > c) = alpha.
-
-    mode 'rank' pairs the difference in means of y with the difference in mean
-    ranks (y is a length-N vector); mode 'two_outcome' pairs the differences
-    in means of two outcome columns (y is an (N, 2) matrix). The correlation
-    entering the critical value is the pooled finite-population correlation of
-    the two unit-level series. Upper-tail rule; the p-value is
-    P(max > observed max).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    labels = np.asarray(labels)
-    y = np.asarray(y, dtype=float)
-    if mode == "rank":
-        if y.ndim != 1:
-            raise ValidationError("mode 'rank' expects a single outcome vector")
-        first, second = y, rank_transform(y, tie_policy)
-    elif mode == "two_outcome":
-        if y.ndim != 2 or y.shape[1] != 2:
-            raise ValidationError("mode 'two_outcome' expects an (N, 2) outcome matrix")
-        first, second = y[:, 0], y[:, 1]
-    else:
-        raise ValidationError(f"mode must be 'rank' or 'two_outcome', got {mode!r}")
-    n1, n0 = (int(k) for k in arm_sizes(labels, 2))
-    s_first, s_second = np.sqrt(sample_cov(first)), np.sqrt(sample_cov(second))
-    if s_first == 0.0 or s_second == 0.0:
-        raise DegenerateInputError("zero pooled variance: statistics cannot be standardized")
-    rho = float(sample_cov(first, second) / (s_first * s_second))
-    rho = min(1.0, max(-1.0, rho))
-    scale = np.sqrt(n1 * n0 / (n1 + n0))
-    stats = (sum_statistic("diff", first)(labels), sum_statistic("diff", second)(labels))
-    standardized = (scale * stats[0] / s_first, scale * stats[1] / s_second)
-    critical = distlib.solve_gamma_c(rho, alpha)
-    observed_max = max(standardized)
-    # P(max > m) = 2 Phi(-m) - (orthant at -m); 1 - (orthant at m) rounds to 0 far out
-    tail = distlib.std_normal_cdf(-observed_max)
-    p_value = 2.0 * tail - distlib.bvn_lower_orthant(-observed_max, rho)
-    return JointTestResult(
-        statistics=(float(stats[0]), float(stats[1])),
-        standardized=(float(standardized[0]), float(standardized[1])),
-        correlation=rho,
-        critical_value=float(critical),
-        alpha=alpha,
-        reject=bool(observed_max > critical),
-        p_value=float(min(1.0, max(0.0, p_value))),
-        method="normal_approx",
-    )
 
 
 def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided") -> TestResult:
@@ -588,21 +562,22 @@ def randomization_test(
     """Test the sharp null with a statistic of TEST_STATISTICS against the
     normal, exact or Monte Carlo ('mc') reference.
 
-    Every reference evaluates one `sum_statistic` of y or of its ranks (tie
-    policy `ties`), so the statistic does not depend on the method, and the
-    normal reference is that statistic's own tail. Every statistic needs at
-    least two arms. The alternative defaults to 'greater', the only one an
-    upper-tailed statistic takes, or to 'two_sided'. `b` and `seed` drive
-    the Monte Carlo reference and the simulated normal reference of 'max'
-    and 'range' only. `cap` drives the exact reference; 'hyper' has no Monte
-    Carlo reference. The kw statistic of untied ranks is checked against its
-    dual form under every method.
+    Every reference evaluates one `sum_statistic` of the statistic's columns,
+    y and/or its ranks (tie policy `ties`), so the statistic does not depend
+    on the method, and the normal reference is that statistic's own tail.
+    Every statistic needs at least two arms, and only 'dose' takes `doses`.
+    The alternative defaults to 'greater', the only one an upper-tailed
+    statistic takes, or to 'two_sided'. `b` and `seed` drive the Monte Carlo
+    reference and the simulated normal reference of 'max' and 'range' only.
+    `cap` drives the exact reference; 'hyper' has no Monte Carlo reference.
+    The kw statistic of untied ranks is checked against its dual form under
+    every method.
     """
     if stat not in TEST_STATISTICS:
         raise ValidationError(f"unknown statistic {stat!r}; use one of {list(TEST_STATISTICS)}")
     if method not in TEST_METHODS:
         raise ValidationError(f"unknown method {method!r}; use one of {list(TEST_METHODS)}")
-    kind, on_ranks, upper_tailed = TEST_STATISTICS[stat]
+    kind, columns, upper_tailed = TEST_STATISTICS[stat]
     alternative = alternative or ("greater" if upper_tailed else "two_sided")
     _check_alternative(alternative)
     if upper_tailed and alternative != "greater":
@@ -611,12 +586,16 @@ def randomization_test(
     sizes = arm_sizes(labels).astype(float)
     if sizes.size < 2:
         raise ValidationError("the test needs at least two arms")
+    if doses is not None and kind != "dose":
+        raise ValidationError(f"only the 'dose' statistic takes doses, not {stat!r}")
     if kind is None:
         if method == "mc":
             raise ValidationError(f"{stat!r} has the exact and normal references only")
         return hypergeom_test(labels, y, mode=method, alternative=alternative)
-    values = rank_transform(y, ties) if on_ranks else np.asarray(y, dtype=float)
-    statistic = sum_statistic(kind, values, sizes.size, doses)
+    values = [rank_transform(y, ties) if column == "ranks" else np.asarray(y, dtype=float)
+              for column in columns]
+    statistic = sum_statistic(kind, values[0] if len(values) == 1 else np.column_stack(values),
+                              sizes.size, doses)
     if statistic._check_observed is not None:
         statistic._check_observed(labels, statistic(labels))
     if method == "exact":

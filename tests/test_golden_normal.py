@@ -27,7 +27,7 @@ import tempfile
 import pytest
 
 from finpop.harness.cli import main
-from finpop.randtests import TEST_METHODS
+from finpop.randtests import TEST_METHODS, TEST_STATISTICS
 
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_test_normal.json"
 
@@ -41,10 +41,10 @@ _CSVS = (
 )
 _DATA_OF = {"diff": "two_arm", "wilcoxon": "two_arm", "hyper": "binary",
             "kw": "three_arm", "max": "three_arm", "range": "three_arm",
-            "dose": "three_arm"}
+            "dose": "three_arm", "joint": "two_arm"}
 _SEED_REPS = ((1, 999), (7, 2000), (26, 4000))
 # the rank statistics, run on the tied binary file with --ties midrank
-_MIDRANK_STATS = ("wilcoxon", "kw", "max", "range", "dose")
+_MIDRANK_STATS = ("wilcoxon", "kw", "max", "range", "dose", "joint")
 
 
 def _cases() -> list[dict]:
@@ -86,6 +86,10 @@ def _run(case: dict, csv_path) -> dict:
 
 def _golden() -> dict:
     return json.loads(_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_every_statistic_has_golden_cases():
+    assert set(_DATA_OF) == set(TEST_STATISTICS)
 
 
 def test_golden_file_covers_every_case_and_csv():

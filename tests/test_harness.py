@@ -903,7 +903,7 @@ def test_cli_statistic_is_the_same_under_every_method(tmp_path, capsys, stat):
     methods = ("normal", "exact") if kind is None else randtests.TEST_METHODS
     rng = np.random.default_rng(41)
     path = tmp_path / "r.csv"
-    for sizes in ((5, 4),) if kind in (None, "diff") else ((5, 4), (3, 3, 3)):
+    for sizes in ((5, 4),) if kind in (None, "diff", "joint") else ((5, 4), (3, 3, 3)):
         for _ in range(30):
             labels = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
             y = (rng.integers(0, 2, labels.size).astype(float) if kind is None
@@ -928,6 +928,20 @@ def test_cli_test_rejects_non_finite_doses(tmp_path, capsys, method, doses):
             "--method", method, "--seed", "1", "--reps", "100"]
     assert main(argv) == 1
     assert "doses must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["normal", "exact", "mc"])
+@pytest.mark.parametrize("stat", [stat for stat in randtests.TEST_STATISTICS if stat != "dose"])
+def test_cli_test_refuses_doses_except_for_dose(tmp_path, capsys, stat, method):
+    # every other statistic ignored --doses and exited 0
+    path = _write(tmp_path / "d.csv", "arm,y\n" + "".join(
+        f"{arm},{v}\n" for arm, v in zip((1, 1, 1, 2, 2, 2), (4.0, 1.0, 0.0, 6.0, 2.0, 5.0))))
+    argv = ["test", "--data", path, "--stat", stat, "--doses", "5,7",
+            "--method", method, "--seed", "1", "--reps", "99"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: only the 'dose' statistic takes doses, not {stat!r}\n")
 
 
 @pytest.mark.parametrize("method", ["normal", "exact", "mc"])

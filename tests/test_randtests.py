@@ -6,6 +6,7 @@ against full enumeration; Monte Carlo p-values against the exact ones at the
 resolution the replication count supports.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import diff_in_means_stat, dose_rank_stat, extreme_rank_stats, wilcoxon_stat
-from finpop import designs, distlib, randtests
+from finpop import designs, distlib, estimators, randtests
 from finpop.errors import DegenerateInputError, InternalCheckError, TieError, ValidationError
 
 # mpmath, dps=40
@@ -203,20 +204,30 @@ def test_kruskal_wallis_chi2_close_to_exact_enumeration():
 # =========================================================================
 
 
+def _joint_normal(labels, columns):
+    """The normal reference of `sum_statistic('joint', columns)` at the
+    observed assignment: two outcomes reach it only through the library."""
+    statistic = randtests.sum_statistic("joint", columns)
+    sizes = estimators.arm_sizes(labels).astype(float)
+    return statistic._normal_tail(statistic(labels), sizes, "greater", 1, None)
+
+
 def test_joint_test_rank_mode_perfectly_correlated():
     # y already equals its ranks, so the two statistics coincide: rho = 1,
     # the standardized value is sqrt(2.4), and p = 1 - Phi(sqrt(2.4))
-    result = randtests.joint_test(_LAB4, _Y4, alpha=0.05)
-    assert result.correlation == pytest.approx(1.0, abs=1e-12)
-    assert result.standardized[0] == pytest.approx(SQRT_24, abs=1e-12)
-    assert result.standardized[1] == pytest.approx(SQRT_24, abs=1e-12)
+    result = randtests.randomization_test("joint", _LAB4, _Y4)
+    assert (result.method, result.alternative) == ("normal_approx", "greater")
+    assert result.statistic == pytest.approx(SQRT_24, abs=1e-12)
     assert result.p_value == pytest.approx(P_MAX_RANK, abs=1e-9)
-    assert not result.reject  # critical value is Phi^-1(0.95) = 1.6449 > 1.5492
+    # no rejection at 0.05: the critical value is Phi^-1(0.95) = 1.6449 > 1.5492
+    assert result.statistic < distlib.solve_gamma_c(1.0, 0.05)
+    assert result.p_value > 0.05
 
 
 def test_joint_test_rejects_at_looser_level():
-    result = randtests.joint_test(_LAB4, _Y4, alpha=0.10)
-    assert result.reject  # Phi^-1(0.90) = 1.2816 < sqrt(2.4)
+    result = randtests.randomization_test("joint", _LAB4, _Y4)
+    assert result.statistic > distlib.solve_gamma_c(1.0, 0.10)  # Phi^-1(0.90) = 1.2816
+    assert result.p_value < 0.10
 
 
 def test_joint_test_two_outcome_antithetic_pair():
@@ -224,14 +235,11 @@ def test_joint_test_two_outcome_antithetic_pair():
     rng = np.random.default_rng(6)
     labels = np.array([1, 1, 1, 2, 2, 2])
     y1 = rng.normal(size=6)
-    y = np.column_stack([y1, -y1])
-    result = randtests.joint_test(labels, y, alpha=0.05, mode="two_outcome")
-    assert result.correlation == pytest.approx(-1.0, abs=1e-12)
-    z = abs(result.standardized[0])
-    from finpop import distlib
-
+    result = _joint_normal(labels, np.column_stack([y1, -y1]))
+    z = diff_in_means_stat(labels, y1) / np.sqrt(y1.var(ddof=1) * 6 / 9)
+    assert result.statistic == pytest.approx(abs(z), rel=1e-14)
     assert result.p_value == pytest.approx(
-        2.0 * (1.0 - distlib.std_normal_cdf(z)), abs=1e-9
+        2.0 * (1.0 - distlib.std_normal_cdf(abs(z))), abs=1e-9
     )
 
 
@@ -239,18 +247,26 @@ def test_joint_test_correlation_matches_corrcoef():
     rng = np.random.default_rng(9)
     labels = np.array([1] * 5 + [2] * 5)
     y = rng.normal(size=(10, 2))
-    result = randtests.joint_test(labels, y, mode="two_outcome")
-    assert result.correlation == pytest.approx(
-        np.corrcoef(y[:, 0], y[:, 1])[0, 1], abs=1e-12
-    )
+    result = _joint_normal(labels, y)
+    rho = np.corrcoef(y[:, 0], y[:, 1])[0, 1]
+    m = result.statistic
+    want = 2.0 * distlib.std_normal_cdf(-m) - distlib.bvn_lower_orthant(-m, rho)
+    assert result.p_value == pytest.approx(want, abs=1e-12)
 
 
 def test_joint_test_rejects_degenerate_and_bad_mode():
     labels = np.array([1, 1, 2, 2])
+    for method in randtests.TEST_METHODS:
+        with pytest.raises(DegenerateInputError):
+            randtests.randomization_test("joint", labels, np.ones(4), method,
+                                         ties="midrank", b=9, seed=1)
     with pytest.raises(DegenerateInputError):
-        randtests.joint_test(labels, np.ones(4), tie_policy="midrank")
-    with pytest.raises(ValidationError):
-        randtests.joint_test(labels, np.arange(4.0), mode="bogus")
+        randtests.sum_statistic("joint", np.column_stack([np.arange(4.0), np.ones(4)]))
+    # two columns, and two arms
+    with pytest.raises(ValidationError, match=r"\(N, 2\)"):
+        randtests.sum_statistic("joint", np.arange(4.0))
+    with pytest.raises(ValidationError, match="two arms"):
+        randtests.randomization_test("joint", np.array([1, 1, 2, 2, 3, 3]), np.arange(6.0))
 
 
 def test_joint_test_p_value_far_in_the_upper_tail(pair_max_sf):
@@ -260,12 +276,39 @@ def test_joint_test_p_value_far_in_the_upper_tail(pair_max_sf):
     labels = np.repeat([1, 2], 100)
     y = rng.normal(size=200) + 2.3 * (labels == 1)
     y2 = np.column_stack([y, rng.normal(size=200) + 1.6 * (labels == 1)])
-    for mode, outcome in (("rank", y), ("two_outcome", y2)):
-        result = randtests.joint_test(labels, outcome, mode=mode)
-        observed_max = max(result.standardized)
-        assert observed_max > 9.0
-        ref = pair_max_sf(observed_max, result.correlation)
+    ranked = np.column_stack([y, randtests.rank_transform(y)])
+    rank_mode = randtests.randomization_test("joint", labels, y)
+    for mode, result, columns in (("rank", rank_mode, ranked),
+                                  ("two_outcome", _joint_normal(labels, y2), y2)):
+        assert result.statistic > 9.0
+        ref = pair_max_sf(result.statistic, np.corrcoef(columns.T)[0, 1])
         assert abs(result.p_value - ref) <= 1e-12 * ref, mode
+
+
+def test_joint_exact_p_value_matches_brute_force_enumeration():
+    # every 4-of-10 assignment, each standardized difference from the scalar
+    # reference statistics: z_j = diff_j / sqrt(N / (n_1 n_0) S_j^2)
+    rng = np.random.default_rng(12)
+    y = rng.normal(size=10) + np.linspace(0.0, 1.0, 10)
+    labels = np.repeat([1, 2], [4, 6])
+    ranks = randtests.rank_transform(y)
+    scale = np.sqrt(10.0 / 24.0 * np.array([y.var(ddof=1), ranks.var(ddof=1)]))
+
+    def joint(assignment):
+        return max(diff_in_means_stat(assignment, y) / scale[0],
+                   wilcoxon_stat(assignment, y) / scale[1])
+
+    observed = joint(labels)
+    count = total = 0
+    for arm1 in itertools.combinations(range(10), 4):
+        assignment = np.full(10, 2)
+        assignment[list(arm1)] = 1
+        count += joint(assignment) >= observed - 1e-12 * max(1.0, abs(observed))
+        total += 1
+    result = randtests.randomization_test("joint", labels, y, "exact")
+    assert result.statistic == pytest.approx(observed, rel=1e-13)
+    assert (result.p_value, result.method) == (count / total, "exact(count=210)")
+    assert 0.0 < result.p_value < 1.0
 
 
 # =========================================================================
@@ -406,6 +449,15 @@ def test_simulated_normal_reference_uses_the_midrank_variance():
     assert result.p_value == pytest.approx(tail, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["diff", "kw", "max", "range", "joint"])
+def test_only_the_dose_statistic_takes_doses(kind):
+    # 'diff' overwrote the doses with (1, -1), and the other kinds never read them
+    values = np.arange(1.0, 7.0)
+    with pytest.raises(ValidationError, match="only the 'dose' statistic takes doses"):
+        randtests.sum_statistic(kind, np.column_stack([values, values ** 2])
+                                if kind == "joint" else values, 2, (5.0, 7.0))
+
+
 @pytest.mark.parametrize("doses", [(np.nan, 1.0, 2.0), (1.0, np.inf, 2.0), None])
 def test_dose_statistic_needs_finite_doses(doses):
     with pytest.raises(ValidationError):
@@ -428,7 +480,7 @@ def test_randomization_test_validates_its_arguments():
     with pytest.raises(ValidationError, match="seed"):
         randtests.randomization_test("diff", labels, y, method="mc")
     result = randtests.randomization_test("kw", labels, y)
-    assert (result.alternative, result.method) == (None, "chi2_approx")
+    assert (result.alternative, result.method) == ("greater", "chi2_approx")
     result = randtests.randomization_test("wilcoxon", labels, y, method="exact")
     assert (result.alternative, result.p_value) == ("two_sided", 2.0 / 6.0)
 

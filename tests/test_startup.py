@@ -2,15 +2,18 @@
 
 Every CLI call pays the import once, so the package needs nothing beyond
 numpy at run time: the normal and chi-square functions come from the standard
-library, midranks from numpy, and the joint test's orthant probability and
-critical value from Owen's T function on a fixed Gauss-Legendre rule. Nothing
-is imported lazily, and the package runs with scipy blocked.
+library, midranks from numpy, and the orthant probability of the joint
+statistic's normal reference and its critical value from Owen's T function on
+a fixed Gauss-Legendre rule. Nothing is imported lazily, and the package and
+every reference of `finpop test --stat joint` run with scipy blocked.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import finpop
 from finpop import distlib, randtests
@@ -45,11 +48,11 @@ def test_lazily_imported_solvers_match_in_process_values():
         "from finpop import distlib, randtests\n"
         "assert not any(m.startswith('scipy') for m in sys.modules)\n"
         "print(repr(distlib.solve_gamma_c(0.3, 0.05)))\n"
-        f"print(repr(randtests.joint_test({labels!r}, {y!r}).p_value))"
+        f"print(repr(randtests.randomization_test('joint', {labels!r}, {y!r}).p_value))"
     )
     assert out.splitlines() == [
         repr(distlib.solve_gamma_c(0.3, 0.05)),
-        repr(randtests.joint_test(labels, y).p_value),
+        repr(randtests.randomization_test("joint", labels, y).p_value),
     ]
 
 
@@ -100,8 +103,9 @@ def test_library_and_cli_run_with_scipy_blocked(tmp_path):
     ))
     calls = [
         ["estimate", "--data", str(two_arm)],
-        *(["test", "--data", str(two_arm), "--stat", "diff", "--method", method,
-           "--reps", "200", "--seed", "1"] for method in ("normal", "exact", "mc")),
+        *(["test", "--data", str(two_arm), "--stat", stat, "--method", method,
+           "--reps", "200", "--seed", "1"]
+          for stat in ("diff", "joint") for method in ("normal", "exact", "mc")),
         ["iv-ci", "--data", str(iv)],
         ["factorial", "--data", str(four_arm), "--factors", "2"],
         ["verify", "--suite", "oracle", "--seed", "7", "--out", str(tmp_path / "oracle.json")],
@@ -109,16 +113,19 @@ def test_library_and_cli_run_with_scipy_blocked(tmp_path):
     labels = [1, 2, 1, 2, 1, 2, 2, 1]
     y = [0.3, 1.1, 2.4, 0.2, 1.7, 0.9, 0.4, 3.0]
     pair = [[v, (v - 1.0) ** 2] for v in y]
+    # two outcome columns reach the joint normal reference only through the library
+    joint = randtests.sum_statistic("joint", pair)
     # a None entry in sys.modules makes every import of scipy raise ImportError
     out = _fresh_python(
         "import contextlib, io, sys\n"
         "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
         "from finpop import distlib, randtests\n"
         "from finpop.harness import cli\n"
         "print(repr(distlib.solve_gamma_c(-0.4, 0.01)))\n"
-        f"print(repr(randtests.joint_test({labels!r}, {y!r}).p_value))\n"
-        f"result = randtests.joint_test({labels!r}, {pair!r}, mode='two_outcome')\n"
-        "print(repr(result.critical_value))\n"
+        f"print(repr(randtests.randomization_test('joint', {labels!r}, {y!r}).p_value))\n"
+        f"pair = randtests.sum_statistic('joint', {pair!r})\n"
+        f"print(repr(pair._normal_tail(pair({labels!r}), np.array([4.0, 4.0]), 'greater', 1, None).p_value))\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
@@ -127,7 +134,7 @@ def test_library_and_cli_run_with_scipy_blocked(tmp_path):
     )
     assert out.splitlines() == [
         repr(distlib.solve_gamma_c(-0.4, 0.01)),
-        repr(randtests.joint_test(labels, y).p_value),
-        repr(randtests.joint_test(labels, pair, mode="two_outcome").critical_value),
+        repr(randtests.randomization_test("joint", labels, y).p_value),
+        repr(joint._normal_tail(joint(labels), np.array([4.0, 4.0]), "greater", 1, None).p_value),
         "[]",
     ]
