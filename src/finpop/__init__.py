@@ -12,7 +12,6 @@ from .designs import (
     derive_rng,
     draw_partition,
     draw_partition_batch,
-    draw_rerandomized,
     enumerate_partition_blocks,
     enumerate_partitions,
     factorial_contrasts,
@@ -24,14 +23,12 @@ from .errors import (
     EnumerationCapError,
     FinpopError,
     InternalCheckError,
-    RejectionLimitError,
     SingularMatrixError,
     TieError,
     ValidationError,
 )
 from .estimators import (
     EstimateReport,
-    WaldRegion,
     arm_sizes,
     cluster_adjusted,
     cov_estimator,
@@ -44,7 +41,7 @@ from .estimators import (
     regression_adjusted,
     tau_hat,
     tau_true,
-    wald_region,
+    wald_threshold,
 )
 from .ivconf import (
     IVConditionStat,
@@ -92,7 +89,6 @@ __all__ = [
     "TieError",
     "SingularMatrixError",
     "EnumerationCapError",
-    "RejectionLimitError",
     "InternalCheckError",
     # population statistics
     "PopMoments",
@@ -117,16 +113,14 @@ __all__ = [
     "FactorialSpec",
     "factorial_contrasts",
     "compute_delta",
-    "draw_rerandomized",
     # estimators
     "EstimateReport",
-    "WaldRegion",
     "arm_sizes",
     "tau_true",
     "tau_hat",
     "neyman_cov_true",
     "cov_estimator",
-    "wald_region",
+    "wald_threshold",
     "normal_interval",
     "regression_adjusted",
     "fit_ls_coefs",

@@ -1,7 +1,7 @@
 """Assignment mechanisms: random partitions into Q arms (a simple random
-sample is arm 1 of a two-arm partition), rerandomization, factorial
-contrast matrices, and the exhaustive enumeration oracle used to
-verify closed-form moments.
+sample is arm 1 of a two-arm partition), the covariate imbalance of a
+two-arm assignment, factorial contrast matrices, and the exhaustive
+enumeration oracle used to verify closed-form moments.
 
 Conventions used across the package:
   - arm labels are 1..Q; `sizes[q-1]` is the number of units in arm q;
@@ -22,12 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    EnumerationCapError,
-    RejectionLimitError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import EnumerationCapError, SingularMatrixError, ValidationError
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -45,7 +40,6 @@ __all__ = [
     "inv_sqrt_psd",
     "check_centered",
     "compute_delta",
-    "draw_rerandomized",
 ]
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -339,27 +333,6 @@ def check_centered(x: np.ndarray, what: str = "covariates") -> None:
         raise ValidationError(f"{what} must be centered (column means zero)")
 
 
-def _imbalance_root(x, n1: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Covariates as an (N, K) array and the inverse root
-    (N / (n_1 n_0) * S2_X)^(-1/2) of the imbalance covariance, after checking
-    that there are N = n_1 + n_0 rows and that the columns are centered."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, np.newaxis]
-    n_total = n1 + n0
-    if x.shape[0] != n_total:
-        raise ValidationError(f"covariates have {x.shape[0]} rows, expected {n_total}")
-    check_centered(x)
-    s2_x = x.T @ x / (n_total - 1)
-    return x, inv_sqrt_psd(n_total / (n1 * n0) * s2_x)
-
-
-def _imbalance(arms: ArmBlock, x, root, n1: int, n0: int) -> np.ndarray:
-    """root (Xbar_1 - Xbar_0) for every row of a two-arm block, (B, K)."""
-    sums = arms.sums(x)
-    return (sums[:, 0] / n1 - sums[:, 1] / n0) @ root.T
-
-
 def compute_delta(labels, x) -> np.ndarray:
     """Standardized covariate imbalance of a two-arm assignment:
     delta = (N / (n_1 n_0) * S2_X)^(-1/2) (Xbar_1 - Xbar_0),
@@ -374,30 +347,14 @@ def compute_delta(labels, x) -> np.ndarray:
     if np.any(arms.counts != arms.counts[0]):
         raise ValidationError("every assignment of a block must have the same arm sizes")
     n1, n0 = (int(c) for c in arms.counts[0])
-    x, root = _imbalance_root(x, n1, n0)
-    delta = _imbalance(arms, x, root, n1, n0)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, np.newaxis]
+    n_total = n1 + n0
+    if x.shape[0] != n_total:
+        raise ValidationError(f"covariates have {x.shape[0]} rows, expected {n_total}")
+    check_centered(x)
+    root = inv_sqrt_psd(n_total / (n1 * n0) * (x.T @ x / (n_total - 1)))
+    sums = arms.sums(x)
+    delta = (sums[:, 0] / n1 - sums[:, 1] / n0) @ root.T
     return delta[0] if np.ndim(labels) == 1 else delta
-
-
-def draw_rerandomized(sizes, x, threshold: float, seed, max_tries: int = 100_000):
-    """Rejection-sample assignments until the squared imbalance delta'delta
-    falls at or below `threshold`; returns (assignment, tries used).
-
-    The inverse root of the imbalance covariance depends only on x and the
-    arm sizes, so it is computed once; each try then costs one draw and the
-    arm sums of x. The result equals a loop of compute_delta calls.
-    """
-    sizes = _check_sizes(sizes)
-    if len(sizes) != 2:
-        raise ValidationError("rerandomization is defined for two-arm designs")
-    if max_tries < 1:
-        raise ValidationError(f"max_tries must be >= 1, got {max_tries}")
-    x, root = _imbalance_root(x, *sizes)
-    rng = as_rng(seed)
-    for tries in range(1, max_tries + 1):
-        labels = draw_partition(sizes, rng)
-        delta = _imbalance(ArmBlock(labels, 2), x, root, *sizes)[0]
-        if float(delta @ delta) <= threshold:
-            return labels, tries
-    raise RejectionLimitError(max_tries, accepted=0)
-

@@ -39,18 +39,6 @@ class EnumerationCapError(FinpopError):
         )
 
 
-class RejectionLimitError(FinpopError):
-    """Rejection sampling exhausted its retry budget."""
-
-    def __init__(self, max_tries: int, accepted: int = 0):
-        self.max_tries = max_tries
-        self.acceptance_rate = accepted / max_tries if max_tries > 0 else 0.0
-        super().__init__(
-            f"no assignment accepted within {max_tries} tries "
-            f"(empirical acceptance rate {self.acceptance_rate:.4g})"
-        )
-
-
 class InternalCheckError(FinpopError):
     """Two algebraically equivalent forms of the same statistic disagreed.
 

@@ -23,13 +23,12 @@ from .popstats import as_contrast, as_table, pot_cov_structure, sample_cov
 
 __all__ = [
     "EstimateReport",
-    "WaldRegion",
     "arm_sizes",
     "tau_true",
     "tau_hat",
     "neyman_cov_true",
     "cov_estimator",
-    "wald_region",
+    "wald_threshold",
     "normal_interval",
     "regression_adjusted",
     "fit_ls_coefs",
@@ -54,29 +53,6 @@ class EstimateReport:
     cov: np.ndarray
     sizes: tuple[int, ...]
     method: str
-
-
-@dataclass(frozen=True)
-class WaldRegion:
-    """Ellipsoidal confidence region {mu : (t - mu)' V^{-1} (t - mu) <= q}."""
-
-    center: np.ndarray
-    shape: np.ndarray
-    alpha: float
-    chi2_threshold: float
-
-    def contains(self, mu) -> bool:
-        d = np.atleast_1d(np.asarray(mu, dtype=float)) - self.center
-        stat = float(d @ np.linalg.solve(self.shape, d))
-        return stat <= self.chi2_threshold
-
-    def interval(self) -> tuple[float, float]:
-        """Endpoints for the scalar (K = 1) case."""
-        if self.center.shape != (1,):
-            raise ValidationError("interval endpoints exist only for scalar regions")
-        half = float(np.sqrt(self.chi2_threshold * self.shape[0, 0]))
-        c = float(self.center[0])
-        return c - half, c + half
 
 
 def _arm_block(labels, q_arms: int | None = None) -> ArmBlock:
@@ -212,24 +188,19 @@ def cov_estimator(labels, y, contrast) -> np.ndarray:
     return out[0] if np.ndim(labels) == 1 else out
 
 
-def wald_region(report: EstimateReport, alpha: float) -> WaldRegion:
-    """Chi-square-calibrated confidence region around the point estimate."""
+def wald_threshold(cov, alpha: float) -> float:
+    """The chi-square (K, 1 - alpha) quantile that bounds the Wald region
+    {mu : (t - mu)' cov^{-1} (t - mu) <= threshold} of a K x K estimated
+    covariance, refusing a numerically singular one."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    cov = np.asarray(report.cov, dtype=float)
-    k = cov.shape[0]
-    w = np.linalg.eigvalsh(cov)
+    w = np.linalg.eigvalsh(np.asarray(cov, dtype=float))
     if w[-1] <= 0.0 or w[0] < _SINGULARITY_RTOL * w[-1]:
         raise SingularMatrixError(
             f"estimated covariance is numerically singular (eigenvalue {w[0]:.6g} "
             f"vs max {w[-1]:.6g}); consider dropping redundant contrast rows"
         )
-    return WaldRegion(
-        center=np.asarray(report.point, dtype=float),
-        shape=cov,
-        alpha=alpha,
-        chi2_threshold=distlib.chi2_quantile(k, 1.0 - alpha),
-    )
+    return distlib.chi2_quantile(w.size, 1.0 - alpha)
 
 
 def normal_interval(point, variance, alpha: float) -> tuple:
@@ -304,13 +275,14 @@ def fit_ls_coefs(labels, y, x) -> tuple[np.ndarray, np.ndarray]:
     """Arm-wise least-squares slopes of Y on X:
     beta_z = (arm sample cov of X)^{-1} (arm sample cov of X with Y), solved
     as scatter_XX beta_z = scatter_XY on the arm scatter matrices of [X, Y],
-    where the divisor n_z - 1 cancels."""
+    where the divisor n_z - 1 cancels. Each arm needs K + 2 units: with
+    K + 1 the slopes fit the arm exactly and its residual variance is 0."""
     y = _scalar_outcomes(y, "least-squares adjustment is")
     x = _as_covariates(x, y.shape[0])
     arms = _one_assignment(labels, y.shape[0])
     k = x.shape[1]
-    if np.any(arms.counts < k + 1):
-        raise ValidationError(f"each arm needs at least K + 1 = {k + 1} observations")
+    if np.any(arms.counts < k + 2):
+        raise ValidationError(f"each arm needs at least K + 2 = {k + 2} observations")
     xy = np.hstack([x, y])[np.newaxis]
     scatter = _arm_scatter(arms, xy, arms.sums(xy) / arms.counts[:, :, np.newaxis])[0]
     beta1, beta0 = (_ls_solve(s[:k, :k], s[:k, k], f"arm {q}") for q, s in enumerate(scatter, 1))

@@ -130,9 +130,8 @@ def _pairwise_contrast(q: int) -> np.ndarray:
     return contrast
 
 
-def _interval_payload(report, alpha) -> dict:
-    return {"ci": list(estimators.normal_interval(
-        float(report.point[0]), float(report.cov[0, 0]), alpha))}
+def _interval_payload(point, cov, alpha) -> dict:
+    return {"ci": list(estimators.normal_interval(float(point[0]), float(cov[0, 0]), alpha))}
 
 
 def _estimate_plain(data: ingest.ObservedData, alpha: float) -> dict:
@@ -142,23 +141,17 @@ def _estimate_plain(data: ingest.ObservedData, alpha: float) -> dict:
     contrast = _pairwise_contrast(q)
     point = estimators.tau_hat(data.labels, data.y, contrast)
     cov = estimators.cov_estimator(data.labels, data.y, contrast)
-    sizes = estimators.arm_sizes(data.labels)
-    report = estimators.EstimateReport(
-        point=point, cov=cov, sizes=tuple(int(s) for s in sizes),
-        method="difference_in_means",
-    )
-    region = estimators.wald_region(report, alpha)
     payload = {
-        "method": report.method,
+        "method": "difference_in_means",
         "point": point,
         "cov": cov,
-        "sizes": list(report.sizes),
+        "sizes": [int(s) for s in estimators.arm_sizes(data.labels)],
         "contrast": contrast,
         "contrast_note": "each arm versus the last",
-        "wald_chi2_threshold": region.chi2_threshold,
+        "wald_chi2_threshold": estimators.wald_threshold(cov, alpha),
     }
     if q == 2:
-        payload.update(_interval_payload(report, alpha))
+        payload.update(_interval_payload(point, cov, alpha))
     return payload
 
 
@@ -175,7 +168,7 @@ def _estimate_regression(data: ingest.ObservedData, alpha: float) -> dict:
         "coefficient_note": "least-squares slopes fitted from the same data; "
                             "the variance is the plug-in form",
     }
-    payload.update(_interval_payload(report, alpha))
+    payload.update(_interval_payload(report.point, report.cov, alpha))
     return payload
 
 
@@ -213,7 +206,7 @@ def _estimate_cluster(data: ingest.ObservedData, alpha: float) -> dict:
     }
     if x_tot is not None:
         payload["coefficients"] = {"arm1": gamma1, "arm2": gamma0}
-    payload.update(_interval_payload(report, alpha))
+    payload.update(_interval_payload(report.point, report.cov, alpha))
     return payload
 
 

@@ -524,8 +524,9 @@ def coverage_table(kind: str, n: int) -> np.ndarray:
 def _coverage_counts(tables, n1, reps, seed, n_index, alpha):
     """(neyman coverage, wald coverage, true contrast) of each two-arm table,
     every table evaluated on the same reps draws of n1 treated units. The
-    Wald region is counted as err^2 <= chi2_{1, 1-alpha} v_hat because
-    `WaldRegion.contains` solves one assignment at a time."""
+    Wald region is counted as err^2 <= chi2_{1, 1-alpha} v_hat on the whole
+    block, because the package ships only its threshold
+    (`estimators.wald_threshold`)."""
     contrast = [1.0, -1.0]
     taus = [float(estimators.tau_true(table, contrast)[0]) for table in tables]
     chi_q = distlib.chi2_quantile(1, 1.0 - alpha)

@@ -200,7 +200,8 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
     - 'max' and 'range': B simulated arm sums, drawn in chunks of 1024 rows
       of one seeded stream as n_q sd_q Z_q with
       sd_q^2 = S^2 (N - n_q) / (N n_q) and Z of covariance
-      `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1).
+      `rank_null_cov(sizes)`; p = (1 + #{as or more extreme}) / (B + 1),
+      tagged degenerate for constant values, where every draw ties.
     """
     # column-major, so that a column's mean is summed pairwise, as a 1-d array's is
     values = np.asarray(values, dtype=float, order="F")
@@ -217,6 +218,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
     # the centered sum of squares; the 2 x 2 cross products for 'joint'
     gram = centered.T @ centered
     s2 = gram / max(values.shape[0] - 1, 1)
+    constant = values.min() == values.max()
     check = None
     if kind in ("diff", "dose"):
         if kind == "diff":
@@ -248,8 +250,6 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
                 null_variance=var0,
             )
     elif kind == "kw":
-        constant = values.min() == values.max()
-
         def reduce(sums, sizes):
             if constant:
                 return np.zeros(sums.shape[0])
@@ -257,7 +257,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
 
         def tail(observed, sizes, alternative, b, seed):
             method = "chi2_approx"
-            if centered.min() == centered.max():
+            if constant:
                 method += ",degenerate"
             elif np.unique(centered).size < centered.size:
                 method += ",ties_adjusted"
@@ -325,7 +325,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             return TestResult(
                 statistic=observed,
                 p_value=(1 + count) / (rows + 1),
-                method=f"normal_approx(B={rows})",
+                method=f"normal_approx(B={rows})" + (",degenerate" if constant else ""),
                 alternative=alternative,
             )
     else:

@@ -1,5 +1,5 @@
 """Assignment-mechanism tests: partitions, indicator moments, factorial
-generators, rerandomization, and cluster expansion.
+generators, and covariate imbalance.
 
 Indicator covariances are checked against exhaustive enumeration; partition
 counts against the multinomial coefficient; Monte Carlo draws against exact
@@ -11,11 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finpop import designs, estimators, popstats, randtests
-from finpop.errors import (
-    EnumerationCapError,
-    RejectionLimitError,
-    ValidationError,
-)
+from finpop.errors import EnumerationCapError, ValidationError
 
 # =========================================================================
 # RNG plumbing
@@ -271,7 +267,7 @@ def test_factorial_contrasts_rejects_bad_k():
 
 
 # =========================================================================
-# Balance metric and rerandomization
+# Balance metric
 # =========================================================================
 
 
@@ -348,63 +344,6 @@ def test_inv_sqrt_psd_rejects_singular():
 
     with pytest.raises(SingularMatrixError):
         designs.inv_sqrt_psd(np.zeros((2, 2)))
-
-
-def test_draw_rerandomized_unbounded_threshold_accepts_first_try():
-    rng = np.random.default_rng(31)
-    x = _center(rng.normal(size=(10, 2)))
-    labels, tries = designs.draw_rerandomized((5, 5), x, np.inf, 4)
-    assert tries == 1
-    assert tuple(np.bincount(labels, minlength=3)[1:]) == (5, 5)
-
-
-def test_draw_rerandomized_respects_threshold():
-    rng = np.random.default_rng(13)
-    x = _center(rng.normal(size=(12, 2)))
-    threshold = 1.5
-    labels, tries = designs.draw_rerandomized((6, 6), x, threshold, 99)
-    delta = designs.compute_delta(labels, x)
-    assert float(delta @ delta) <= threshold
-    assert tries >= 1
-
-
-def test_draw_rerandomized_is_seeded():
-    rng = np.random.default_rng(41)
-    x = _center(rng.normal(size=(10, 2)))
-    a, _ = designs.draw_rerandomized((5, 5), x, 2.0, 77)
-    b, _ = designs.draw_rerandomized((5, 5), x, 2.0, 77)
-    assert np.array_equal(a, b)
-
-
-def _draw_rerandomized_loop(sizes, x, threshold, seed):
-    # reference: the full compute_delta on every try
-    rng = designs.as_rng(seed)
-    tries = 0
-    while True:
-        tries += 1
-        labels = designs.draw_partition(sizes, rng)
-        delta = designs.compute_delta(labels, x)
-        if float(delta @ delta) <= threshold:
-            return labels, tries
-
-
-@pytest.mark.parametrize("seed", [3, 8, 21])
-def test_draw_rerandomized_matches_compute_delta_loop(seed):
-    x = _center(np.random.default_rng(57).normal(size=(30, 3)))
-    threshold = 0.02  # P(chi2_3 <= 0.02) is about 1/1000
-    labels, tries = designs.draw_rerandomized((14, 16), x, threshold, seed)
-    ref_labels, ref_tries = _draw_rerandomized_loop((14, 16), x, threshold, seed)
-    assert tries > 50
-    assert tries == ref_tries
-    assert np.array_equal(labels, ref_labels)
-
-
-def test_draw_rerandomized_gives_up_with_tiny_threshold():
-    rng = np.random.default_rng(19)
-    x = _center(rng.normal(size=(10, 2)))
-    with pytest.raises(RejectionLimitError) as info:
-        designs.draw_rerandomized((5, 5), x, 1e-12, 3, max_tries=50)
-    assert info.value.max_tries == 50
 
 
 # =========================================================================

@@ -195,34 +195,18 @@ def test_neyman_ci_frozen_endpoints():
 
 
 def test_wald_interval_equals_neyman_ci():
-    # chi2_quantile(1, 1 - alpha) is the square of the normal quantile
+    # chi2_quantile(1, 1 - alpha) is the square of the normal quantile, so
+    # the K = 1 region is point +/- sqrt(threshold v_hat)
     rng = np.random.default_rng(2)
     labels = np.array([1] * 5 + [2] * 6)
     y = rng.normal(size=11)
-    report = estimators.EstimateReport(
-        point=estimators.tau_hat(labels, y, [1.0, -1.0]),
-        cov=estimators.cov_estimator(labels, y, [1.0, -1.0]),
-        sizes=(5, 6),
-        method="difference_in_means",
-    )
+    point = estimators.tau_hat(labels, y, [1.0, -1.0])[0]
+    cov = estimators.cov_estimator(labels, y, [1.0, -1.0])
     for alpha in (0.05, 0.10, 0.32):
-        region = estimators.wald_region(report, alpha)
-        assert region.interval() == pytest.approx(
+        half = np.sqrt(estimators.wald_threshold(cov, alpha) * cov[0, 0])
+        assert (point - half, point + half) == pytest.approx(
             _neyman_interval(labels, y, alpha), abs=1e-12
         )
-
-
-def test_wald_region_membership():
-    report = estimators.EstimateReport(
-        point=np.array([1.0, -1.0]),
-        cov=np.eye(2),
-        sizes=(3, 3),
-        method="test",
-    )
-    region = estimators.wald_region(report, 0.05)
-    assert region.contains([1.0, -1.0])
-    assert region.contains([1.1, -0.9])
-    assert not region.contains([10.0, 10.0])
 
 
 def test_wald_region_rejects_singular_cov():
@@ -231,11 +215,11 @@ def test_wald_region_rejects_singular_cov():
     labels = np.array([1, 1, 1, 2, 2, 2])
     y = rng.normal(size=6)
     cov = estimators.cov_estimator(labels, y, [[1.0, 1.0], [-1.0, -1.0]])
-    report = estimators.EstimateReport(
-        point=np.zeros(2), cov=cov, sizes=(3, 3), method="test"
-    )
     with pytest.raises(SingularMatrixError):
-        estimators.wald_region(report, 0.05)
+        estimators.wald_threshold(cov, 0.05)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="alpha"):
+            estimators.wald_threshold(np.eye(2), alpha)
 
 
 def test_normal_interval_formula_and_alpha_check():
@@ -403,10 +387,13 @@ def test_adjusted_estimators_take_one_assignment_of_n_labels():
 
 
 def test_fit_ls_coefs_needs_enough_observations():
-    labels = np.array([1, 1, 2, 2, 2])
-    x = np.random.default_rng(0).normal(size=(5, 2))
-    with pytest.raises(ValidationError, match="K \\+ 1"):
-        estimators.fit_ls_coefs(labels, np.arange(5.0), x)
+    # K + 1 units fit an arm exactly and leave a zero plug-in variance
+    x = np.random.default_rng(0).normal(size=(8, 2))
+    labels = np.array([1, 1, 1, 2, 2, 2, 2, 2])
+    with pytest.raises(ValidationError, match="K \\+ 2 = 4"):
+        estimators.fit_ls_coefs(labels, np.arange(8.0), x)
+    beta1, _ = estimators.fit_ls_coefs(np.array([1, 1, 1, 1, 2, 2, 2, 2]), np.arange(8.0), x)
+    assert beta1.shape == (2,)
 
 
 def test_regression_adjusted_requires_centered_covariates():

@@ -831,6 +831,34 @@ def test_cli_estimate_cluster_totals_and_mixed_clusters(tmp_path, capsys):
     assert "cluster 2 spans arms [1, 2]" in capsys.readouterr().err
 
 
+def test_cli_regression_refuses_an_arm_of_k_plus_one_units(tmp_path, capsys):
+    # two units and one covariate per arm: the slopes fit each arm exactly, and
+    # the plug-in variance and interval width would be zero
+    rows = "arm,y,x1\n1,1,0.5\n1,2,0.1\n2,3,0.2\n2,4,0.9\n"
+    assert main(["estimate", "--data", _write(tmp_path / "r.csv", rows)]) == 1
+    assert "each arm needs at least K + 2 = 3 observations" in capsys.readouterr().err
+    rows += "1,2.5,0.3\n2,3.5,0.4\n"
+    assert main(["estimate", "--data", _write(tmp_path / "r3.csv", rows)]) == 0
+    assert json.loads(capsys.readouterr().out)["cov"][0][0] > 1e-3
+
+
+def test_cli_cluster_covariates_refuse_an_arm_of_k_plus_one_clusters(tmp_path, capsys):
+    rows = ("arm,y,x1,cluster\n1,1,0.5,1\n1,2,0.1,1\n1,2,0.3,2\n"
+            "2,3,0.2,3\n2,4,0.9,3\n2,5,0.4,4\n")
+    assert main(["estimate", "--data", _write(tmp_path / "c.csv", rows)]) == 1
+    assert "each arm needs at least K + 2 = 3 observations" in capsys.readouterr().err
+    rows += "1,4,0.8,5\n2,1,0.6,6\n"
+    assert main(["estimate", "--data", _write(tmp_path / "c3.csv", rows)]) == 0
+    assert json.loads(capsys.readouterr().out)["cov"][0][0] > 1e-3
+
+
+def test_cli_estimate_refuses_a_singular_three_arm_covariance(tmp_path, capsys):
+    path = _write(tmp_path / "flat.csv", "arm,y\n" + "".join(
+        f"{arm},1.0\n" for arm in (1, 1, 2, 2, 3, 3)))
+    assert main(["estimate", "--data", path]) == 1
+    assert "estimated covariance is numerically singular" in capsys.readouterr().err
+
+
 def test_cli_estimate_design_mismatch_fails(tmp_path, capsys):
     path = _two_arm_csv(tmp_path)
     assert main(["estimate", "--data", path, "--design", "5,3"]) == 1

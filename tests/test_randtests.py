@@ -174,6 +174,15 @@ def test_kruskal_wallis_constant_outcome_is_degenerate():
     assert result.statistic == 0.0
     assert result.p_value == 1.0
     assert "degenerate" in result.method
+    # max and range simulate a zero-variance normal reference: every draw ties
+    for stat in ("max", "range"):
+        result = randtests.randomization_test(
+            stat, np.array([1, 1, 2, 2]), np.ones(4), ties="midrank", seed=1
+        )
+        assert result.p_value == 1.0
+        assert result.method == "normal_approx(B=10000),degenerate"
+    untied = randtests.randomization_test("max", np.array([1, 1, 2, 2]), np.arange(4.0), seed=1)
+    assert untied.method == "normal_approx(B=10000)"
 
 
 def test_kruskal_wallis_tags_tie_adjustment():
