@@ -31,12 +31,12 @@ from .estimators import (
     EstimateReport,
     arm_sizes,
     cluster_adjusted,
-    cov_estimator,
     factorial_effects,
     factorial_null_moments,
     finite_pop_ls,
     fit_ls_coefs,
     neyman_cov_true,
+    neyman_estimate,
     normal_interval,
     regression_adjusted,
     tau_hat,
@@ -119,7 +119,7 @@ __all__ = [
     "tau_true",
     "tau_hat",
     "neyman_cov_true",
-    "cov_estimator",
+    "neyman_estimate",
     "wald_threshold",
     "normal_interval",
     "regression_adjusted",

@@ -27,7 +27,7 @@ __all__ = [
     "tau_true",
     "tau_hat",
     "neyman_cov_true",
-    "cov_estimator",
+    "neyman_estimate",
     "wald_threshold",
     "normal_interval",
     "regression_adjusted",
@@ -165,14 +165,16 @@ def _arm_scatter(arms: ArmBlock, y, means) -> np.ndarray:
     return out
 
 
-def cov_estimator(labels, y, contrast) -> np.ndarray:
-    """Observable covariance estimator sum_q A_q s2_q A_q' / n_q, with
-    arm-wise sample covariances (divisor n_q - 1).
+def neyman_estimate(labels, y, contrast) -> tuple[np.ndarray, np.ndarray]:
+    """The plug-in estimate `tau_hat` and its observable covariance estimator
+    sum_q A_q s2_q A_q' / n_q, with arm-wise sample covariances (divisor
+    n_q - 1), from one pass of arm means.
 
-    Its expectation exceeds the true covariance by exactly S2_tau / N, so
-    intervals built from it are conservative. Inputs are as for `tau_hat`;
-    the result is K x K, or (B, K, K) for a block. The arm covariances are
-    the arm scatter matrices of `_arm_scatter` over n_q - 1.
+    The covariance estimator's expectation exceeds the true covariance by
+    exactly S2_tau / N, so intervals built from it are conservative. Inputs
+    are as for `tau_hat`; the results are (K,) and K x K for one assignment,
+    (B, K) and (B, K, K) for a block. The arm covariances are the arm
+    scatter matrices of `_arm_scatter` over n_q - 1.
     """
     arms, y, a, means = _block_means(labels, y, contrast)
     counts = arms.counts
@@ -182,10 +184,11 @@ def cov_estimator(labels, y, contrast) -> np.ndarray:
             f"arms {small.tolist()} have fewer than 2 observations; "
             "sample covariances are undefined"
         )
+    point = np.einsum("qkp,bqp->bk", a, means)
     s2 = _arm_scatter(arms, y, means)
     s2 /= (counts * (counts - 1))[:, :, np.newaxis, np.newaxis]
-    out = np.einsum("qkp,bqpr,qlr->bkl", a, s2, a)
-    return out[0] if np.ndim(labels) == 1 else out
+    cov = np.einsum("qkp,bqpr,qlr->bkl", a, s2, a)
+    return (point[0], cov[0]) if np.ndim(labels) == 1 else (point, cov)
 
 
 def wald_threshold(cov, alpha: float) -> float:
@@ -235,7 +238,7 @@ def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
     """Covariate-adjusted two-arm estimator
     (1/n_1) sum_treated (Y_i - beta1'X_i) - (1/n_0) sum_control (Y_i - beta0'X_i)
     with variance estimate s2_1(beta1)/n_1 + s2_0(beta0)/n_0 on the adjusted
-    outcomes: `tau_hat` and `cov_estimator` of the observed adjusted outcome
+    outcomes: `neyman_estimate` of the observed adjusted outcome
     Y_i - beta_{L_i}'X_i under the contrast [1, -1].
 
     The coefficients must not depend on the realized assignment; with fixed
@@ -254,8 +257,7 @@ def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
     # each unit's arm coefficients, spread from the stacked (beta1, beta0)
     adjusted = y[:, 0] - np.einsum("nk,nk->n", x, arms.spread(np.stack(beta))[0])
     return EstimateReport(
-        point=tau_hat(labels, adjusted, [1.0, -1.0]),
-        cov=cov_estimator(labels, adjusted, [1.0, -1.0]),
+        *neyman_estimate(labels, adjusted, [1.0, -1.0]),
         sizes=tuple(int(c) for c in arms.counts[0]),
         method="regression_adjusted",
     )

@@ -139,8 +139,7 @@ def _estimate_plain(data: ingest.ObservedData, alpha: float) -> dict:
     if q < 2:
         raise ValidationError("estimation needs at least two arms")
     contrast = _pairwise_contrast(q)
-    point = estimators.tau_hat(data.labels, data.y, contrast)
-    cov = estimators.cov_estimator(data.labels, data.y, contrast)
+    point, cov = estimators.neyman_estimate(data.labels, data.y, contrast)
     payload = {
         "method": "difference_in_means",
         "point": point,

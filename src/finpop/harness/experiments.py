@@ -185,13 +185,14 @@ def _enumerated(sizes) -> np.ndarray:
 
 
 def _enumerated_estimates(table, sizes, contrast, with_vhat: bool):
-    """tau_hat (and optionally the variance estimate) under every assignment
-    of the design."""
+    """tau_hat and, if with_vhat, the variance estimate (else None) under
+    every assignment of the design."""
     labels = _enumerated(sizes)
     arms = designs.ArmBlock(labels, len(sizes))
     y = _observed(np.asarray(table, dtype=float), labels)
-    vhats = estimators.cov_estimator(arms, y, contrast) if with_vhat else None
-    return estimators.tau_hat(arms, y, contrast), vhats
+    if with_vhat:
+        return estimators.neyman_estimate(arms, y, contrast)
+    return estimators.tau_hat(arms, y, contrast), None
 
 
 def _pop_cov(values: np.ndarray) -> np.ndarray:
@@ -536,8 +537,8 @@ def _coverage_counts(tables, n1, reps, seed, n_index, alpha):
         hits = []
         for table, tau in zip(tables, taus):
             y = _observed(table, labels)
-            point = estimators.tau_hat(arms, y, contrast)[:, 0]
-            v_hat = estimators.cov_estimator(arms, y, contrast)[:, 0, 0]
+            point, cov = estimators.neyman_estimate(arms, y, contrast)
+            point, v_hat = point[:, 0], cov[:, 0, 0]
             lo, hi = estimators.normal_interval(point, v_hat, alpha)
             err = point - tau
             hits += [(lo <= tau) & (tau <= hi), err * err <= chi_q * v_hat]

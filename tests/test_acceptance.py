@@ -116,7 +116,7 @@ def test_criterion_02_variance_estimator_bias(capsys):
     for table, sizes, contrast in instances:
         n = table.shape[0]
         vhats = np.array([
-            estimators.cov_estimator(lab, _observed(table, lab), contrast)
+            estimators.neyman_estimate(lab, _observed(table, lab), contrast)[1]
             for lab in designs.enumerate_partitions(sizes)
         ])
         ests = _enumerated_estimates(table, sizes, contrast)

@@ -41,13 +41,13 @@ def _enumerated_estimates(table, sizes, contrast):
 
 
 def _enumerated_cov_estimates(table, sizes, contrast):
-    """cov_estimator over every assignment."""
+    """The covariance estimate of neyman_estimate over every assignment."""
     table = popstats.as_table(table)
     rows = []
     for lab in designs.enumerate_partitions(sizes):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
-        rows.append(estimators.cov_estimator(lab, observed, contrast))
+        rows.append(estimators.neyman_estimate(lab, observed, contrast)[1])
     return np.array(rows)
 
 
@@ -121,8 +121,8 @@ def test_block_forms_equal_per_assignment_loop(sizes):
     contrast = rng.normal(size=(q, 3, 2))
     block = _enumerated_block(sizes)
     y = table[np.arange(n), block - 1]  # (B, N, p)
-    taus = estimators.tau_hat(block, y, contrast)
-    covs = estimators.cov_estimator(block, y, contrast)
+    taus, covs = estimators.neyman_estimate(block, y, contrast)
+    assert np.array_equal(taus, estimators.tau_hat(block, y, contrast))
     assert taus.shape == (block.shape[0], 3) and covs.shape == (block.shape[0], 3, 3)
     for labels, y_b, tau_b, cov_b in zip(block, y, taus, covs):
         arms = [y_b[labels == k] for k in range(1, q + 1)]
@@ -134,11 +134,12 @@ def test_block_forms_equal_per_assignment_loop(sizes):
         assert tau_b == pytest.approx(np.einsum("qkp,qp->k", contrast, means), abs=1e-12)
         assert cov_b == pytest.approx(want_cov, abs=1e-12)
         assert tau_b == pytest.approx(estimators.tau_hat(labels, y_b, contrast), abs=1e-12)
-        assert cov_b == pytest.approx(estimators.cov_estimator(labels, y_b, contrast), abs=1e-12)
+        assert cov_b == pytest.approx(estimators.neyman_estimate(labels, y_b, contrast)[1],
+                                      abs=1e-12)
     # a block indexed once gives the same estimates as its labels
     arms = designs.ArmBlock(block, q)
-    assert np.array_equal(estimators.tau_hat(arms, y, contrast), taus)
-    assert np.array_equal(estimators.cov_estimator(arms, y, contrast), covs)
+    tau_arms, cov_arms = estimators.neyman_estimate(arms, y, contrast)
+    assert np.array_equal(tau_arms, taus) and np.array_equal(cov_arms, covs)
     assert np.array_equal(estimators.arm_sizes(block), arms.counts)
 
 
@@ -147,7 +148,7 @@ def test_cov_estimator_is_two_pass_under_a_large_offset():
     rng = np.random.default_rng(8)
     block = designs.draw_partition_batch((40, 50, 60), 8, rng)
     y = 1e8 + 1e6 * block + rng.normal(size=block.shape)
-    covs = estimators.cov_estimator(block, y, np.eye(3))
+    covs = estimators.neyman_estimate(block, y, np.eye(3))[1]
     for labels, y_b, cov_b in zip(block, y, covs):
         for k, n_k in zip(range(1, 4), (40, 50, 60)):
             want = np.var(y_b[labels == k], ddof=1)
@@ -159,7 +160,7 @@ def test_estimators_reject_non_finite_outcomes(bad):
     block = np.array([[1, 1, 2, 2], [1, 2, 1, 2]])
     y = np.ones((2, 4))
     y[1, 2] = bad
-    for estimate in (estimators.tau_hat, estimators.cov_estimator):
+    for estimate in (estimators.tau_hat, estimators.neyman_estimate):
         with pytest.raises(ValidationError, match="non-finite"):
             estimate(block, y, [1.0, -1.0])
         with pytest.raises(ValidationError, match="non-finite"):
@@ -169,7 +170,7 @@ def test_estimators_reject_non_finite_outcomes(bad):
 def test_cov_estimator_rejects_singleton_arm():
     labels = np.array([1, 2, 2, 2])
     with pytest.raises(ValidationError, match="fewer than 2"):
-        estimators.cov_estimator(labels, np.arange(4.0), [1.0, -1.0])
+        estimators.neyman_estimate(labels, np.arange(4.0), [1.0, -1.0])
 
 
 # =========================================================================
@@ -179,9 +180,8 @@ def test_cov_estimator_rejects_singleton_arm():
 
 def _neyman_interval(labels, y, alpha):
     # the two-arm interval tau_hat +/- z (s2_1/n_1 + s2_0/n_0)^{1/2}
-    return estimators.normal_interval(estimators.tau_hat(labels, y, [1.0, -1.0])[0],
-                                      estimators.cov_estimator(labels, y, [1.0, -1.0])[0, 0],
-                                      alpha)
+    point, cov = estimators.neyman_estimate(labels, y, [1.0, -1.0])
+    return estimators.normal_interval(point[0], cov[0, 0], alpha)
 
 
 def test_neyman_ci_frozen_endpoints():
@@ -200,11 +200,10 @@ def test_wald_interval_equals_neyman_ci():
     rng = np.random.default_rng(2)
     labels = np.array([1] * 5 + [2] * 6)
     y = rng.normal(size=11)
-    point = estimators.tau_hat(labels, y, [1.0, -1.0])[0]
-    cov = estimators.cov_estimator(labels, y, [1.0, -1.0])
+    point, cov = estimators.neyman_estimate(labels, y, [1.0, -1.0])
     for alpha in (0.05, 0.10, 0.32):
         half = np.sqrt(estimators.wald_threshold(cov, alpha) * cov[0, 0])
-        assert (point - half, point + half) == pytest.approx(
+        assert (point[0] - half, point[0] + half) == pytest.approx(
             _neyman_interval(labels, y, alpha), abs=1e-12
         )
 
@@ -214,7 +213,7 @@ def test_wald_region_rejects_singular_cov():
     rng = np.random.default_rng(3)
     labels = np.array([1, 1, 1, 2, 2, 2])
     y = rng.normal(size=6)
-    cov = estimators.cov_estimator(labels, y, [[1.0, 1.0], [-1.0, -1.0]])
+    cov = estimators.neyman_estimate(labels, y, [[1.0, 1.0], [-1.0, -1.0]])[1]
     with pytest.raises(SingularMatrixError):
         estimators.wald_threshold(cov, 0.05)
     for alpha in (0.0, 1.0):

@@ -700,14 +700,14 @@ def test_run_suite_leaves_no_thread_running(monkeypatch):
 def test_planted_cov_estimator_defect_fails_oracle_and_moves_coverage(monkeypatch):
     # the campaigns must run the shipped estimator, not a copy of it
     clean = {m.name: m.value for m in run_suite("coverage", seed=26, reps=2000).metrics}
-    shipped = experiments.estimators.cov_estimator
+    shipped = experiments.estimators.neyman_estimate
 
     def drop_last_arm(labels, y, contrast):
         a = np.array(contrast, dtype=float)
         a[-1] = 0.0
-        return shipped(labels, y, a)
+        return shipped(labels, y, contrast)[0], shipped(labels, y, a)[1]
 
-    monkeypatch.setattr(experiments.estimators, "cov_estimator", drop_last_arm)
+    monkeypatch.setattr(experiments.estimators, "neyman_estimate", drop_last_arm)
     oracle = {m.name: m for m in run_oracle_suite(ExperimentConfig(kind="oracle", seed=1)).metrics}
     assert not oracle["vhat_bias_gap"].passed
     planted = {m.name: m.value for m in run_suite("coverage", seed=26, reps=2000).metrics}
@@ -789,9 +789,8 @@ def test_cli_interval_is_neyman_ci(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     data = ingest_csv(path, "arm")
     contrast = [1.0, -1.0]
-    assert payload["ci"] == list(estimators.normal_interval(
-        estimators.tau_hat(data.labels, data.y, contrast)[0],
-        estimators.cov_estimator(data.labels, data.y, contrast)[0, 0], 0.1))
+    point, cov = estimators.neyman_estimate(data.labels, data.y, contrast)
+    assert payload["ci"] == list(estimators.normal_interval(point[0], cov[0, 0], 0.1))
 
 
 def test_cli_estimate_uses_covariates_when_present(tmp_path, capsys):
