@@ -347,8 +347,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
     body.setdefault("schema_version", SCHEMA_VERSION)
     text = json.dumps(as_jsonable(body), indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text)
 
@@ -366,10 +369,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         payload, code = _COMMANDS[args.command](args)
+        _emit(payload, args.out)
     except FinpopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.out)
     return code
 
 

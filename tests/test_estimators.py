@@ -196,12 +196,13 @@ def test_neyman_ci_frozen_endpoints():
 
 def test_wald_interval_equals_neyman_ci():
     # chi2_quantile(1, 1 - alpha) is the square of the normal quantile, so
-    # the K = 1 region is point +/- sqrt(threshold v_hat)
+    # the K = 1 region is point +/- sqrt(threshold v_hat); this is why the
+    # coverage campaign counts the Neyman interval only
     rng = np.random.default_rng(2)
     labels = np.array([1] * 5 + [2] * 6)
     y = rng.normal(size=11)
     point, cov = estimators.neyman_estimate(labels, y, [1.0, -1.0])
-    for alpha in (0.05, 0.10, 0.32):
+    for alpha in (0.001, 0.01, 0.05, 0.10, 0.2, 0.32):
         half = np.sqrt(estimators.wald_threshold(cov, alpha) * cov[0, 0])
         assert (point[0] - half, point[0] + half) == pytest.approx(
             _neyman_interval(labels, y, alpha), abs=1e-12
