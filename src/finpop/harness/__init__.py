@@ -5,7 +5,6 @@ from .reports import SCHEMA_VERSION, MetricResult, Report
 from .experiments import (
     ExperimentConfig,
     run_clt_experiment,
-    run_coverage_experiment,
     run_oracle_suite,
     run_suite,
 )
@@ -20,6 +19,5 @@ __all__ = [
     "ExperimentConfig",
     "run_oracle_suite",
     "run_clt_experiment",
-    "run_coverage_experiment",
     "run_suite",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -97,25 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default=None, metavar="N1,N2,...")
     p.add_argument("--factors", type=int, required=True, metavar="K")
 
-    for name, help_text in (
-        ("simulate", "run a Monte Carlo experiment and report it"),
-        ("verify", "run a verification suite; exit 2 unless every metric passes"),
-    ):
-        p = add(name, help_text)
-        if name == "simulate":
-            p.add_argument("--kind", required=True,
-                           choices=("clt", "rerand", "coverage"))
-        else:
-            p.add_argument("--suite", required=True,
-                           choices=experiments.SUITES)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--pop", default=None,
-                       help="population or table kind for the experiment")
-        p.add_argument("--ns", default=None, metavar="N1,N2,...",
-                       help="population-size ladder")
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--tol", type=float, default=None)
+    p = add("verify", "run a verification suite; exit 2 unless every metric passes")
+    p.add_argument("--suite", required=True, choices=(*experiments.SUITES, "all"))
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--pop", default=None,
+                   help="population or table kind for the experiment")
+    p.add_argument("--ns", default=None, metavar="N1,N2,...",
+                   help="population-size ladder")
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--tol", type=float, default=None)
 
     return parser
 
@@ -306,21 +298,7 @@ def _cmd_factorial(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# simulate and verify
-
-def _experiment_config(args, kind: str) -> experiments.ExperimentConfig:
-    return experiments.default_config(
-        kind, args.seed, reps=args.reps, alpha=args.alpha, population=args.pop,
-        ns=None if args.ns is None else _parse_ints(args.ns, "--ns"), tol=args.tol,
-    )
-
-
-def _cmd_simulate(args) -> tuple[dict, int]:
-    config = _experiment_config(args, args.kind)
-    runner = (experiments.run_coverage_experiment if args.kind == "coverage"
-              else experiments.run_clt_experiment)
-    return runner(config).to_dict(), 0
-
+# verify
 
 def _cmd_verify(args) -> tuple[dict, int]:
     report = experiments.run_suite(
@@ -337,7 +315,6 @@ _COMMANDS = {
     "test": _cmd_test,
     "iv-ci": _cmd_iv_ci,
     "factorial": _cmd_factorial,
-    "simulate": _cmd_simulate,
     "verify": _cmd_verify,
 }
 
@@ -356,6 +333,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
         print(text)
 
 
+def _check_out(out_path: str) -> None:
+    """Refuse an --out path that cannot be a file before any work is done.
+    The file is opened only once the payload exists, so a failed run leaves
+    an earlier report in place; `_emit` still reports a write that fails."""
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise ValidationError(f"cannot write {out_path}: no directory {parent}")
+    if os.path.isdir(out_path):
+        raise ValidationError(f"cannot write {out_path}: it is a directory")
+
+
 def main(argv=None) -> int:
     logger = logging.getLogger("finpop")
     if not logger.handlers:
@@ -368,6 +356,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.out:
+            _check_out(args.out)
         payload, code = _COMMANDS[args.command](args)
         _emit(payload, args.out)
     except FinpopError as exc:

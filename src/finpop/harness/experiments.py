@@ -1,19 +1,23 @@
 """Verification campaigns.
 
-Three campaign families:
+Every suite is one entry of the table SUITES; the `verify --suite`
+choices, ExperimentConfig's defaults and checks, and the order of the "all"
+suite derive from it. The runners:
 
-* run_oracle_suite: exhaustive enumeration over all assignments of small
-  bundled instances, checking the closed-form estimator moments, the
-  variance-estimator bias, the membership-indicator covariances, the
+* run_oracle_suite ('oracle'): exhaustive enumeration over all assignments
+  of small bundled instances, checking the closed-form estimator moments,
+  the variance-estimator bias, the membership-indicator covariances, the
   standardized-rank-mean covariance, and the regression-adjustment variance
   decomposition, each as a max-abs discrepancy.
-* run_clt_experiment: Monte Carlo Kolmogorov-Smirnov ladders for the
-  standardized sample mean against N(0,1) (kind 'clt') and for the squared
-  covariate imbalance against chi-square (kind 'rerand'), with the finite-N
-  condition diagnostic reported alongside every ladder step.
-* run_coverage_experiment: empirical coverage of the two-arm Neyman interval
-  over random assignments of a fixed table. With one contrast the
-  chi-square Wald region is that same interval, so it is not counted again.
+* run_clt_experiment ('clt' and 'rerand'): Monte Carlo Kolmogorov-Smirnov
+  ladders for the standardized sample mean against N(0,1) (kind 'clt') and
+  for the squared covariate imbalance against chi-square (kind 'rerand'),
+  with the finite-N condition diagnostic reported alongside every ladder
+  step.
+* the coverage runner ('coverage'): empirical coverage of the two-arm
+  Neyman interval over random assignments of fixed tables, every table
+  evaluated on the same draws. With one contrast the chi-square Wald region
+  is that same interval, so it is not counted again.
 
 The campaigns check the code that ships: every estimate, variance estimate
 and imbalance is computed by `estimators`, `designs` or `randtests` on whole
@@ -32,10 +36,10 @@ count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,12 +51,10 @@ from .reports import MetricResult, Report
 
 __all__ = [
     "ExperimentConfig",
-    "default_config",
     "synthetic_population",
     "coverage_table",
     "run_oracle_suite",
     "run_clt_experiment",
-    "run_coverage_experiment",
     "run_suite",
 ]
 
@@ -64,7 +66,6 @@ _STREAM_ASSIGN = 1
 
 CLT_POPULATIONS = ("ranks", "lognormal", "two_point", "spike", "constant")
 COVERAGE_TABLES = ("additive", "heterogeneous")
-SUITES = ("oracle", "clt", "rerand", "coverage", "all")
 
 _GAP_TOL = 1e-10
 _INDICATOR_TOL = 1e-12
@@ -79,23 +80,30 @@ class ExperimentConfig:
     """Settings of one campaign; a Report is a pure function of this and of
     nothing else (timing aside).
 
-    population names a synthetic generator for kind 'clt'/'rerand' and a
-    table construction for kind 'coverage'. ns is the ladder of population
-    sizes (a single entry is allowed). tol gates the final KS distance or the
-    coverage band.
+    kind names a suite of SUITES, and reps, population, ns and tol left as
+    None take that suite's defaults. population names a synthetic generator
+    for kind 'clt' and a table construction for kind 'coverage', and must be
+    one the suite accepts. ns is the ladder of population sizes (a single
+    entry is allowed); the oracle's bundled instances take none. tol gates
+    the final KS distance or the coverage band.
     """
 
     kind: str
     seed: int
-    reps: int = 20000
+    reps: int | None = None
     alpha: float = 0.05
-    population: str = "ranks"
-    ns: tuple[int, ...] = (16, 64, 256, 1024)
-    tol: float = 0.02
+    population: str | None = None
+    ns: tuple[int, ...] | None = None
+    tol: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("oracle", "clt", "rerand", "coverage"):
+        suite = SUITES.get(self.kind)
+        if suite is None:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
+        for field, default in (("reps", suite.reps), ("population", suite.populations[0]),
+                               ("ns", suite.ns), ("tol", suite.tol)):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, default)
         object.__setattr__(self, "seed", designs._whole(self.seed, "seeds"))
         object.__setattr__(self, "reps", designs._whole(self.reps, "replication counts"))
         if self.reps < 1:
@@ -103,14 +111,20 @@ class ExperimentConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         ns = tuple(designs._whole(n, "population sizes") for n in self.ns)
-        if not ns or any(n < 4 for n in ns):
+        if not suite.ns and ns:
+            raise ValidationError(f"the {self.kind} campaign {suite.about} and takes no "
+                                  f"population sizes, got {list(ns)}")
+        if suite.ns and (not ns or any(n < 4 for n in ns)):
             raise ValidationError(f"population sizes must all be >= 4, got {list(ns)}")
         object.__setattr__(self, "ns", ns)
         if not self.tol > 0.0:
             raise ValidationError(f"tolerance must be positive, got {self.tol}")
-        if self.kind == "rerand" and self.population != KIND_DEFAULTS["rerand"][0]:
-            raise ValidationError(f"the rerand campaign draws normal covariates and takes "
-                                  f"no population, got {self.population!r}")
+        if self.population not in suite.populations:
+            if len(suite.populations) == 1:
+                raise ValidationError(f"the {self.kind} campaign {suite.about} and takes "
+                                      f"no population, got {self.population!r}")
+            raise ValidationError(f"unknown {self.kind} population {self.population!r}; "
+                                  f"choose from {list(suite.populations)}")
 
     def echo(self) -> dict:
         out = {
@@ -120,7 +134,7 @@ class ExperimentConfig:
             "alpha": self.alpha,
             "tol": self.tol,
         }
-        if self.kind in ("clt", "rerand", "coverage"):
+        if self.ns:  # the oracle echoes neither its placeholder nor a ladder
             out["population"] = self.population
             out["ns"] = list(self.ns)
         if self.kind == "rerand":
@@ -581,90 +595,73 @@ def _coverage_reports(configs) -> list[Report]:
             for config, out in zip(configs, metrics)]
 
 
-def run_coverage_experiment(config: ExperimentConfig) -> Report:
-    """Empirical coverage of the nominal 1 - alpha Neyman interval (the K = 1
-    Wald region), reported as neyman_coverage.
-
-    Under the additive table coverage must sit inside the +/- tol band around
-    1 - alpha; under the heterogeneous table the interval is conservative, so
-    coverage is gated from below at 1 - alpha.
-    """
-    if config.kind != "coverage":
-        raise ValidationError(f"coverage experiment got config kind {config.kind!r}")
-    return _coverage_reports([config])[0]
-
-
 # ---------------------------------------------------------------------------
-# suite composition
+# suite table
 
-# kind -> (population, ns, reps, tol), the defaults of `finpop simulate` and of
-# the verify suites. The coverage suite runs every table in COVERAGE_TABLES
-# unless a population is given.
-KIND_DEFAULTS = {
-    "oracle": ("ranks", (16,), 1, 0.02),
-    "clt": ("ranks", (16, 64, 256, 1024), 20000, 0.02),
-    "rerand": ("ranks", (256,), 20000, 0.02),
-    "coverage": ("additive", (200,), 10000, 0.01),
+
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite. populations are those it accepts, the first
+    its default (a suite that takes none keeps one placeholder); ns is empty
+    for a suite that takes no size ladder; about says what its campaign does,
+    for refusals. A suite with tables runs them on shared draws when no
+    population is given, and its runner maps those configs to one report
+    each; any other runner maps one config to one report."""
+
+    runner: Callable
+    populations: tuple[str, ...]
+    ns: tuple[int, ...]
+    reps: int
+    tol: float
+    about: str
+    tables: tuple[str, ...] = ()
+
+
+# in the order the "all" suite runs them
+SUITES = {
+    "oracle": Suite(run_oracle_suite, ("ranks",), (), 1, 0.02,
+                    "enumerates its bundled instances"),
+    "clt": Suite(run_clt_experiment, CLT_POPULATIONS, (16, 64, 256, 1024), 20000, 0.02,
+                 "draws sample means of a synthetic population"),
+    "rerand": Suite(run_clt_experiment, ("ranks",), (256,), 20000, 0.02,
+                    "draws normal covariates"),
+    "coverage": Suite(_coverage_reports, COVERAGE_TABLES, (200,), 10000, 0.01,
+                      "draws assignments of fixed two-arm tables", tables=COVERAGE_TABLES),
 }
 
-
-def default_config(kind: str, seed: int, reps: int | None = None, alpha: float = 0.05,
-                   population: str | None = None, ns=None,
-                   tol: float | None = None) -> ExperimentConfig:
-    """ExperimentConfig of `kind` with every field left as None taken from
-    KIND_DEFAULTS."""
-    pop_default, ns_default, reps_default, tol_default = KIND_DEFAULTS[kind]
-    return ExperimentConfig(
-        kind=kind,
-        seed=seed,
-        reps=reps_default if reps is None else reps,
-        alpha=alpha,
-        population=pop_default if population is None else population,
-        ns=ns_default if ns is None else tuple(ns),
-        tol=tol_default if tol is None else tol,
-    )
-
-
-def _suite_configs(suite, seed, reps, alpha, population, ns, tol=None):
-    if suite == "coverage":
-        return [
-            ("coverage_" + pop, default_config("coverage", seed, reps, alpha, pop, ns, tol))
-            for pop in (COVERAGE_TABLES if population is None else (population,))
-        ]
-    if suite in KIND_DEFAULTS:
-        return [(suite, default_config(suite, seed, reps, alpha, population, ns, tol))]
-    raise ValidationError(f"unknown suite {suite!r}; choose from {list(SUITES)}")
-
-
-_RUNNERS = {
-    "oracle": run_oracle_suite,
-    "clt": run_clt_experiment,
-    "rerand": run_clt_experiment,
-}
+# the runners are called through this module-level dict, whose functions
+# perfbench's tracer rebinds to time each campaign
+_RUNNERS = {kind: suite.runner for kind, suite in SUITES.items()}
 
 
 def run_suite(suite: str, seed: int, reps: int | None = None, alpha: float = 0.05,
               population: str | None = None, ns=None,
               tol: float | None = None) -> Report:
-    """Run a named verification suite and merge its component reports; reps,
-    population, ns and tol left as None take their KIND_DEFAULTS values."""
+    """Run a named suite of SUITES, or every one in order for "all", and
+    merge the component reports. reps, population, ns and tol left as None
+    take each suite's defaults, and under "all" ns reaches only the suites
+    that take a ladder. Every config is built, and so checked, before the
+    first campaign runs."""
     start = time.perf_counter()
-    if suite == "all":
-        parts = []
-        for name in ("oracle", "clt", "rerand", "coverage"):
-            parts.extend(_suite_configs(name, seed, reps, alpha, population, ns, tol))
-    else:
-        parts = _suite_configs(suite, seed, reps, alpha, population, ns, tol)
+    if suite != "all" and suite not in SUITES:
+        raise ValidationError(f"unknown suite {suite!r}; choose from {[*SUITES, 'all']}")
+    groups = []
+    for kind in SUITES if suite == "all" else (suite,):
+        entry = SUITES[kind]
+        kind_ns = ns if entry.ns or suite != "all" else None
+        pops = entry.tables if entry.tables and population is None else (population,)
+        configs = [ExperimentConfig(kind, seed, reps, alpha, pop, kind_ns, tol) for pop in pops]
+        groups.append((kind, entry.tables, configs))
+    n_parts = sum(len(configs) for _, _, configs in groups)
     metrics: list[MetricResult] = []
     echoes = []
-    for kind, group in itertools.groupby(parts, key=lambda part: part[1].kind):
-        labels, configs = zip(*group)
-        # the tables of the coverage suite share their draws
-        reports = (_coverage_reports(configs) if kind == "coverage"
-                   else [_RUNNERS[kind](config) for config in configs])
-        for label, report in zip(labels, reports):
+    for kind, tables, configs in groups:
+        runner = _RUNNERS[kind]
+        reports = runner(configs) if tables else [runner(config) for config in configs]
+        for config, report in zip(configs, reports):
+            label = f"{kind}_{config.population}" if tables else kind
             echoes.append({"name": label, **report.experiment})
-            prefix = label + "." if len(parts) > 1 else ""
+            prefix = label + "." if n_parts > 1 else ""
             for m in report.metrics:
                 metrics.append(MetricResult(
                     name=prefix + m.name, value=m.value, tolerance=m.tolerance,

@@ -18,11 +18,7 @@ import time
 import numpy as np
 
 from finpop import designs, distlib, estimators, ivconf, popstats, randtests
-from finpop.harness.experiments import (
-    ExperimentConfig,
-    run_clt_experiment,
-    run_coverage_experiment,
-)
+from finpop.harness.experiments import ExperimentConfig, run_clt_experiment, run_suite
 
 # ---------------------------------------------------------------------------
 # shared fixtures: small instances whose assignments enumerate quickly
@@ -240,14 +236,12 @@ def test_criterion_06_clt_convergence_ladder(capsys):
 
 def test_criterion_07_interval_coverage(capsys):
     start = time.perf_counter()
-    results = {}
-    for pop in ("additive", "heterogeneous"):
-        report = run_coverage_experiment(ExperimentConfig(
-            kind="coverage", seed=26, reps=10000, ns=(200,),
-            population=pop, tol=0.01))
-        results[pop] = {m.name: m.value for m in report.metrics}["neyman_coverage"]
+    # both tables are evaluated on the same draws
+    report = run_suite("coverage", seed=26, reps=10000, ns=(200,), tol=0.01)
+    results = {m.name: m.value for m in report.metrics}
     elapsed = time.perf_counter() - start
-    additive, hetero = results["additive"], results["heterogeneous"]
+    additive = results["coverage_additive.neyman_coverage"]
+    hetero = results["coverage_heterogeneous.neyman_coverage"]
     ok = 0.94 <= additive <= 0.96 and hetero >= 0.95 - 1e-12 and elapsed < 60.0
     _verdict(capsys, 7, "interval coverage", ok,
              f"additive {additive:.4f}, heterogeneous {hetero:.4f}, {elapsed:.1f}s")

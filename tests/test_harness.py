@@ -519,7 +519,7 @@ def test_synthetic_populations():
 
 
 def test_oracle_suite_passes_and_reports_gaps():
-    report = run_oracle_suite(ExperimentConfig(kind="oracle", seed=1, reps=1, ns=(16,)))
+    report = run_oracle_suite(ExperimentConfig(kind="oracle", seed=1, reps=1))
     assert report.passed
     names = [m.name for m in report.metrics]
     for expected in (
@@ -741,8 +741,8 @@ def test_verify_all_seed26_matches_the_golden_report():
 
 def test_clt_lognormal_ladder_matches_the_golden_report():
     # the lognormal sums are not integers, so this pins their summation order
-    config = experiments.default_config("clt", 7, reps=3000, population="lognormal",
-                                        ns=(16, 64, 256))
+    config = ExperimentConfig(kind="clt", seed=7, reps=3000, population="lognormal",
+                              ns=(16, 64, 256))
     golden = json.loads((_DATA / "golden_clt_lognormal_seed7.json").read_text(encoding="utf-8"))
     assert _golden_body(run_clt_experiment(config)) == golden
 
@@ -1050,6 +1050,71 @@ def test_cli_unwritable_out_is_an_error(tmp_path, capsys):
     assert captured.out == "" and not out.parent.exists()
 
 
+def test_cli_out_is_checked_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory path is refused before any campaign
+    # runs, and a refused run leaves an earlier report as it was
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", never)
+    argv = ["verify", "--suite", "all", "--seed", "26", "--out"]
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main([*argv, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+    monkeypatch.undo()
+    earlier = _write(tmp_path / "r.json", "earlier report\n")
+    assert main(["verify", "--suite", "clt", "--seed", "1", "--pop", "bogus",
+                 "--out", earlier]) == 1
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == "earlier report\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "all", "--seed", "26", "--pop", "ranks"], "unknown coverage population 'ranks'"),
+    (["--suite", "all", "--seed", "26", "--pop", "additive"],
+     "the oracle campaign enumerates its bundled instances and takes no population"),
+    (["--suite", "oracle", "--seed", "1", "--pop", "bogus"], "takes no population, got 'bogus'"),
+    (["--suite", "oracle", "--seed", "1", "--ns", "5"], "takes no population sizes, got [5]"),
+    (["--suite", "clt", "--seed", "1", "--pop", "additive"], "unknown clt population"),
+])
+def test_cli_verify_refuses_a_setting_before_any_campaign_runs(monkeypatch, capsys, argv,
+                                                                message):
+    # `--suite all --pop ranks` ran oracle, clt and rerand before coverage
+    # refused the table, and the oracle ignored --pop and --ns
+    def never(*args):
+        raise AssertionError("a campaign ran")
+
+    for kind in experiments.SUITES:
+        monkeypatch.setitem(experiments._RUNNERS, kind, never)
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_suite_all_passes_ns_only_to_the_ladder_suites():
+    report = run_suite("all", seed=4, reps=200, ns=(32,))
+    runs = {run["name"]: run for run in report.experiment["runs"]}
+    assert list(runs) == ["oracle", "clt", "rerand", "coverage_additive",
+                          "coverage_heterogeneous"]
+    assert "ns" not in runs["oracle"]
+    assert all(run["ns"] == [32] for name, run in runs.items() if name != "oracle")
+
+
+def test_experiment_config_takes_the_defaults_of_its_suite():
+    defaults = {
+        "oracle": ("ranks", (), 1, 0.02),
+        "clt": ("ranks", (16, 64, 256, 1024), 20000, 0.02),
+        "rerand": ("ranks", (256,), 20000, 0.02),
+        "coverage": ("additive", (200,), 10000, 0.01),
+    }
+    assert list(experiments.SUITES) == list(defaults)
+    for kind, want in defaults.items():
+        config = ExperimentConfig(kind=kind, seed=1)
+        assert (config.population, config.ns, config.reps, config.tol) == want
+
+
 def test_cli_verify_failing_suite_returns_two(tmp_path, capsys):
     code = main(
         [
@@ -1104,10 +1169,6 @@ def test_cli_rerand_population_is_a_usage_error(capsys):
     # the rerand campaign draws normal covariates, so a population it would
     # ignore is refused instead of echoed
     for argv in (
-        ["simulate", "--kind", "rerand", "--seed", "1", "--reps", "200", "--ns", "16",
-         "--pop", "lognormal"],
-        ["simulate", "--kind", "rerand", "--seed", "1", "--reps", "200", "--ns", "16",
-         "--pop", "nonsense"],
         ["verify", "--suite", "rerand", "--seed", "1", "--reps", "200", "--ns", "16",
          "--pop", "lognormal"],
     ):
@@ -1118,35 +1179,30 @@ def test_cli_rerand_population_is_a_usage_error(capsys):
         assert "Traceback" not in captured.err
     with pytest.raises(ValidationError, match="no population"):
         experiments.ExperimentConfig(kind="rerand", seed=1, population="two_point")
-    assert main(["simulate", "--kind", "rerand", "--seed", "1", "--reps", "200",
-                 "--ns", "16"]) == 0
-    assert json.loads(capsys.readouterr().out)["experiment"]["population"] == "ranks"
+    # a wide tolerance, so that the gates of 200 draws at N = 16 pass
+    assert main(["verify", "--suite", "rerand", "--seed", "1", "--reps", "200",
+                 "--ns", "16", "--tol", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["experiment"]["runs"][0]["population"] == "ranks"
 
 
 def test_cli_simulate_rejects_cap(capsys):
     for argv in (
-        ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--cap", "10"],
         ["verify", "--suite", "oracle", "--seed", "2", "--cap", "10"],
+        ["verify", "--suite", "clt", "--seed", "2", "--reps", "300", "--cap", "10"],
     ):
         assert main(argv) == 1
         assert "--cap" in capsys.readouterr().err
 
 
 def test_cli_simulate_clt(tmp_path, capsys):
+    # a gate may fail at 300 replicates; the ladder is reported either way
     code = main(
-        ["simulate", "--kind", "clt", "--seed", "2", "--reps", "300", "--ns", "16,32"]
+        ["verify", "--suite", "clt", "--seed", "2", "--reps", "300", "--ns", "16,32"]
     )
-    assert code == 0
+    assert code in (0, 2)
     payload = json.loads(capsys.readouterr().out)
     names = [m["name"] for m in payload["metrics"]]
     assert "ks_n16" in names
-
-
-@pytest.mark.parametrize("kind", ["clt", "rerand", "coverage"])
-def test_simulate_and_verify_share_experiment_defaults(kind):
-    args = cli.build_parser().parse_args(["simulate", "--kind", kind, "--seed", "4"])
-    (_, suite_config), *_ = experiments._suite_configs(kind, 4, None, 0.05, None, None)
-    assert cli._experiment_config(args, kind) == suite_config
 
 
 def _ks_distance_loop(sample, cdf):
