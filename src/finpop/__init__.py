@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    EstimateReport,
     arm_sizes,
     cluster_adjusted,
     factorial_effects,
@@ -114,7 +113,6 @@ __all__ = [
     "factorial_contrasts",
     "compute_delta",
     # estimators
-    "EstimateReport",
     "arm_sizes",
     "tau_true",
     "tau_hat",

@@ -47,11 +47,8 @@ DEFAULT_ENUM_CAP = 10_000_000
 
 def derive_rng(base_seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator for (base_seed, stream...), Philox-backed; every
-    entry must be a non-negative whole number by the `_whole` rule."""
-    entropy = tuple(_whole(s, "seeds") for s in (base_seed, *stream))
-    if min(entropy) < 0:
-        raise ValidationError(f"a seed must be a non-negative integer, got {min(entropy)}")
-    ss = np.random.SeedSequence(entropy=entropy)
+    entry must be a non-negative whole number by the `_seed` rule."""
+    ss = np.random.SeedSequence(entropy=tuple(_seed(s) for s in (base_seed, *stream)))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
@@ -74,6 +71,14 @@ def _whole(value, what: str = "arm sizes") -> int:
         if isinstance(value, (float, np.floating)) and float(value).is_integer():
             return int(value)
     raise ValidationError(f"{what} must be whole numbers, got {value!r}")
+
+
+def _seed(value) -> int:
+    """A seed as an int: a non-negative whole number by the `_whole` rule."""
+    seed = _whole(value, "seeds")
+    if seed < 0:
+        raise ValidationError(f"a seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _check_sizes(sizes) -> list[int]:

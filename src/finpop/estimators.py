@@ -12,8 +12,6 @@ are what the enumeration oracle in the harness checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import distlib
@@ -22,7 +20,6 @@ from .errors import SingularMatrixError, ValidationError
 from .popstats import as_contrast, as_table, pot_cov_structure, sample_cov
 
 __all__ = [
-    "EstimateReport",
     "arm_sizes",
     "tau_true",
     "tau_hat",
@@ -39,20 +36,6 @@ __all__ = [
 ]
 
 _SINGULARITY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """A point estimate with its estimated covariance.
-
-    point: length-K estimate; cov: K x K estimated covariance (symmetric PSD);
-    sizes: arm sizes used; method: short tag describing the estimator.
-    """
-
-    point: np.ndarray
-    cov: np.ndarray
-    sizes: tuple[int, ...]
-    method: str
 
 
 def _arm_block(labels, q_arms: int | None = None) -> ArmBlock:
@@ -226,20 +209,32 @@ def _as_covariates(x, n: int) -> np.ndarray:
     return x
 
 
-def _one_assignment(labels, n: int) -> ArmBlock:
-    """The ArmBlock of one two-arm assignment of n units with both arms
-    nonempty; the adjusted estimators take one assignment, not a block."""
-    if np.shape(labels) != (n,):
-        raise ValidationError(f"labels must be one assignment, a vector of {n} arm labels")
-    return _arm_block(labels, 2)
+def _adjusted_block(labels, y, x):
+    """Checked inputs of the adjusted estimators as a block (B = 1 for one
+    assignment): the two-arm ArmBlock of the labels, the (B, N) scalar
+    outcomes and the (N, K) covariates that every row shares."""
+    arms = _arm_block(labels, 2)
+    lead = np.shape(labels) if np.ndim(labels) == 1 else arms.shape
+    y = np.asarray(y, dtype=float)
+    if y.shape not in (lead, lead + (1,)):
+        raise ValidationError(f"the adjusted estimators take scalar outcomes of shape {lead}, "
+                              f"got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("outcomes contain non-finite values")
+    return arms, y.reshape(arms.shape), _as_covariates(x, arms.shape[1])
 
 
-def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
+def regression_adjusted(labels, y, x, beta1, beta0) -> tuple[np.ndarray, np.ndarray]:
     """Covariate-adjusted two-arm estimator
     (1/n_1) sum_treated (Y_i - beta1'X_i) - (1/n_0) sum_control (Y_i - beta0'X_i)
     with variance estimate s2_1(beta1)/n_1 + s2_0(beta0)/n_0 on the adjusted
     outcomes: `neyman_estimate` of the observed adjusted outcome
     Y_i - beta_{L_i}'X_i under the contrast [1, -1].
+
+    Labels are one assignment, a (B, N) block or its ArmBlock, y has their
+    leading shape, and x is one centered (N, K) array for every row. Each
+    coefficient is (K,) for every row or (B, K), one row per assignment. The
+    results have the shapes of `neyman_estimate`'s.
 
     The coefficients must not depend on the realized assignment; with fixed
     coefficients and centered covariates the estimator is exactly unbiased.
@@ -247,30 +242,31 @@ def regression_adjusted(labels, y, x, beta1, beta0) -> EstimateReport:
     is justified asymptotically (not exactly) and tagged accordingly by
     callers that do so.
     """
-    y = _scalar_outcomes(y, "regression adjustment is")
-    x = _as_covariates(x, y.shape[0])
+    arms, y, x = _adjusted_block(labels, y, x)
     check_centered(x)
-    arms = _one_assignment(labels, y.shape[0])
-    beta = [np.atleast_1d(np.asarray(b, dtype=float)) for b in (beta1, beta0)]
-    if any(b.shape != (x.shape[1],) for b in beta):
-        raise ValidationError(f"coefficients must have length {x.shape[1]}")
-    # each unit's arm coefficients, spread from the stacked (beta1, beta0)
-    adjusted = y[:, 0] - np.einsum("nk,nk->n", x, arms.spread(np.stack(beta))[0])
-    return EstimateReport(
-        *neyman_estimate(labels, adjusted, [1.0, -1.0]),
-        sizes=tuple(int(c) for c in arms.counts[0]),
-        method="regression_adjusted",
-    )
+    b, k = arms.shape[0], x.shape[1]
+    beta = [np.atleast_1d(np.asarray(coef, dtype=float)) for coef in (beta1, beta0)]
+    if any(coef.shape not in ((k,), (b, k)) for coef in beta):
+        raise ValidationError(f"coefficients must have shape ({k},) or ({b}, {k})")
+    # each unit's arm coefficients, spread from the stacked (B, 2, K) (beta1, beta0)
+    unit_beta = arms.spread(np.broadcast_to(np.stack(beta, axis=-2), (b, 2, k)))
+    point, cov = neyman_estimate(arms, y - np.einsum("bnk,nk->bn", unit_beta, x), [1.0, -1.0])
+    return (point[0], cov[0]) if np.ndim(labels) == 1 else (point, cov)
 
 
-def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what: str) -> np.ndarray:
+def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what) -> np.ndarray:
+    """Solve s_xx beta = s_xy for every leading index of the (..., K, K) s_xx
+    and (..., K) s_xy, refusing a numerically singular s_xx; what(index)
+    names the first singular one in the error."""
     w = np.linalg.eigvalsh(s_xx)
-    if w[-1] <= 0.0 or w[0] < _SINGULARITY_RTOL * w[-1]:
-        cond = float("inf") if w[0] <= 0.0 else float(w[-1] / w[0])
+    singular = (w[..., -1] <= 0.0) | (w[..., 0] < _SINGULARITY_RTOL * w[..., -1])
+    if np.any(singular):
+        index = tuple(np.argwhere(singular)[0])
+        cond = float("inf") if w[index][0] <= 0.0 else float(w[index][-1] / w[index][0])
         raise SingularMatrixError(
-            f"{what} covariate covariance is singular (condition number {cond:.3g})"
+            f"{what(index)} covariate covariance is singular (condition number {cond:.3g})"
         )
-    return np.linalg.solve(s_xx, s_xy)
+    return np.linalg.solve(s_xx, s_xy[..., np.newaxis])[..., 0]
 
 
 def fit_ls_coefs(labels, y, x) -> tuple[np.ndarray, np.ndarray]:
@@ -278,17 +274,19 @@ def fit_ls_coefs(labels, y, x) -> tuple[np.ndarray, np.ndarray]:
     beta_z = (arm sample cov of X)^{-1} (arm sample cov of X with Y), solved
     as scatter_XX beta_z = scatter_XY on the arm scatter matrices of [X, Y],
     where the divisor n_z - 1 cancels. Each arm needs K + 2 units: with
-    K + 1 the slopes fit the arm exactly and its residual variance is 0."""
-    y = _scalar_outcomes(y, "least-squares adjustment is")
-    x = _as_covariates(x, y.shape[0])
-    arms = _one_assignment(labels, y.shape[0])
+    K + 1 the slopes fit the arm exactly and its residual variance is 0.
+    Inputs are as for `regression_adjusted`, but x need not be centered; each
+    slope is (K,) for one assignment and (B, K) for a block."""
+    arms, y, x = _adjusted_block(labels, y, x)
     k = x.shape[1]
     if np.any(arms.counts < k + 2):
         raise ValidationError(f"each arm needs at least K + 2 = {k + 2} observations")
-    xy = np.hstack([x, y])[np.newaxis]
-    scatter = _arm_scatter(arms, xy, arms.sums(xy) / arms.counts[:, :, np.newaxis])[0]
-    beta1, beta0 = (_ls_solve(s[:k, :k], s[:k, k], f"arm {q}") for q, s in enumerate(scatter, 1))
-    return beta1, beta0
+    xy = np.concatenate([np.broadcast_to(x, arms.shape + (k,)), y[:, :, np.newaxis]], axis=2)
+    scatter = _arm_scatter(arms, xy, arms.sums(xy) / arms.counts[:, :, np.newaxis])
+    one = np.ndim(labels) == 1
+    beta = _ls_solve(scatter[:, :, :k, :k], scatter[:, :, :k, k],
+                     lambda i: f"arm {i[1] + 1}" + ("" if one else f" of assignment {i[0]}"))
+    return (beta[0, 0], beta[0, 1]) if one else (beta[:, 0], beta[:, 1])
 
 
 def finite_pop_ls(y_col, x) -> np.ndarray:
@@ -298,42 +296,38 @@ def finite_pop_ls(y_col, x) -> np.ndarray:
     if y_col.ndim != 1 or y_col.size < 2:
         raise ValidationError("need a 1-d outcome column with N >= 2")
     x = _as_covariates(x, y_col.size)
-    return _ls_solve(sample_cov(x), sample_cov(x, y_col), "population")
+    return _ls_solve(sample_cov(x), sample_cov(x, y_col), lambda index: "population")
 
 
 def cluster_adjusted(
     cluster_labels, y_totals, x_totals, n_units: int, gamma1=None, gamma0=None
-) -> EstimateReport:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cluster-randomized adjusted estimator on cluster totals:
     (M/N) [ (1/m_1) sum_treated (Ytot_j - gamma1'Xtot_j)
             - (1/m_0) sum_control (Ytot_j - gamma0'Xtot_j) ],
     with variance estimate (M/N)^2 (s2_1/m_1 + s2_0/m_0) on adjusted totals:
-    `regression_adjusted` on the totals, scaled by M/N. Without covariates
-    the totals are adjusted by a zero column with zero coefficients.
+    `regression_adjusted` on the totals, with its inputs and shapes, scaled
+    by M/N. Without covariates the totals are adjusted by a zero column with
+    zero coefficients.
 
     Cluster totals of covariates must be centered; including cluster size as a
     covariate column is recommended but not required.
     """
     y_totals = np.asarray(y_totals, dtype=float)
-    if y_totals.ndim != 1 or y_totals.size == 0:
-        raise ValidationError("cluster totals must be a non-empty 1-d array")
-    m_clusters = y_totals.size
+    if y_totals.ndim not in (1, 2) or y_totals.size == 0:
+        raise ValidationError("cluster totals must be a non-empty (M,) or (B, M) array")
+    m_clusters = y_totals.shape[-1]
     n_units = int(n_units)
     if n_units < m_clusters:
         raise ValidationError(f"unit count {n_units} below cluster count {m_clusters}")
     x = _as_covariates(np.zeros(m_clusters) if x_totals is None else x_totals, m_clusters)
     zeros = np.zeros(x.shape[1])
-    report = regression_adjusted(
+    point, cov = regression_adjusted(
         cluster_labels, y_totals, x,
         zeros if gamma1 is None else gamma1, zeros if gamma0 is None else gamma0,
     )
     scale = m_clusters / n_units
-    return EstimateReport(
-        point=scale * report.point,
-        cov=scale**2 * report.cov,
-        sizes=report.sizes,
-        method="cluster_adjusted",
-    )
+    return scale * point, scale**2 * cov
 
 
 def factorial_effects(labels, y, spec: FactorialSpec) -> np.ndarray:

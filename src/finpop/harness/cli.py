@@ -147,19 +147,21 @@ def _estimate_plain(data: ingest.ObservedData, alpha: float) -> dict:
 
 
 def _estimate_regression(data: ingest.ObservedData, alpha: float) -> dict:
+    if data.q_arms != 2:
+        raise ValidationError("regression adjustment supports two arms")
     x = data.centered_x()
     beta1, beta0 = estimators.fit_ls_coefs(data.labels, data.y, x)
-    report = estimators.regression_adjusted(data.labels, data.y, x, beta1, beta0)
+    point, cov = estimators.regression_adjusted(data.labels, data.y, x, beta1, beta0)
     payload = {
-        "method": report.method,
-        "point": report.point,
-        "cov": report.cov,
-        "sizes": list(report.sizes),
+        "method": "regression_adjusted",
+        "point": point,
+        "cov": cov,
+        "sizes": [int(s) for s in estimators.arm_sizes(data.labels)],
         "coefficients": {"arm1": beta1, "arm2": beta0},
         "coefficient_note": "least-squares slopes fitted from the same data; "
                             "the variance is the plug-in form",
     }
-    payload.update(_interval_payload(report.point, report.cov, alpha))
+    payload.update(_interval_payload(point, cov, alpha))
     return payload
 
 
@@ -185,19 +187,17 @@ def _estimate_cluster(data: ingest.ObservedData, alpha: float) -> dict:
     gamma1 = gamma0 = None
     if x_tot is not None:
         gamma1, gamma0 = estimators.fit_ls_coefs(arm_of, y_tot, x_tot)
-    report = estimators.cluster_adjusted(
-        arm_of, y_tot, x_tot, data.n_units, gamma1, gamma0
-    )
+    point, cov = estimators.cluster_adjusted(arm_of, y_tot, x_tot, data.n_units, gamma1, gamma0)
     payload = {
-        "method": report.method,
-        "point": report.point,
-        "cov": report.cov,
-        "cluster_sizes_by_arm": list(report.sizes),
+        "method": "cluster_adjusted",
+        "point": point,
+        "cov": cov,
+        "cluster_sizes_by_arm": [int(s) for s in estimators.arm_sizes(arm_of, 2)],
         "n_units": data.n_units,
     }
     if x_tot is not None:
         payload["coefficients"] = {"arm1": gamma1, "arm2": gamma0}
-    payload.update(_interval_payload(report.point, report.cov, alpha))
+    payload.update(_interval_payload(point, cov, alpha))
     return payload
 
 

@@ -104,7 +104,7 @@ class ExperimentConfig:
                                ("ns", suite.ns), ("tol", suite.tol)):
             if getattr(self, field) is None:
                 object.__setattr__(self, field, default)
-        object.__setattr__(self, "seed", designs._whole(self.seed, "seeds"))
+        object.__setattr__(self, "seed", designs._seed(self.seed))
         object.__setattr__(self, "reps", designs._whole(self.reps, "replication counts"))
         if self.reps < 1:
             raise ValidationError(f"replication count must be >= 1, got {self.reps}")
@@ -286,12 +286,10 @@ def _regression_metric(metrics):
         estimators.finite_pop_ls(table[:, 1], x),
     )
     labels = _enumerated((3, 3))
+    arms = designs.ArmBlock(labels, 2)
     observed = _observed(table, labels)
-    fixed_vals, opt_vals = np.array([
-        [estimators.regression_adjusted(lab, y, x, *beta).point[0]
-         for lab, y in zip(labels, observed)]
-        for beta in (beta_fixed, beta_opt)
-    ])
+    fixed_vals, opt_vals = (estimators.regression_adjusted(arms, observed, x, *beta)[0][:, 0]
+                            for beta in (beta_fixed, beta_opt))
     var_gap = abs(
         (np.var(fixed_vals) - np.var(opt_vals)) - np.var(fixed_vals - opt_vals)
     )

@@ -285,7 +285,8 @@ def test_criterion_09_regression_optimality(capsys):
         out = []
         for lab in labelings:
             y = np.where(lab == 1, y1, y0)
-            out.append(estimators.regression_adjusted(lab, y, x, b1, b0).point[0])
+            point, _ = estimators.regression_adjusted(lab, y, x, b1, b0)
+            out.append(point[0])
         return np.array(out)
 
     opt = estimates(beta1_opt, beta0_opt)

@@ -252,16 +252,16 @@ def _enumerated_adjusted(table, x, sizes, beta1, beta0):
     for lab in designs.enumerate_partitions(sizes):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
-        report = estimators.regression_adjusted(lab, observed, x, beta1, beta0)
-        estimates.append(report.point[0])
+        point, _ = estimators.regression_adjusted(lab, observed, x, beta1, beta0)
+        estimates.append(point[0])
     return np.array(estimates)
 
 
 def test_regression_adjusted_zero_beta_is_difference_in_means():
     labels = np.array([1, 1, 1, 2, 2, 2])
     y = _REG_TABLE[np.arange(6), labels - 1]
-    report = estimators.regression_adjusted(labels, y, _REG_X, [0.0], [0.0])
-    assert report.point[0] == pytest.approx(
+    point, _ = estimators.regression_adjusted(labels, y, _REG_X, [0.0], [0.0])
+    assert point[0] == pytest.approx(
         estimators.tau_hat(labels, y, [1.0, -1.0])[0], abs=1e-14
     )
 
@@ -350,40 +350,65 @@ def test_adjusted_estimators_are_two_pass_under_a_large_offset():
     adjusted = [y[mask] - x[mask] @ beta for mask, beta in zip(masks, (beta1, beta0))]
     point = adjusted[0].mean() - adjusted[1].mean()
     var = sum(np.var(adj, ddof=1) / adj.size for adj in adjusted)
-    report = estimators.regression_adjusted(labels, y, x, beta1, beta0)
-    assert report.point[0] == pytest.approx(point, abs=1e-6)
-    assert report.cov[0, 0] == pytest.approx(var, rel=1e-9)
-    assert report.sizes == (27, 33)
-    cluster = estimators.cluster_adjusted(labels, y, x, 150, beta1, beta0)
-    assert cluster.point[0] == pytest.approx(0.4 * point, abs=1e-6)
-    assert cluster.cov[0, 0] == pytest.approx(0.16 * var, rel=1e-9)
-    plain = estimators.cluster_adjusted(labels, y, None, 150)
+    got_point, got_cov = estimators.regression_adjusted(labels, y, x, beta1, beta0)
+    assert got_point[0] == pytest.approx(point, abs=1e-6)
+    assert got_cov[0, 0] == pytest.approx(var, rel=1e-9)
+    assert tuple(estimators.arm_sizes(labels)) == (27, 33)
+    cluster_point, cluster_cov = estimators.cluster_adjusted(labels, y, x, 150, beta1, beta0)
+    assert cluster_point[0] == pytest.approx(0.4 * point, abs=1e-6)
+    assert cluster_cov[0, 0] == pytest.approx(0.16 * var, rel=1e-9)
+    plain_point, plain_cov = estimators.cluster_adjusted(labels, y, None, 150)
     want = 0.16 * sum(np.var(y[mask], ddof=1) / mask.sum() for mask in masks)
-    assert plain.point[0] == pytest.approx(0.4 * (y[masks[0]].mean() - y[masks[1]].mean()),
+    assert plain_point[0] == pytest.approx(0.4 * (y[masks[0]].mean() - y[masks[1]].mean()),
                                            abs=1e-6)
-    assert plain.cov[0, 0] == pytest.approx(want, rel=1e-9)
+    assert plain_cov[0, 0] == pytest.approx(want, rel=1e-9)
 
 
-def test_adjusted_estimators_take_one_assignment_of_n_labels():
-    # a (B, N) block must not be read as its first row, and labels of the
-    # wrong length are a ValidationError, not an IndexError
+def test_adjusted_estimators_take_a_block_bit_for_bit_as_the_per_row_loop():
+    # a (B, N) block, or its ArmBlock, gives each row's single-assignment
+    # results bit for bit, with coefficients shared by every row or one row
+    # of coefficients per assignment (the block fit); labels, outcomes or
+    # coefficients of the wrong size are a ValidationError, not an IndexError
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(12, 2))
+    n, b = 40, 25
+    x = rng.normal(size=(n, 3)) * [1.0, 20.0, 0.3]
     x -= x.mean(axis=0)
-    y = rng.normal(size=12)
-    for b in (1, 2, 3):
-        block = designs.draw_partition_batch((6, 6), b, rng)
-        with pytest.raises(ValidationError, match="one assignment"):
-            estimators.fit_ls_coefs(block, y, x)
-        with pytest.raises(ValidationError, match="one assignment"):
-            estimators.regression_adjusted(block, y, x, [0.5, 0.1], [0.2, 0.0])
-        with pytest.raises(ValidationError, match="one assignment"):
-            estimators.cluster_adjusted(block, y, x, 30)
+    labels = designs.draw_partition_batch((18, 22), b, rng)
+    y = 1e6 + x @ [0.5, -0.1, 4.0] + 3.0 * (labels == 1) + rng.normal(size=(b, n))
+    arms = designs.ArmBlock(labels, 2)
+    for k in (1, 2, 3):
+        xk = x[:, :k]
+        slopes = estimators.fit_ls_coefs(labels, y, xk)
+        rows = [estimators.fit_ls_coefs(lab, y_row, xk) for lab, y_row in zip(labels, y)]
+        assert all(beta.shape == (b, k) for beta in slopes)
+        for got, want in zip(slopes, zip(*rows)):
+            np.testing.assert_array_equal(got, np.stack(want))
+        np.testing.assert_array_equal(estimators.fit_ls_coefs(arms, y, xk), slopes)
+        shared = (rng.normal(size=k), rng.normal(size=k))
+        for beta in (shared, slopes):
+            def row_beta(i, beta=beta):
+                return [coef if coef.ndim == 1 else coef[i] for coef in beta]
+
+            for estimate, extra in ((estimators.regression_adjusted, ()),
+                                    (estimators.cluster_adjusted, (3 * n,))):
+                point, cov = estimate(labels, y, xk, *extra, *beta)
+                assert point.shape == (b, 1) and cov.shape == (b, 1, 1)
+                want = [estimate(labels[i], y[i], xk, *extra, *row_beta(i)) for i in range(b)]
+                np.testing.assert_array_equal(point, np.stack([p for p, _ in want]))
+                np.testing.assert_array_equal(cov, np.stack([c for _, c in want]))
+                for got, block in zip(estimate(arms, y, xk, *extra, *beta), (point, cov)):
+                    np.testing.assert_array_equal(got, block)
     short = designs.draw_partition((5, 5), rng)
-    with pytest.raises(ValidationError, match="one assignment"):
-        estimators.regression_adjusted(short, y, x, [0.5, 0.1], [0.2, 0.0])
-    with pytest.raises(ValidationError, match="one assignment"):
-        estimators.fit_ls_coefs(short, y, x)
+    with pytest.raises(ValidationError, match="scalar outcomes of shape"):
+        estimators.regression_adjusted(short, y[0], x, [0.5, 0.1, 0.0], [0.2, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="scalar outcomes of shape"):
+        estimators.fit_ls_coefs(short, y[0], x)
+    with pytest.raises(ValidationError, match="scalar outcomes of shape"):
+        estimators.fit_ls_coefs(labels, y[:, :-1], x)
+    with pytest.raises(ValidationError, match="covariates must have shape"):
+        estimators.fit_ls_coefs(labels, y, x[:-1])
+    with pytest.raises(ValidationError, match="coefficients must have shape"):
+        estimators.regression_adjusted(labels, y, x, rng.normal(size=(b + 1, 3)), np.zeros(3))
 
 
 def test_fit_ls_coefs_needs_enough_observations():
@@ -420,18 +445,18 @@ def test_cluster_adjusted_unbiased_by_enumeration():
     for lab in designs.enumerate_partitions((2, 2)):
         lab = np.asarray(lab)
         observed = totals[np.arange(m), lab - 1]
-        report = estimators.cluster_adjusted(
+        point, _ = estimators.cluster_adjusted(
             lab, observed, x_totals, n_units, gamma1, gamma0
         )
-        estimates.append(report.point[0])
+        estimates.append(point[0])
     assert np.mean(estimates) == pytest.approx(target, abs=1e-12)
 
 
 def test_cluster_adjusted_without_covariates():
     labels = np.array([1, 2, 1, 2])
     totals = np.array([4.0, 1.0, 6.0, 3.0])
-    report = estimators.cluster_adjusted(labels, totals, None, 10)
-    assert report.point[0] == pytest.approx((4.0 / 10.0) * (5.0 - 2.0))
+    point, _ = estimators.cluster_adjusted(labels, totals, None, 10)
+    assert point[0] == pytest.approx((4.0 / 10.0) * (5.0 - 2.0))
 
 
 def test_cluster_adjusted_is_the_adjusted_core_on_totals():
@@ -441,10 +466,10 @@ def test_cluster_adjusted_is_the_adjusted_core_on_totals():
     x = rng.normal(size=(8, 2))
     x -= x.mean(axis=0)
     g1, g0 = np.array([0.5, -0.1]), np.array([0.2, 0.3])
-    cluster = estimators.cluster_adjusted(labels, totals, x, 20, g1, g0)
-    units = estimators.regression_adjusted(labels, totals, x, g1, g0)
-    assert cluster.point[0] == 8 / 20 * units.point[0]
-    assert cluster.cov[0, 0] == (8 / 20) ** 2 * units.cov[0, 0]
+    cluster_point, cluster_cov = estimators.cluster_adjusted(labels, totals, x, 20, g1, g0)
+    point, cov = estimators.regression_adjusted(labels, totals, x, g1, g0)
+    assert cluster_point[0] == 8 / 20 * point[0]
+    assert cluster_cov[0, 0] == (8 / 20) ** 2 * cov[0, 0]
 
 
 def test_cluster_adjusted_validates_unit_count():

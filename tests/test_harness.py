@@ -849,6 +849,18 @@ def test_cli_cluster_covariates_refuse_an_arm_of_k_plus_one_clusters(tmp_path, c
     assert json.loads(capsys.readouterr().out)["cov"][0][0] > 1e-3
 
 
+def test_cli_regression_refuses_other_than_two_arms(tmp_path, capsys):
+    # three arms with a covariate used to fail inside the two-arm fit with
+    # "arm labels must lie in 1..2"
+    for q in (3, 1):
+        rows = "arm,y,x1\n" + "".join(f"{1 + i % q},{i * 1.5},{(7 * i) % 5 - 2.0}\n"
+                                      for i in range(12))
+        assert main(["estimate", "--data", _write(tmp_path / f"q{q}.csv", rows)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: regression adjustment supports two arms"
+
+
 def test_cli_estimate_refuses_a_singular_three_arm_covariance(tmp_path, capsys):
     path = _write(tmp_path / "flat.csv", "arm,y\n" + "".join(
         f"{arm},1.0\n" for arm in (1, 1, 2, 2, 3, 3)))
@@ -1077,11 +1089,14 @@ def test_cli_out_is_checked_before_the_command_runs(tmp_path, monkeypatch, capsy
     (["--suite", "oracle", "--seed", "1", "--pop", "bogus"], "takes no population, got 'bogus'"),
     (["--suite", "oracle", "--seed", "1", "--ns", "5"], "takes no population sizes, got [5]"),
     (["--suite", "clt", "--seed", "1", "--pop", "additive"], "unknown clt population"),
+    (["--suite", "oracle", "--seed", "-3"], "a seed must be a non-negative integer, got -3"),
+    (["--suite", "all", "--seed", "-1"], "a seed must be a non-negative integer, got -1"),
 ])
 def test_cli_verify_refuses_a_setting_before_any_campaign_runs(monkeypatch, capsys, argv,
                                                                 message):
     # `--suite all --pop ranks` ran oracle, clt and rerand before coverage
-    # refused the table, and the oracle ignored --pop and --ns
+    # refused the table, the oracle ignored --pop and --ns and echoed a
+    # negative --seed, and `--suite all --seed -1` ran the oracle first
     def never(*args):
         raise AssertionError("a campaign ran")
 
