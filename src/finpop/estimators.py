@@ -234,7 +234,8 @@ def regression_adjusted(labels, y, x, beta1, beta0) -> tuple[np.ndarray, np.ndar
     Labels are one assignment, a (B, N) block or its ArmBlock, y has their
     leading shape, and x is one centered (N, K) array for every row. Each
     coefficient is (K,) for every row or (B, K), one row per assignment. The
-    results have the shapes of `neyman_estimate`'s.
+    results are shaped as `neyman_estimate`'s: (1,) and (1, 1) for one
+    assignment, (B, 1) and (B, 1, 1) for a block.
 
     The coefficients must not depend on the realized assignment; with fixed
     coefficients and centered covariates the estimator is exactly unbiased.
