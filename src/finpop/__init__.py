@@ -10,10 +10,8 @@ from .designs import (
     FactorialSpec,
     compute_delta,
     derive_rng,
-    draw_partition,
     draw_partition_batch,
     enumerate_partition_blocks,
-    enumerate_partitions,
     factorial_contrasts,
     indicator_cov,
     multinomial_count,
@@ -30,7 +28,6 @@ from .errors import (
 from .estimators import (
     arm_sizes,
     cluster_adjusted,
-    factorial_effects,
     factorial_null_moments,
     finite_pop_ls,
     fit_ls_coefs,
@@ -103,11 +100,9 @@ __all__ = [
     # designs
     "DEFAULT_ENUM_CAP",
     "derive_rng",
-    "draw_partition",
     "draw_partition_batch",
     "multinomial_count",
     "enumerate_partition_blocks",
-    "enumerate_partitions",
     "indicator_cov",
     "FactorialSpec",
     "factorial_contrasts",
@@ -124,7 +119,6 @@ __all__ = [
     "fit_ls_coefs",
     "finite_pop_ls",
     "cluster_adjusted",
-    "factorial_effects",
     "factorial_null_moments",
     # randomization tests
     "TestResult",

@@ -28,11 +28,9 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "derive_rng",
     "as_rng",
-    "draw_partition",
     "draw_partition_batch",
     "multinomial_count",
     "enumerate_partition_blocks",
-    "enumerate_partitions",
     "ArmBlock",
     "indicator_cov",
     "FactorialSpec",
@@ -43,6 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 10_000_000
+# a symmetric matrix is numerically singular when its smallest eigenvalue is
+# below this multiple of its largest, or its largest is not positive
+_SINGULAR_RTOL = 1e-10
 
 
 def derive_rng(base_seed: int, *stream: int) -> np.random.Generator:
@@ -91,13 +92,6 @@ def _check_sizes(sizes) -> list[int]:
 
 def _label_template(sizes: list[int]) -> np.ndarray:
     return np.repeat(np.arange(1, len(sizes) + 1, dtype=np.int64), sizes)
-
-
-def draw_partition(sizes, seed) -> np.ndarray:
-    """One assignment, uniform over the N! / (n_1! ... n_Q!) label vectors:
-    the one row of `draw_partition_batch(sizes, 1, seed)`, so b calls on one
-    generator draw the rows of one b-row batch."""
-    return draw_partition_batch(sizes, 1, seed)[0]
 
 
 def draw_partition_batch(sizes, b: int, seed) -> np.ndarray:
@@ -184,13 +178,6 @@ def enumerate_partition_blocks(
             yield _unrank_partitions(sizes, count, ranks)
 
     return generate()
-
-
-def enumerate_partitions(sizes, cap: int | None = None) -> Iterator[np.ndarray]:
-    """Yield every assignment exactly once, in lexicographic label order: the
-    rows of `enumerate_partition_blocks`, one at a time."""
-    blocks = enumerate_partition_blocks(sizes, cap)
-    return (row for labels in blocks for row in labels)
 
 
 class ArmBlock:
@@ -291,6 +278,12 @@ class FactorialSpec:
     def q_arms(self) -> int:
         return 2**self.k
 
+    @property
+    def contrast(self) -> np.ndarray:
+        """The (Q, Q - 1) factorial effect contrast 2^{-(K-1)} generators, so
+        that effect k is tau_k = 2^{-(K-1)} sum_q g_kq Ybar(q)."""
+        return 2.0 ** (1 - self.k) * self.generators
+
 
 def factorial_contrasts(k: int) -> FactorialSpec:
     """Build the level rows and the full +/-1 contrast matrix for K factors."""
@@ -315,18 +308,21 @@ def factorial_contrasts(k: int) -> FactorialSpec:
     return FactorialSpec(k=k, levels=levels, generators=generators, names=tuple(names))
 
 
-def inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a symmetric PSD matrix.
+def _singular(w: np.ndarray):
+    """Whether the ascending eigenvalues w (..., K) of each symmetric matrix
+    make it numerically singular by the `_SINGULAR_RTOL` rule."""
+    return (w[..., -1] <= 0.0) | (w[..., 0] < _SINGULAR_RTOL * w[..., -1])
 
-    Eigenvalues below 1e-10 times the largest are treated as singular.
-    """
+
+def inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root of a symmetric PSD matrix, refusing a
+    numerically singular one (`_singular`)."""
     mat = np.asarray(mat, dtype=float)
     w, v = np.linalg.eigh(mat)
-    w_max = float(w[-1])
-    if w_max <= 0.0 or float(w[0]) < 1e-10 * w_max:
+    if _singular(w):
         raise SingularMatrixError(
             f"matrix is numerically singular: eigenvalue {float(w[0]):.6g} "
-            f"is below 1e-10 x max eigenvalue {w_max:.6g}"
+            f"is below {_SINGULAR_RTOL:g} x max eigenvalue {float(w[-1]):.6g}"
         )
     return (v * (1.0 / np.sqrt(w))) @ v.T
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import distlib
-from .designs import ArmBlock, FactorialSpec, _check_sizes, check_centered
+from .designs import ArmBlock, FactorialSpec, _check_sizes, _singular, check_centered
 from .errors import SingularMatrixError, ValidationError
 from .popstats import as_contrast, as_table, pot_cov_structure, sample_cov
 
@@ -31,11 +31,8 @@ __all__ = [
     "fit_ls_coefs",
     "finite_pop_ls",
     "cluster_adjusted",
-    "factorial_effects",
     "factorial_null_moments",
 ]
-
-_SINGULARITY_RTOL = 1e-10
 
 
 def _arm_block(labels, q_arms: int | None = None) -> ArmBlock:
@@ -55,20 +52,6 @@ def arm_sizes(labels, q_arms: int | None = None) -> np.ndarray:
     block or an ArmBlock; every arm of every assignment must be nonempty."""
     counts = _arm_block(labels, q_arms).counts
     return counts[0] if np.ndim(labels) == 1 else counts
-
-
-def _scalar_outcomes(y, what: str) -> np.ndarray:
-    """y as a finite (N, 1) column; `what` starts the error for p > 1."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, np.newaxis]
-    if y.ndim != 2 or y.shape[0] == 0:
-        raise ValidationError("outcomes must have shape (N,) or (N, p)")
-    if y.shape[1] != 1:
-        raise ValidationError(f"{what} defined for scalar outcomes")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("outcomes contain non-finite values")
-    return y
 
 
 def _block_means(labels, y, contrast):
@@ -181,7 +164,7 @@ def wald_threshold(cov, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     w = np.linalg.eigvalsh(np.asarray(cov, dtype=float))
-    if w[-1] <= 0.0 or w[0] < _SINGULARITY_RTOL * w[-1]:
+    if _singular(w):
         raise SingularMatrixError(
             f"estimated covariance is numerically singular (eigenvalue {w[0]:.6g} "
             f"vs max {w[-1]:.6g}); consider dropping redundant contrast rows"
@@ -260,7 +243,7 @@ def _ls_solve(s_xx: np.ndarray, s_xy: np.ndarray, what) -> np.ndarray:
     and (..., K) s_xy, refusing a numerically singular s_xx; what(index)
     names the first singular one in the error."""
     w = np.linalg.eigvalsh(s_xx)
-    singular = (w[..., -1] <= 0.0) | (w[..., 0] < _SINGULARITY_RTOL * w[..., -1])
+    singular = _singular(w)
     if np.any(singular):
         index = tuple(np.argwhere(singular)[0])
         cond = float("inf") if w[index][0] <= 0.0 else float(w[index][-1] / w[index][0])
@@ -329,13 +312,6 @@ def cluster_adjusted(
     )
     scale = m_clusters / n_units
     return scale * point, scale**2 * cov
-
-
-def factorial_effects(labels, y, spec: FactorialSpec) -> np.ndarray:
-    """All 2^K - 1 factorial effect estimates:
-    tau_hat_k = 2^{-(K-1)} sum_q g_kq Ybar_hat(q)."""
-    y = _scalar_outcomes(y, "factorial effects are")
-    return tau_hat(labels, y, 2.0 ** (-(spec.k - 1)) * spec.generators)
 
 
 def factorial_null_moments(v_n: float, sizes, spec: FactorialSpec):

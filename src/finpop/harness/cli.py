@@ -58,6 +58,15 @@ def _check_design(design: str | None, realized) -> None:
         )
 
 
+def _refuse_clusters(data: ingest.ObservedData, command: str) -> None:
+    """`test` and `factorial` take units as randomized one by one, so a
+    cluster-randomized file would get a reference distribution it never had."""
+    if data.clusters is not None:
+        raise ValidationError(f"{command} assumes units randomized one by one, but the data "
+                              "have a 'cluster' column; use `estimate` for a "
+                              "cluster-randomized design")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="finpop",
                      description="finite-population randomization inference")
@@ -221,6 +230,7 @@ def _cmd_estimate(args) -> tuple[dict, int]:
 
 def _cmd_test(args) -> tuple[dict, int]:
     data = ingest.ingest_csv(args.data, "arm")
+    _refuse_clusters(data, "test")
     _check_design(args.design, estimators.arm_sizes(data.labels))
     doses = None if args.doses is None else _parse_floats(args.doses, "--doses")
     result = randtests.randomization_test(
@@ -274,6 +284,7 @@ def _cmd_iv_ci(args) -> tuple[dict, int]:
 
 def _cmd_factorial(args) -> tuple[dict, int]:
     data = ingest.ingest_csv(args.data, "arm")
+    _refuse_clusters(data, "factorial")
     spec = designs.factorial_contrasts(args.factors)
     if data.q_arms != spec.q_arms:
         raise ValidationError(
@@ -282,7 +293,7 @@ def _cmd_factorial(args) -> tuple[dict, int]:
         )
     sizes = estimators.arm_sizes(data.labels, spec.q_arms)
     _check_design(args.design, sizes)
-    effects = estimators.factorial_effects(data.labels, data.y, spec)
+    effects = estimators.tau_hat(data.labels, data.y, spec.contrast)
     v_n = popstats.pop_moments(data.y).variance
     variances, correlation = estimators.factorial_null_moments(v_n, sizes, spec)
     payload = {
@@ -344,10 +355,22 @@ def _check_out(out_path: str) -> None:
         raise ValidationError(f"cannot write {out_path}: it is a directory")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to whatever `sys.stderr` is when it is emitted, so
+    every `main` call in one process logs to its own stderr."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def main(argv=None) -> int:
     logger = logging.getLogger("finpop")
     if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)

@@ -83,9 +83,9 @@ class ExperimentConfig:
     kind names a suite of SUITES, and reps, population, ns and tol left as
     None take that suite's defaults. population names a synthetic generator
     for kind 'clt' and a table construction for kind 'coverage', and must be
-    one the suite accepts. ns is the ladder of population sizes (a single
-    entry is allowed); the oracle's bundled instances take none. tol gates
-    the final KS distance or the coverage band.
+    one the suite accepts. ns is the strictly increasing ladder of population
+    sizes (a single entry is allowed); the oracle's bundled instances take
+    none. tol gates the final KS distance or the coverage band.
     """
 
     kind: str
@@ -116,6 +116,8 @@ class ExperimentConfig:
                                   f"population sizes, got {list(ns)}")
         if suite.ns and (not ns or any(n < 4 for n in ns)):
             raise ValidationError(f"population sizes must all be >= 4, got {list(ns)}")
+        if any(a >= b for a, b in zip(ns, ns[1:])):
+            raise ValidationError(f"population sizes must be strictly increasing, got {list(ns)}")
         object.__setattr__(self, "ns", ns)
         if not self.tol > 0.0:
             raise ValidationError(f"tolerance must be positive, got {self.tol}")

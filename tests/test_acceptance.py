@@ -62,7 +62,7 @@ def _observed(table, labels):
 def _enumerated_estimates(table, sizes, contrast):
     return np.array([
         estimators.tau_hat(lab, _observed(table, lab), contrast)
-        for lab in designs.enumerate_partitions(sizes)
+        for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
     ])
 
 
@@ -113,7 +113,7 @@ def test_criterion_02_variance_estimator_bias(capsys):
         n = table.shape[0]
         vhats = np.array([
             estimators.neyman_estimate(lab, _observed(table, lab), contrast)[1]
-            for lab in designs.enumerate_partitions(sizes)
+            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
         ])
         ests = _enumerated_estimates(table, sizes, contrast)
         bias = vhats.mean(axis=0) - _cov0(ests)
@@ -131,7 +131,7 @@ def test_criterion_02_variance_estimator_bias(capsys):
 def test_criterion_03_indicator_covariances(capsys):
     gaps = {"i=j,q=r": 0.0, "i=j,q!=r": 0.0, "i!=j,q=r": 0.0, "i!=j,q!=r": 0.0}
     for sizes in ((2, 2, 2), (1, 2, 3), (1, 1, 4)):
-        labelings = np.array(list(designs.enumerate_partitions(sizes)))
+        labelings = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
         q_arms = len(sizes)
         ind = (labelings[:, :, None] == np.arange(1, q_arms + 1)).astype(float)
         m = ind.mean(axis=0)  # (N, Q)
@@ -165,7 +165,7 @@ def test_criterion_04_standardized_rank_mean_cov(capsys):
         ranks = np.arange(1.0, n + 1.0)
         tilde = np.array([
             randtests.standardized_rank_means(lab, ranks)
-            for lab in designs.enumerate_partitions(sizes)
+            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
         ])
         # closed-form null covariance: unit diagonal, off-diagonals
         # -sqrt(n_q n_r / ((N - n_q)(N - n_r)))
@@ -193,7 +193,7 @@ def test_criterion_05_kruskal_wallis_dual_form(capsys):
         sizes = tuple(int(rng.integers(2, 6)) for _ in range(q_arms))
         n = sum(sizes)
         y = rng.normal(size=n)  # continuous, so ties have probability zero
-        labels = designs.draw_partition(sizes, rng)
+        labels = designs.draw_partition_batch(sizes, 1, rng)[0]
         h = randtests.randomization_test("kw", labels, y).statistic
         tilde = randtests.standardized_rank_means(
             labels, randtests.rank_transform(y))
@@ -279,7 +279,7 @@ def test_criterion_09_regression_optimality(capsys):
     y0 = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 2.5, 4.0, 3.0])
     beta1_opt = estimators.finite_pop_ls(y1, x)
     beta0_opt = estimators.finite_pop_ls(y0, x)
-    labelings = list(designs.enumerate_partitions((4, 4)))
+    labelings = np.concatenate(list(designs.enumerate_partition_blocks((4, 4))))
 
     def estimates(b1, b0):
         out = []
@@ -426,8 +426,8 @@ def test_criterion_11_factorial_null_moments(capsys):
         v_n = popstats.pop_moments(y).variance
         var_pred, corr_pred = estimators.factorial_null_moments(v_n, sizes, spec)
         effects = np.array([
-            estimators.factorial_effects(lab, y, spec)
-            for lab in designs.enumerate_partitions(sizes)
+            estimators.tau_hat(lab, y, spec.contrast)
+            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
         ])
         cov_emp = _cov0(effects)
         sd = np.sqrt(np.diag(cov_emp))

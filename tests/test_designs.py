@@ -52,7 +52,7 @@ def test_multinomial_count_worked_examples():
 
 def test_enumerate_partitions_complete_and_lexicographic():
     sizes = (1, 2, 1)
-    seen = [tuple(lab) for lab in designs.enumerate_partitions(sizes)]
+    seen = [tuple(lab) for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))]
     assert len(seen) == designs.multinomial_count(sizes) == 12
     assert len(set(seen)) == 12
     assert seen == sorted(seen)
@@ -60,13 +60,6 @@ def test_enumerate_partitions_complete_and_lexicographic():
     assert seen[-1] == (3, 2, 2, 1)
     for lab in seen:
         assert tuple(np.bincount(lab, minlength=4)[1:]) == sizes
-
-
-def test_enumerate_partitions_cap():
-    with pytest.raises(EnumerationCapError) as info:
-        list(designs.enumerate_partitions((5, 5), cap=10))
-    assert info.value.count == 252
-    assert info.value.cap == 10
 
 
 def _next_permutation_rows(sizes):
@@ -98,7 +91,6 @@ def test_enumerate_partition_blocks_match_row_walk(sizes, block):
     assert all(1 <= b.shape[0] <= block for b in blocks)
     rows = [tuple(row) for b in blocks for row in b.tolist()]
     assert rows == list(_next_permutation_rows(sizes))
-    assert [tuple(r) for r in designs.enumerate_partitions(sizes)] == rows
 
 
 @pytest.mark.parametrize("cap", [6.5, np.float64(6.5), True, "6", float("nan")])
@@ -120,6 +112,7 @@ def test_enumerate_partition_blocks_cap_before_first_block():
     with pytest.raises(EnumerationCapError) as info:
         designs.enumerate_partition_blocks((5, 5), cap=10)  # raises on the call
     assert info.value.count == 252
+    assert info.value.cap == 10
     with pytest.raises(ValidationError):
         designs.enumerate_partition_blocks((2, 2), block=0)
 
@@ -131,9 +124,9 @@ def test_enumerate_partition_blocks_cap_before_first_block():
 
 def test_draw_partition_has_exact_sizes_and_is_seeded():
     sizes = (3, 4, 2)
-    lab = designs.draw_partition(sizes, 11)
+    lab = designs.draw_partition_batch(sizes, 1, 11)[0]
     assert tuple(np.bincount(lab, minlength=4)[1:]) == sizes
-    assert np.array_equal(lab, designs.draw_partition(sizes, 11))
+    assert np.array_equal(lab, designs.draw_partition_batch(sizes, 1, 11)[0])
 
 
 @pytest.mark.parametrize("sizes", [(50, 70), (6, 9, 5), (1, 1), (3,)])
@@ -142,7 +135,7 @@ def test_sequential_draws_are_the_rows_of_one_batch(sizes):
     # b-row batch on an equal generator, and both leave it in the same state;
     # a plain permutation of the labels is the same stream
     single, batch, plain = (designs.derive_rng(29, 1) for _ in range(3))
-    rows = np.array([designs.draw_partition(sizes, single) for _ in range(300)])
+    rows = np.array([designs.draw_partition_batch(sizes, 1, single)[0] for _ in range(300)])
     template = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     permuted = np.array([plain.permutation(template) for _ in range(300)])
     assert np.array_equal(rows, designs.draw_partition_batch(sizes, 300, batch))
@@ -155,7 +148,7 @@ def test_negative_seeds_are_validation_errors():
         with pytest.raises(ValidationError, match="non-negative"):
             designs.derive_rng(*args)
     with pytest.raises(ValidationError):
-        designs.draw_partition((2, 2), -5)
+        designs.draw_partition_batch((2, 2), 1, -5)
 
 
 @pytest.mark.parametrize("seed", [1.7, True, "1", float("nan")])
@@ -178,7 +171,7 @@ def test_draw_partition_batch_refuses_a_batch_size_that_is_not_whole(b):
 def test_draw_partition_frequencies_match_uniform_law():
     # sizes (1,1,1): 6 equally likely permutations
     rng = designs.as_rng(17)
-    draws = [tuple(designs.draw_partition((1, 1, 1), rng)) for _ in range(6000)]
+    draws = [tuple(designs.draw_partition_batch((1, 1, 1), 1, rng)[0]) for _ in range(6000)]
     values, counts = np.unique(np.array(draws), axis=0, return_counts=True)
     assert values.shape[0] == 6
     assert np.all(np.abs(counts / 6000.0 - 1.0 / 6.0) < 0.03)
@@ -197,7 +190,7 @@ def test_draw_partition_batch_rows_are_partitions():
 
 
 def _empirical_indicator_cov(sizes, i, j, q, r):
-    labs = np.array(list(designs.enumerate_partitions(sizes)))
+    labs = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
     zi = (labs[:, i] == q).astype(float)
     zj = (labs[:, j] == r).astype(float)
     return float(np.mean(zi * zj) - np.mean(zi) * np.mean(zj))
@@ -242,6 +235,8 @@ def test_factorial_contrasts_two_factor_layout():
     assert generators[:, 0].tolist() == [1, 1, -1, -1]
     assert generators[:, 1].tolist() == [1, -1, 1, -1]
     assert generators[:, 2].tolist() == [1, -1, -1, 1]  # interaction column
+    # the effect contrast halves the generators: tau_k = 2^{-(K-1)} g_k' Ybar
+    assert spec.contrast.tolist() == (0.5 * generators).tolist()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -291,7 +286,7 @@ def test_compute_delta_mean_zero_over_enumeration():
     x = _center(rng.normal(size=(6, 2)))
     deltas = [
         designs.compute_delta(np.asarray(lab), x)
-        for lab in designs.enumerate_partitions((3, 3))
+        for lab in np.concatenate(list(designs.enumerate_partition_blocks((3, 3))))
     ]
     assert np.mean(deltas, axis=0) == pytest.approx(np.zeros(2), abs=1e-12)
 
@@ -357,8 +352,9 @@ def test_random_draw_lies_in_enumeration(sizes):
     sizes = tuple(sizes)
     if designs.multinomial_count(sizes) > 2000:
         return
-    universe = {tuple(lab) for lab in designs.enumerate_partitions(sizes)}
-    lab = designs.draw_partition(sizes, 3)
+    rows = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+    universe = {tuple(lab) for lab in rows}
+    lab = designs.draw_partition_batch(sizes, 1, 3)[0]
     assert tuple(lab) in universe
 
 
@@ -395,6 +391,6 @@ def test_every_size_argument_is_checked_by_check_sizes(call):
 
 def test_draw_partition_rejects_bad_sizes():
     with pytest.raises(ValidationError):
-        designs.draw_partition((0, 2), 1)
+        designs.draw_partition_batch((0, 2), 1, 1)
     with pytest.raises(ValidationError):
-        designs.draw_partition((), 1)
+        designs.draw_partition_batch((), 1, 1)

@@ -33,7 +33,7 @@ def _enumerated_estimates(table, sizes, contrast):
     """tau_hat over every assignment, one row per assignment."""
     table = popstats.as_table(table)
     rows = []
-    for lab in designs.enumerate_partitions(sizes):
+    for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes))):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
         rows.append(estimators.tau_hat(lab, observed, contrast))
@@ -44,7 +44,7 @@ def _enumerated_cov_estimates(table, sizes, contrast):
     """The covariance estimate of neyman_estimate over every assignment."""
     table = popstats.as_table(table)
     rows = []
-    for lab in designs.enumerate_partitions(sizes):
+    for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes))):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
         rows.append(estimators.neyman_estimate(lab, observed, contrast)[1])
@@ -222,6 +222,21 @@ def test_wald_region_rejects_singular_cov():
             estimators.wald_threshold(np.eye(2), alpha)
 
 
+def test_one_singularity_tolerance_for_every_matrix_check():
+    # the three refusals share the 1e-10 relative eigenvalue rule
+    for small, singular in ((5e-11, True), (2e-10, False)):
+        mat = np.diag([1.0, small])
+        calls = (lambda: designs.inv_sqrt_psd(mat),
+                 lambda: estimators.wald_threshold(mat, 0.05),
+                 lambda: estimators._ls_solve(mat, np.ones(2), lambda index: "test"))
+        for call in calls:
+            if singular:
+                with pytest.raises(SingularMatrixError):
+                    call()
+            else:
+                call()
+
+
 def test_normal_interval_formula_and_alpha_check():
     lo, hi = estimators.normal_interval(1.0, 2.0, 0.05)
     half = Z_975 * np.sqrt(2.0)
@@ -249,7 +264,7 @@ _REG_SIZES = (3, 3)
 
 def _enumerated_adjusted(table, x, sizes, beta1, beta0):
     estimates = []
-    for lab in designs.enumerate_partitions(sizes):
+    for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes))):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
         point, _ = estimators.regression_adjusted(lab, observed, x, beta1, beta0)
@@ -289,7 +304,7 @@ def test_population_ls_coefficients_minimize_enumerated_variance():
 def test_fit_ls_coefs_matches_lstsq_oracle():
     rng = np.random.default_rng(8)
     n = 40
-    labels = designs.draw_partition((22, 18), rng)
+    labels = designs.draw_partition_batch((22, 18), 1, rng)[0]
     x = rng.normal(size=(n, 2))
     y = 1.0 + x @ np.array([2.0, -1.0]) + rng.normal(scale=0.3, size=n)
     beta1, beta0 = estimators.fit_ls_coefs(labels, y, x)
@@ -322,7 +337,7 @@ def test_arm_scatter_upper_triangle_is_the_full_square_bit_for_bit(b, n, p):
 def test_fit_ls_coefs_is_unchanged_by_the_mirrored_scatter(monkeypatch):
     rng = np.random.default_rng(12)
     n = 500
-    labels = designs.draw_partition((240, 260), rng)
+    labels = designs.draw_partition_batch((240, 260), 1, rng)[0]
     x = rng.normal(size=(n, 3))
     y = 5.0 + x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n)
     mirrored = estimators.fit_ls_coefs(labels, y, x)
@@ -337,7 +352,7 @@ def test_adjusted_estimators_are_two_pass_under_a_large_offset():
     # and points keep the absolute error of means near 1e8 (spacing 1.5e-8)
     rng = np.random.default_rng(9)
     n = 60
-    labels = designs.draw_partition((27, 33), rng)
+    labels = designs.draw_partition_batch((27, 33), 1, rng)[0]
     x = rng.normal(size=(n, 2))
     x -= x.mean(axis=0)
     y = 1e8 + 3.0 * (labels == 1) + x @ np.array([2.0, -1.0]) + rng.normal(size=n)
@@ -398,7 +413,7 @@ def test_adjusted_estimators_take_a_block_bit_for_bit_as_the_per_row_loop():
                 np.testing.assert_array_equal(cov, np.stack([c for _, c in want]))
                 for got, block in zip(estimate(arms, y, xk, *extra, *beta), (point, cov)):
                     np.testing.assert_array_equal(got, block)
-    short = designs.draw_partition((5, 5), rng)
+    short = designs.draw_partition_batch((5, 5), 1, rng)[0]
     with pytest.raises(ValidationError, match="scalar outcomes of shape"):
         estimators.regression_adjusted(short, y[0], x, [0.5, 0.1, 0.0], [0.2, 0.0, 0.0])
     with pytest.raises(ValidationError, match="scalar outcomes of shape"):
@@ -442,7 +457,7 @@ def test_cluster_adjusted_unbiased_by_enumeration():
     gamma1, gamma0 = np.array([0.6]), np.array([-0.2])
     target = (m / n_units) * (totals[:, 0].mean() - totals[:, 1].mean())
     estimates = []
-    for lab in designs.enumerate_partitions((2, 2)):
+    for lab in np.concatenate(list(designs.enumerate_partition_blocks((2, 2)))):
         lab = np.asarray(lab)
         observed = totals[np.arange(m), lab - 1]
         point, _ = estimators.cluster_adjusted(
@@ -486,7 +501,7 @@ def test_factorial_effects_hand_example():
     spec = designs.factorial_contrasts(2)
     labels = np.array([1, 1, 2, 2, 3, 3, 4, 4])
     y = np.array([5.0, 6.0, 4.0, 4.0, 2.0, 3.0, 1.0, 0.5])
-    effects = estimators.factorial_effects(labels, y, spec)
+    effects = estimators.tau_hat(labels, y, spec.contrast)
     means = np.array([5.5, 4.0, 2.5, 0.75])
     assert effects == pytest.approx(0.5 * (spec.generators.T @ means))
     assert effects[0] == pytest.approx(3.125)
@@ -516,8 +531,8 @@ def test_factorial_null_moments_match_enumeration_balanced():
     variances, correlations = estimators.factorial_null_moments(v_n, (1, 1, 1, 1), spec)
     draws = np.array(
         [
-            estimators.factorial_effects(np.asarray(lab), y, spec)
-            for lab in designs.enumerate_partitions((1, 1, 1, 1))
+            estimators.tau_hat(np.asarray(lab), y, spec.contrast)
+            for lab in np.concatenate(list(designs.enumerate_partition_blocks((1, 1, 1, 1))))
         ]
     )
     dev = draws - draws.mean(axis=0)
@@ -530,4 +545,4 @@ def test_factorial_null_moments_match_enumeration_balanced():
 def test_factorial_effects_rejects_wrong_arm_count():
     spec = designs.factorial_contrasts(2)
     with pytest.raises(ValidationError):
-        estimators.factorial_effects(np.array([1, 2, 3]), np.arange(3.0), spec)
+        estimators.tau_hat(np.array([1, 2, 3]), np.arange(3.0), spec.contrast)

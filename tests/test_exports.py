@@ -21,10 +21,6 @@ _UNREACHED = {
                            "due in the diagnostics of `estimate` (ROADMAP item 7)",
     "adjusted_stat": "the statistic `iv_confidence_set` inverts, due in a block "
                      "form for `iv-ci` coverage (ROADMAP item 4)",
-    "draw_partition": "the one-row form of `draw_partition_batch`, called by "
-                      "the acceptance tests",
-    "enumerate_partitions": "the one-row form of `enumerate_partition_blocks`, "
-                            "called by the acceptance tests",
 }
 
 

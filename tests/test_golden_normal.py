@@ -29,7 +29,6 @@ which prints the id of every case whose stored output changed.
 import contextlib
 import io
 import json
-import logging
 import pathlib
 import tempfile
 
@@ -130,19 +129,10 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _run(case: dict) -> dict:
-    """Run one case on `<data>.csv` in the working directory. `main` installs
-    its log handler on the stderr of its first call, so the handlers are
-    cleared for the call and restored after it: the log lands in the
-    captured stderr of every case."""
+    """Run one case on `<data>.csv` in the working directory."""
     out, err = io.StringIO(), io.StringIO()
-    logger = logging.getLogger("finpop")
-    saved = logger.handlers[:]
-    logger.handlers.clear()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([case["command"], "--data", f"{case['data']}.csv", *case["argv"]])
-    finally:
-        logger.handlers[:] = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([case["command"], "--data", f"{case['data']}.csv", *case["argv"]])
     return {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

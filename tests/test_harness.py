@@ -6,7 +6,9 @@ so the exit-code contract (0 ok, 1 invalid input/usage, 2 verification
 failed) is asserted directly.
 """
 
+import contextlib
 import csv
+import io
 import json
 import logging
 import os
@@ -861,6 +863,45 @@ def test_cli_regression_refuses_other_than_two_arms(tmp_path, capsys):
         assert captured.err.splitlines()[-1] == "error: regression adjustment supports two arms"
 
 
+def test_cli_test_and_factorial_refuse_a_cluster_column(tmp_path, capsys):
+    # 6 clusters, 3 per arm, have C(6, 3) = 20 assignments, so no valid
+    # p-value is below 1/20; `test` took the 8 units of this file as
+    # randomized one by one and printed p = 0.0087
+    clusters = (1, 1, 2, 3, 4, 4, 5, 6)
+    rows = "arm,y,cluster\n" + "".join(f"{2 - c % 2},{10.0 * (c % 2) + 0.3 * i},{c}\n"
+                                       for i, c in enumerate(clusters))
+    path = _write(tmp_path / "clustered.csv", rows)
+    four = _write(tmp_path / "four.csv", "arm,y,cluster\n" + "".join(
+        f"{1 + c % 4},{0.7 * c},{c + 1}\n" for c in range(8)))
+    for argv in (["test", "--data", path, "--stat", "diff"],
+                 ["factorial", "--data", four, "--factors", "2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {argv[0]} assumes units randomized one by one, but "
+                                "the data have a 'cluster' column; use `estimate` for a "
+                                "cluster-randomized design\n")
+    assert main(["estimate", "--data", path]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "cluster_adjusted"
+    # covariate columns are not a design and stay accepted
+    covariates = _write(tmp_path / "x.csv", "arm,y,x1,x2\n" + "".join(
+        f"{1 + i % 2},{1.5 * i},{(7 * i) % 5 - 2.0},{i % 3 - 1.0}\n" for i in range(12)))
+    assert main(["test", "--data", covariates, "--stat", "wilcoxon"]) == 0
+    assert json.loads(capsys.readouterr().out)["stat"] == "wilcoxon"
+
+
+def test_cli_log_line_goes_to_the_stderr_of_each_call(tmp_path):
+    # the handler kept the stderr of the first call, so a second call under
+    # another redirect lost the covariate line
+    path = _write(tmp_path / "x.csv", "arm,y,x1\n" + "".join(
+        f"{1 + i % 2},{1.5 * i + (i % 3)},{(7 * i) % 5 - 2.0}\n" for i in range(12)))
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["estimate", "--data", path]) == 0
+        assert f"{path}: covariates ['x1'] enter estimation centered" in err.getvalue()
+
+
 def test_cli_estimate_refuses_a_singular_three_arm_covariance(tmp_path, capsys):
     path = _write(tmp_path / "flat.csv", "arm,y\n" + "".join(
         f"{arm},1.0\n" for arm in (1, 1, 2, 2, 3, 3)))
@@ -1091,6 +1132,12 @@ def test_cli_out_is_checked_before_the_command_runs(tmp_path, monkeypatch, capsy
     (["--suite", "clt", "--seed", "1", "--pop", "additive"], "unknown clt population"),
     (["--suite", "oracle", "--seed", "-3"], "a seed must be a non-negative integer, got -3"),
     (["--suite", "all", "--seed", "-1"], "a seed must be a non-negative integer, got -1"),
+    (["--suite", "clt", "--seed", "1", "--reps", "200", "--ns", "16,16"],
+     "population sizes must be strictly increasing, got [16, 16]"),
+    (["--suite", "coverage", "--pop", "additive", "--seed", "1", "--ns", "40,40"],
+     "population sizes must be strictly increasing, got [40, 40]"),
+    (["--suite", "all", "--seed", "26", "--ns", "64,16"],
+     "population sizes must be strictly increasing, got [64, 16]"),
 ])
 def test_cli_verify_refuses_a_setting_before_any_campaign_runs(monkeypatch, capsys, argv,
                                                                 message):

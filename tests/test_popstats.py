@@ -60,14 +60,14 @@ def test_extreme_deviation_bounds_variance(pop):
 
 
 def test_srs_mean_var_matches_enumeration():
-    from finpop.designs import enumerate_partitions
+    from finpop.designs import enumerate_partition_blocks
 
     pop = np.array([3.0, 1.0, 4.0, 1.5, 9.0])
     n = 2
     mean, var = popstats.srs_mean_var(pop, n)
     draws = [
         pop[np.asarray(lab) == 1].mean()
-        for lab in enumerate_partitions((n, pop.size - n))
+        for lab in np.concatenate(list(enumerate_partition_blocks((n, pop.size - n))))
     ]
     assert mean == pytest.approx(np.mean(draws), abs=1e-12)
     assert var == pytest.approx(np.var(draws), abs=1e-12)

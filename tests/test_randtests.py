@@ -118,7 +118,7 @@ def test_standardized_rank_means_null_moments_by_enumeration():
     draws = np.array(
         [
             randtests.standardized_rank_means(np.asarray(lab), ranks)
-            for lab in designs.enumerate_partitions(sizes)
+            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
         ]
     )
     assert draws.mean(axis=0) == pytest.approx(np.zeros(2), abs=1e-12)
@@ -157,7 +157,7 @@ def test_kruskal_wallis_dual_forms_agree_on_random_instances():
         n = int(sizes.sum())
         if n < q_arms + 1:
             continue
-        labels = designs.draw_partition(sizes.tolist(), rng)
+        labels = designs.draw_partition_batch(sizes.tolist(), 1, rng)[0]
         y = rng.permutation(np.arange(1.0, n + 1.0))
         result = randtests.randomization_test("kw", labels, y)  # internal check active
         ranks = randtests.rank_transform(y)
@@ -196,7 +196,7 @@ def test_kruskal_wallis_chi2_close_to_exact_enumeration():
     # moderate N: the chi-square approximation should land near the exact
     # randomization p-value of the same statistic
     rng = np.random.default_rng(4)
-    labels = designs.draw_partition((3, 3, 3), rng)
+    labels = designs.draw_partition_batch((3, 3, 3), 1, rng)[0]
     y = rng.permutation(np.arange(1.0, 10.0))
     approx = randtests.randomization_test("kw", labels, y)
     exact = randtests.exact_randomization_pvalue(
@@ -366,7 +366,7 @@ def test_rank_stat_normal_pvalue_tracks_enumeration():
     # reference half a step below the observed value removes the bias that
     # P(lattice >= t) carries its atom at t while P(continuous >= t) does not.
     rng = np.random.default_rng(10)
-    labels = designs.draw_partition((3, 3, 3), rng)
+    labels = designs.draw_partition_batch((3, 3, 3), 1, rng)[0]
     y = rng.permutation(np.arange(1.0, 10.0))
     ranks = randtests.rank_transform(y)
     observed = extreme_rank_stats(labels, ranks)[0]
@@ -636,7 +636,7 @@ def test_exact_pvalue_includes_observed_assignment():
     # the observed assignment always counts itself, so p >= 1/#assignments
     rng = np.random.default_rng(14)
     for _ in range(5):
-        labels = designs.draw_partition((3, 3), rng)
+        labels = designs.draw_partition_batch((3, 3), 1, rng)[0]
         y = rng.normal(size=6)
         result = randtests.exact_randomization_pvalue(randtests.sum_statistic("diff", y), labels)
         assert result.p_value >= 1.0 / 20.0 - 1e-15
@@ -644,7 +644,7 @@ def test_exact_pvalue_includes_observed_assignment():
 
 def test_mc_pvalue_tracks_exact():
     rng = np.random.default_rng(16)
-    labels = designs.draw_partition((4, 4), rng)
+    labels = designs.draw_partition_batch((4, 4), 1, rng)[0]
     y = rng.normal(size=8)
     statistic = randtests.sum_statistic("diff", y)
     exact = randtests.exact_randomization_pvalue(statistic, labels)
@@ -670,7 +670,7 @@ def test_mc_pvalue_super_uniform_under_sharp_null():
     hits = 0
     trials = 400
     for _ in range(trials):
-        labels = designs.draw_partition((6, 6), rng)
+        labels = designs.draw_partition_batch((6, 6), 1, rng)[0]
         result = randtests.mc_randomization_pvalue(statistic, labels, 99, rng)
         hits += result.p_value <= 0.05
     assert hits / trials <= 0.05 + 0.03
@@ -680,7 +680,7 @@ def test_mc_pvalue_super_uniform_under_sharp_null():
 @settings(max_examples=15, deadline=None)
 def test_exact_two_sided_pvalue_bounds(seed):
     rng = np.random.default_rng(seed)
-    labels = designs.draw_partition((3, 2), rng)
+    labels = designs.draw_partition_batch((3, 2), 1, rng)[0]
     y = rng.normal(size=5)
     result = randtests.exact_randomization_pvalue(randtests.sum_statistic("diff", y), labels)
     assert 0.0 < result.p_value <= 1.0
@@ -782,7 +782,7 @@ def test_block_kernel_equals_scalar_statistic_on_every_assignment(stat, sizes, t
     if ties == "midrank":
         y = np.round(rng.normal(size=n))  # a handful of distinct values
     scalar, kernel = _scalar_and_kernel(stat, y, len(sizes), ties)
-    labs = np.array(list(designs.enumerate_partitions(sizes)))
+    labs = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
     got = kernel.block(labs, sizes)
     want = np.array([scalar(lab, y) for lab in labs])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -791,7 +791,7 @@ def test_block_kernel_equals_scalar_statistic_on_every_assignment(stat, sizes, t
 
 
 def test_kw_kernel_all_tied_outcome_gives_zero_and_unit_pvalue():
-    labels = designs.draw_partition((3, 3, 2), 33)
+    labels = designs.draw_partition_batch((3, 3, 2), 1, 33)[0]
     y = np.full(8, 2.5)
     statistic = randtests.sum_statistic("kw", randtests.rank_transform(y, "midrank"), 3)
     assert np.array_equal(statistic.block(labels[np.newaxis], (3, 3, 2)), [0.0])
@@ -820,7 +820,7 @@ def _per_row_pvalues(stat_fn, labels, y, alternative, b, seed):
         refs = np.array([stat_fn(row, y) for row in rows])
         return int(np.count_nonzero(randtests._is_extreme(refs, observed, alternative)))
 
-    enumerated = list(designs.enumerate_partitions(sizes))
+    enumerated = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
     drawn = _drawn_assignments(sizes, b, seed)
     return count(enumerated) / len(enumerated), (1 + count(drawn)) / (b + 1)
 
@@ -830,7 +830,7 @@ def _per_row_pvalues(stat_fn, labels, y, alternative, b, seed):
                                          ("range", (3, 3, 2)), ("dose", (3, 3, 2))])
 def test_engines_agree_between_block_path_and_scalar_adapter(stat, sizes):
     rng = np.random.default_rng(34)
-    labels = designs.draw_partition(sizes, rng)
+    labels = designs.draw_partition_batch(sizes, 1, rng)[0]
     y = rng.normal(size=sum(sizes))
     scalar, kernel = _scalar_and_kernel(stat, y, len(sizes))
     alternative = "two_sided" if stat in ("diff", "wilcoxon") else "greater"
@@ -917,7 +917,7 @@ def _studentized_order_key(labels, y, alternative):
 def test_studentized_difference_is_a_two_column_sum_statistic(y, has_round_off_tie):
     sizes = (4, 3) if len(y) == 7 else (3, 3)
     statistic = _studentized_diff(y)
-    assignments = np.array(list(designs.enumerate_partitions(sizes)))
+    assignments = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
     t = statistic.block(assignments, sizes)
     y_arr = np.array(y)
     welch = [(y_arr[lab == 1].mean() - y_arr[lab == 2].mean())
@@ -946,7 +946,7 @@ def test_exact_diff_counts_round_off_ties():
     # sizes (5,5), seed 0; y on a 0.1 grid, so many assignments tie the
     # observed |diff| in exact arithmetic. Rational enumeration counts 148 of
     # 252; a raw float comparison drops two of them (146).
-    labels = designs.draw_partition((5, 5), 0)
+    labels = designs.draw_partition_batch((5, 5), 1, 0)[0]
     assert labels.tolist() == [2, 1, 1, 2, 2, 1, 1, 2, 1, 2]
     y = np.array([0.6, 0.3, 0.0, 0.0, 0.8, 0.9, 0.6, 0.7, 0.5, 0.9])
     result = randtests.exact_randomization_pvalue(randtests.sum_statistic("diff", y), labels)
@@ -964,7 +964,7 @@ def _fraction_oracle_pvalue(labels, y, alternative):
         return arm1 / sizes[0] - arm2 / sizes[1]
 
     observed = diff(labels)
-    refs = [diff(lab) for lab in designs.enumerate_partitions(sizes)]
+    refs = [diff(lab) for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))]
     if alternative == "greater":
         count = sum(r >= observed for r in refs)
     elif alternative == "less":
