@@ -39,16 +39,7 @@ from .estimators import (
     tau_true,
     wald_threshold,
 )
-from .ivconf import (
-    IVConditionStat,
-    IVSummary,
-    QuadraticSet,
-    adjusted_stat,
-    classify_quadratic,
-    iv_condition_stat,
-    iv_confidence_set,
-    iv_summary,
-)
+from .ivconf import IVSummary, QuadraticSet, classify_quadratic, iv_summary
 from .popstats import (
     CovStructure,
     CREConditionStats,
@@ -134,10 +125,6 @@ __all__ = [
     # instrumental variables
     "IVSummary",
     "QuadraticSet",
-    "IVConditionStat",
     "iv_summary",
-    "adjusted_stat",
     "classify_quadratic",
-    "iv_confidence_set",
-    "iv_condition_stat",
 ]

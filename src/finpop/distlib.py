@@ -26,6 +26,17 @@ import numpy as np
 
 from .errors import ValidationError
 
+__all__ = [
+    "check_alpha",
+    "std_normal_cdf",
+    "std_normal_quantile",
+    "chi2_cdf",
+    "chi2_sf",
+    "chi2_quantile",
+    "bvn_lower_orthant",
+    "solve_gamma_c",
+]
+
 # |rho| above this takes the closed forms of rho = +/-1 (Owen's a is then 0 or inf).
 _RHO_DEGENERATE = 1.0 - 1e-12
 
@@ -79,6 +90,17 @@ def std_normal_cdf(x):
          + u_lo * _RSQRT2_LO) + u * _RSQRT2_ERR
     slope = (2.0 / math.sqrt(math.pi)) * _array(_EXP(-t * t))
     return _float_or_array(0.5 * (_array(_ERFC(t)) - slope * d))
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a level alpha outside (0, 1), or one so small (alpha <= 2^-53)
+    that 1 - alpha/2 rounds to 1, where the two-sided normal quantile the
+    intervals and tests take does not exist in double precision."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValidationError(f"alpha must exceed 2**-53, got {alpha}: "
+                              "1 - alpha/2 rounds to 1")
 
 
 def std_normal_quantile(p: float) -> float:
@@ -311,8 +333,7 @@ def solve_gamma_c(rho: float, alpha: float) -> float:
     bracket the root between Phi^-1(1 - alpha) and Phi^-1(1 - alpha/2);
     _grid_root solves Phi(-c) + 2 T(c, a) = alpha on that bracket.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not -1.0 <= rho <= 1.0:
         raise ValidationError(f"correlation must be in [-1, 1], got {rho}")
     if rho >= _RHO_DEGENERATE:

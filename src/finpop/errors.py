@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "FinpopError",
+    "ValidationError",
+    "DegenerateInputError",
+    "TieError",
+    "SingularMatrixError",
+    "EnumerationCapError",
+    "InternalCheckError",
+]
+
 
 class FinpopError(Exception):
     """Base class for all package errors."""

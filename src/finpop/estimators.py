@@ -161,8 +161,7 @@ def wald_threshold(cov, alpha: float) -> float:
     """The chi-square (K, 1 - alpha) quantile that bounds the Wald region
     {mu : (t - mu)' cov^{-1} (t - mu) <= threshold} of a K x K estimated
     covariance, refusing a numerically singular one."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    distlib.check_alpha(alpha)
     w = np.linalg.eigvalsh(np.asarray(cov, dtype=float))
     if _singular(w):
         raise SingularMatrixError(
@@ -175,8 +174,7 @@ def wald_threshold(cov, alpha: float) -> float:
 def normal_interval(point, variance, alpha: float) -> tuple:
     """Normal-calibrated interval point +/- Phi^{-1}(1 - alpha/2) variance^{1/2},
     elementwise when point and variance are arrays."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    distlib.check_alpha(alpha)
     half = distlib.std_normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance)
     return point - half, point + half
 

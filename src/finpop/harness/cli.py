@@ -213,8 +213,8 @@ def _estimate_cluster(data: ingest.ObservedData, alpha: float) -> dict:
 def _cmd_estimate(args) -> tuple[dict, int]:
     data = ingest.ingest_csv(args.data, "arm")
     _check_design(args.design, estimators.arm_sizes(data.labels))
-    if not 0.0 < args.alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {args.alpha}")
+    # every estimator path checks alpha (wald_threshold or normal_interval)
+    # before the payload is emitted
     if data.clusters is not None:
         payload = _estimate_cluster(data, args.alpha)
     elif data.x is not None:
@@ -257,9 +257,8 @@ def _cmd_iv_ci(args) -> tuple[dict, int]:
     data = ingest.ingest_csv(args.data, "iv")
     n1 = int(data.z.sum())
     _check_design(args.design, (n1, data.n_units - n1))
-    conf_set = ivconf.iv_confidence_set(data.z, data.d, data.y, args.alpha)
     summary = ivconf.iv_summary(data.z, data.d, data.y, args.alpha)
-    condition = ivconf.iv_condition_stat(data.z, data.d, data.y)
+    conf_set = summary.confidence_set
     payload = {
         "kind": conf_set.kind,
         "endpoints": list(conf_set.endpoints),
@@ -274,10 +273,7 @@ def _cmd_iv_ci(args) -> tuple[dict, int]:
             "n1": summary.n1,
             "n0": summary.n0,
         },
-        "condition": {
-            "value": None if condition.degenerate else condition.value,
-            "degenerate": condition.degenerate,
-        },
+        "condition": {"value": summary.condition, "degenerate": summary.condition is None},
     }
     return payload, 0
 

@@ -108,8 +108,7 @@ class ExperimentConfig:
         object.__setattr__(self, "reps", designs._whole(self.reps, "replication counts"))
         if self.reps < 1:
             raise ValidationError(f"replication count must be >= 1, got {self.reps}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        distlib.check_alpha(self.alpha)
         ns = tuple(designs._whole(n, "population sizes") for n in self.ns)
         if not suite.ns and ns:
             raise ValidationError(f"the {self.kind} campaign {suite.about} and takes no "

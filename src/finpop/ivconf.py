@@ -2,12 +2,14 @@
 
 Under the exclusion-restriction model the adjusted outcome A_i = Y_i - beta D_i
 is a fixed constant for every unit when beta is the true effect ratio, so the
-two-arm difference in means of A has known exact null moments. Inverting the
+two-arm difference in means of A has known exact null moments: it is the
+'diff' statistic of `randtests.sum_statistic` on A. Inverting its
 normal-calibrated test over beta gives a confidence set that is the solution
 of a quadratic inequality; depending on the instrument strength the set is an
 interval, a half line, the complement of an open interval, a single point, the
 whole line, or empty. All six shapes are represented and classified exactly.
-"""
+`iv_summary` computes every moment once, and the set and the finite-N
+normality condition are read from the summary it returns."""
 
 from __future__ import annotations
 
@@ -16,19 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distlib
-from .errors import DegenerateInputError, InternalCheckError, ValidationError
+from .errors import ValidationError
 from .popstats import sample_cov
 
-__all__ = [
-    "IVSummary",
-    "QuadraticSet",
-    "IVConditionStat",
-    "iv_summary",
-    "adjusted_stat",
-    "classify_quadratic",
-    "iv_confidence_set",
-    "iv_condition_stat",
-]
+__all__ = ["IVSummary", "QuadraticSet", "iv_summary", "classify_quadratic"]
 
 # Relative tolerance that collapses a floating-point discriminant to zero.
 _DISC_RTOL = 1e-12
@@ -42,6 +35,13 @@ class IVSummary:
     means of response and dose; s2_y, s2_d, s_yd the pooled finite-population
     variances and covariance of the observed values (divisor N - 1); eta the
     threshold N / (n_1 n_0) * (Phi^{-1}(alpha/2))^2.
+
+    condition is the finite-N normality diagnostic of the adjusted statistic,
+    valid for every beta at once,
+    (1 / min(n_1, n_0)) [ max_i (Y_i - Ybar)^2 / (s2_Y - s_YD^2 / s2_D)
+                        + max_i (D_i - Dbar)^2 / (s2_D - s_YD^2 / s2_Y) ],
+    or None where a denominator is not positive (a constant series, or d
+    exactly proportional to y) and the diagnostic is undefined.
     """
 
     tau_hat_y: float
@@ -53,6 +53,21 @@ class IVSummary:
     n1: int
     n0: int
     alpha: float
+    condition: float | None
+
+    @property
+    def confidence_set(self) -> QuadraticSet:
+        """Confidence set for the effect ratio beta: all beta whose adjusted
+        statistic passes the level-alpha normal-calibrated test, which is the
+        solution set of
+        (tau_D^2 - eta s2_D) beta^2 - 2 (tau_D tau_Y - eta s_YD) beta
+            + (tau_Y^2 - eta s2_Y) <= 0.
+        """
+        return classify_quadratic(
+            self.tau_hat_d**2 - self.eta * self.s2_d,
+            self.tau_hat_d * self.tau_hat_y - self.eta * self.s_yd,
+            self.tau_hat_y**2 - self.eta * self.s2_y,
+        )
 
 
 @dataclass(frozen=True)
@@ -85,16 +100,6 @@ class QuadraticSet:
         return x <= self.endpoints[0] + tol or x >= self.endpoints[1] - tol
 
 
-@dataclass(frozen=True)
-class IVConditionStat:
-    """Normality diagnostic for the adjusted statistic, valid for every beta
-    at once; degenerate marks non-positive denominators (e.g. dose exactly
-    proportional to response), where the diagnostic is undefined."""
-
-    value: float
-    degenerate: bool
-
-
 def _check_iv(z, d, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     z = np.asarray(z)
     d = np.asarray(d, dtype=float)
@@ -112,47 +117,38 @@ def _check_iv(z, d, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     return z.astype(bool), d, y, n1, n0
 
 
+def _condition(y, d, s2_y, s2_d, s_yd, n_min) -> float | None:
+    if s2_y == 0.0 or s2_d == 0.0:
+        return None
+    den_y = s2_y - s_yd**2 / s2_d
+    den_d = s2_d - s_yd**2 / s2_y
+    if den_y <= 0.0 or den_d <= 0.0:
+        return None
+    m_y = float(np.max((y - y.mean()) ** 2))
+    m_d = float(np.max((d - d.mean()) ** 2))
+    return (m_y / den_y + m_d / den_d) / n_min
+
+
 def iv_summary(z, d, y, alpha: float) -> IVSummary:
-    """Pooled moments and the eta threshold used by the confidence set."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    """Pooled moments, the eta threshold and the normality condition of the
+    effect-ratio analysis, from one validation of (z, d, y)."""
+    distlib.check_alpha(alpha)
     z, d, y, n1, n0 = _check_iv(z, d, y)
     n = n1 + n0
     quantile = distlib.std_normal_quantile(alpha / 2.0)
+    s2_y, s2_d, s_yd = sample_cov(y), sample_cov(d), sample_cov(y, d)
     return IVSummary(
         tau_hat_y=float(y[z].mean() - y[~z].mean()),
         tau_hat_d=float(d[z].mean() - d[~z].mean()),
-        s2_y=sample_cov(y),
-        s2_d=sample_cov(d),
-        s_yd=sample_cov(y, d),
+        s2_y=s2_y,
+        s2_d=s2_d,
+        s_yd=s_yd,
         eta=n / (n1 * n0) * quantile**2,
         n1=n1,
         n0=n0,
         alpha=alpha,
+        condition=_condition(y, d, s2_y, s2_d, s_yd, min(n1, n0)),
     )
-
-
-def adjusted_stat(z, d, y, beta: float) -> tuple[float, float]:
-    """Difference in means of the adjusted outcome A_i = Y_i - beta D_i and
-    its exact null variance (N / (n_1 n_0)) (s2_Y + beta^2 s2_D - 2 beta s_YD).
-
-    The statistic is computed by three algebraically equivalent forms, which
-    must agree to rounding; disagreement is an internal error.
-    """
-    z, d, y, n1, n0 = _check_iv(z, d, y)
-    n = n1 + n0
-    beta = float(beta)
-    a = y - beta * d
-    form1 = float(a[z].mean() - a[~z].mean())
-    form2 = float((y[z].mean() - y[~z].mean()) - beta * (d[z].mean() - d[~z].mean()))
-    form3 = float(n / n0 * (a[z].sum() / n1 - a.mean()))
-    scale = max(1.0, abs(form1), abs(form2), abs(form3))
-    if max(abs(form1 - form2), abs(form1 - form3)) > 1e-10 * scale:
-        raise InternalCheckError(
-            f"adjusted-statistic forms disagree: {form1!r}, {form2!r}, {form3!r}"
-        )
-    s2_a = sample_cov(y) + beta**2 * sample_cov(d) - 2.0 * beta * sample_cov(y, d)
-    return form1, n / (n1 * n0) * s2_a
 
 
 def classify_quadratic(a: float, b: float, c: float) -> QuadraticSet:
@@ -191,43 +187,3 @@ def classify_quadratic(a: float, b: float, c: float) -> QuadraticSet:
     root = np.sqrt(disc)
     # a < 0 flips the division, so (b + root)/a is the smaller endpoint.
     return QuadraticSet(kind="complement", endpoints=((b + root) / a, (b - root) / a))
-
-
-def iv_confidence_set(z, d, y, alpha: float) -> QuadraticSet:
-    """Confidence set for the effect ratio beta: all beta whose adjusted
-    statistic passes the level-alpha normal-calibrated test, which is the
-    solution set of
-    (tau_D^2 - eta s2_D) beta^2 - 2 (tau_D tau_Y - eta s_YD) beta
-        + (tau_Y^2 - eta s2_Y) <= 0.
-    """
-    s = iv_summary(z, d, y, alpha)
-    return classify_quadratic(
-        s.tau_hat_d**2 - s.eta * s.s2_d,
-        s.tau_hat_d * s.tau_hat_y - s.eta * s.s_yd,
-        s.tau_hat_y**2 - s.eta * s.s2_y,
-    )
-
-
-def iv_condition_stat(z, d, y) -> IVConditionStat:
-    """Finite-N normality diagnostic that covers every beta simultaneously:
-    (1 / min(n_1, n_0)) [ max_i (Y_i - Ybar)^2 / (s2_Y - s_YD^2 / s2_D)
-                        + max_i (D_i - Dbar)^2 / (s2_D - s_YD^2 / s2_Y) ].
-
-    When either denominator is non-positive (for example d exactly
-    proportional to y), the diagnostic is undefined and the degenerate flag is
-    set instead of raising.
-    """
-    z, d, y, n1, n0 = _check_iv(z, d, y)
-    s2_y = sample_cov(y)
-    s2_d = sample_cov(d)
-    s_yd = sample_cov(y, d)
-    if s2_y == 0.0 or s2_d == 0.0:
-        return IVConditionStat(value=float("nan"), degenerate=True)
-    den_y = s2_y - s_yd**2 / s2_d
-    den_d = s2_d - s_yd**2 / s2_y
-    if den_y <= 0.0 or den_d <= 0.0:
-        return IVConditionStat(value=float("nan"), degenerate=True)
-    m_y = float(np.max((y - y.mean()) ** 2))
-    m_d = float(np.max((d - d.mean()) ** 2))
-    value = (m_y / den_y + m_d / den_d) / min(n1, n0)
-    return IVConditionStat(value=value, degenerate=False)

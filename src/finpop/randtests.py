@@ -250,6 +250,8 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
                 null_variance=var0,
             )
     elif kind == "kw":
+        tied = np.unique(values, return_counts=True)[1].size < values.size
+
         def reduce(sums, sizes):
             if constant:
                 return np.zeros(sums.shape[0])
@@ -259,7 +261,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             method = "chi2_approx"
             if constant:
                 method += ",degenerate"
-            elif np.unique(centered).size < centered.size:
+            elif tied:
                 method += ",ties_adjusted"
             return TestResult(
                 statistic=observed,
@@ -272,9 +274,9 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
         def check(labels, observed):
             # a disagreement beyond rounding is an internal error; tied
             # midranks have only the analysis-of-variance form
-            n = values.size
-            if np.unique(values).size < n:
+            if tied:
                 return
+            n = values.size
             counts = arm_sizes(labels)
             h_std = float(((n - counts) / n) @ (standardized_rank_means(labels, values) ** 2))
             if abs(observed - h_std) > 1e-10 * max(1.0, abs(observed)):

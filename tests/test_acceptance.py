@@ -386,10 +386,12 @@ def test_criterion_10_quadratic_classification(capsys):
         rng.shuffle(z)
         d = rng.normal(size=n) + rng.uniform(0.1, 1.5) * z
         y = rng.normal(size=n) + rng.uniform(-1.0, 2.0) * d
-        conf = ivconf.iv_confidence_set(z, d, y, 0.05)
+        conf = ivconf.iv_summary(z, d, y, 0.05).confidence_set
         for beta in np.linspace(-8.0, 8.0, 161):
-            # |t| <= z_{0.975} sqrt(v) directly, with v the null variance
-            t, v = ivconf.adjusted_stat(z, d, y, beta)
+            # |t| <= z_{0.975} sqrt(v) directly, with t and v the statistic and
+            # null variance of the shipped 'diff' test of y - beta d
+            test = randtests.randomization_test("diff", 2 - z, y - beta * d, "normal")
+            t, v = test.statistic, test.null_variance
             margin = t * t - crit2 * v
             if abs(margin) <= 1e-9 * max(1.0, t * t, crit2 * v):
                 continue  # grid point sits on the set boundary

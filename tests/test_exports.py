@@ -1,9 +1,10 @@
-"""Export tests: every name a module lists in `__all__` exists, so that
-`from finpop.<module> import *` cannot fail on a name that was deleted or
-renamed without its export; every name a package re-exports from one of
-its modules is in that module's `__all__` too, so the two lists cannot drift
-apart; and every exported callable is used by the package itself, so that
-public code no CLI command or campaign reaches is surfaced or removed."""
+"""Export tests: every module declares `__all__`, and every name it lists
+exists, so that `from finpop.<module> import *` cannot fail on a name that
+was deleted or renamed without its export; every name a package re-exports
+from one of its modules is in that module's `__all__` too, so the two lists
+cannot drift apart; and every callable any module exports is used by the
+package itself, so that public code no CLI command or campaign reaches is
+surfaced or removed."""
 
 import ast
 import importlib
@@ -19,8 +20,9 @@ import finpop.harness
 _UNREACHED = {
     "cre_condition_stats": "the paper's finite-N condition for contrast estimates, "
                            "due in the diagnostics of `estimate` (ROADMAP item 7)",
-    "adjusted_stat": "the statistic `iv_confidence_set` inverts, due in a block "
-                     "form for `iv-ci` coverage (ROADMAP item 4)",
+    "solve_gamma_c": "the joint statistic's level-alpha critical value, checked by "
+                     "acceptance criterion 12 and due as the critical value of the "
+                     "joint size suite (ROADMAP item 4)",
 }
 
 
@@ -28,6 +30,10 @@ def _modules():
     walked = pkgutil.walk_packages(finpop.__path__, "finpop.")
     return [finpop] + [importlib.import_module(info.name)
                        for info in sorted(walked, key=lambda info: info.name)]
+
+
+def test_every_module_declares_its_exports():
+    assert [module.__name__ for module in _modules() if not hasattr(module, "__all__")] == []
 
 
 def test_every_exported_name_resolves():
@@ -77,8 +83,8 @@ def _names_used_by_the_package() -> set:
 
 
 def test_every_exported_callable_is_used_by_the_package():
-    exported = {name for package in (finpop, finpop.harness) for name in package.__all__
-                if callable(getattr(package, name))}
+    exported = {name for module in _modules() for name in module.__all__
+                if callable(getattr(module, name))}
     unreached = exported - _names_used_by_the_package()
     assert sorted(unreached - set(_UNREACHED)) == []
     # a stale entry would let its name go unreached again unnoticed

@@ -1068,6 +1068,26 @@ def test_cli_iv_ci_point_at_exact_ratio(tmp_path, capsys):
     assert payload["condition"]["degenerate"] is True  # y exactly 2 d
 
 
+def test_cli_estimate_and_iv_ci_refuse_an_alpha_by_name(tmp_path, capsys):
+    # below 2**-53, 1 - alpha/2 rounds to 1: estimate used to fail inside the
+    # quantile with a level the user never gave, and iv-ci printed a set
+    iv = _write(tmp_path / "iv.csv", "z,d,y\n" + "".join(
+        f"{z},{z + 0.1 * i},{0.5 * i * i}\n" for i, z in enumerate((1, 0) * 5)))
+    covariates = _write(tmp_path / "x.csv", "arm,y,x1\n" + "".join(
+        f"{arm},{0.3 * i * i},{i % 3}\n" for i, arm in enumerate((1, 2) * 5)))
+    commands = (["estimate", "--data", _two_arm_csv(tmp_path)],
+                ["estimate", "--data", covariates], ["iv-ci", "--data", iv])
+    for argv in commands:
+        assert main(argv) == 0
+        capsys.readouterr()
+        for alpha, message in (("1e-17", "alpha must exceed 2**-53, got 1e-17"),
+                               ("0", "alpha must be in (0, 1), got 0.0"),
+                               ("1.5", "alpha must be in (0, 1), got 1.5")):
+            assert main([*argv, "--alpha", alpha]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_cli_factorial_effects(tmp_path, capsys):
     y = [5.0, 6.0, 4.0, 4.0, 2.0, 3.0, 1.0, 0.5]
     rows = "".join(f"{arm},{val}\n" for arm, val in zip((1, 1, 2, 2, 3, 3, 4, 4), y))
@@ -1138,6 +1158,8 @@ def test_cli_out_is_checked_before_the_command_runs(tmp_path, monkeypatch, capsy
      "population sizes must be strictly increasing, got [40, 40]"),
     (["--suite", "all", "--seed", "26", "--ns", "64,16"],
      "population sizes must be strictly increasing, got [64, 16]"),
+    (["--suite", "all", "--seed", "1", "--reps", "100000", "--alpha", "1e-17"],
+     "alpha must exceed 2**-53, got 1e-17"),
 ])
 def test_cli_verify_refuses_a_setting_before_any_campaign_runs(monkeypatch, capsys, argv,
                                                                 message):

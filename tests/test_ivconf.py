@@ -2,15 +2,16 @@
 
 The quadratic classifier is exercised on one constructed coefficient triple
 per branch of its case analysis, then cross-validated against a brute-force
-sign scan and against direct test inversion on random instances. Worked
-numeric examples were frozen from hand computation.
+sign scan and against direct inversion of the shipped two-arm 'diff' test of
+the adjusted outcome on random instances. Worked numeric examples were frozen
+from hand computation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpop import distlib, ivconf
+from finpop import distlib, ivconf, randtests
 from finpop.errors import ValidationError
 
 Z4 = np.array([1, 1, 0, 0])
@@ -28,6 +29,12 @@ def _random_instance(seed, n=12, weak=False):
         d = z + rng.normal(scale=0.3, size=n)
     y = 2.0 * d + rng.normal(scale=0.5, size=n)
     return z, d, y
+
+
+def _adjusted(z, d, y, beta):
+    """The normal-calibrated 'diff' test of the adjusted outcome y - beta d,
+    arm 1 being z = 1: the statistic the confidence set inverts."""
+    return randtests.randomization_test("diff", 2 - np.asarray(z), y - beta * d, "normal")
 
 
 # =========================================================================
@@ -48,32 +55,40 @@ def test_iv_summary_hand_values():
 
 
 def test_adjusted_stat_hand_values():
-    stat, var0 = ivconf.adjusted_stat(Z4, D4, Y4, 0.5)
+    result = _adjusted(Z4, D4, Y4, 0.5)
+    stat, var0 = result.statistic, result.null_variance
     assert stat == pytest.approx(1.0, abs=1e-14)
     # s2_Y + 0.25 s2_D - s_YD = 5/3 + 1/12 - 2/3 = 13/12
     assert var0 == pytest.approx(13.0 / 12.0, abs=1e-14)
 
 
 def test_adjusted_stat_at_zero_beta_is_outcome_difference():
-    stat, _ = ivconf.adjusted_stat(Z4, D4, Y4, 0.0)
+    stat = _adjusted(Z4, D4, Y4, 0.0).statistic
     assert stat == pytest.approx(1.0, abs=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_adjusted_stat_forms_agree_on_random_data(seed):
-    # three algebraically equal forms are computed internally; any
-    # disagreement raises, so a clean return is already the assertion
+    # the 'diff' test of y - beta d agrees with the summary's moments: its
+    # statistic is tau_Y - beta tau_D, its null variance
+    # N / (n_1 n_0) (s2_Y + beta^2 s2_D - 2 beta s_YD)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 20))
     z = np.zeros(n, dtype=int)
     z[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1
     d, y = rng.normal(size=n), rng.normal(size=n)
     beta = float(rng.normal(scale=3.0))
-    stat, var0 = ivconf.adjusted_stat(z, d, y, beta)
+    result = _adjusted(z, d, y, beta)
+    stat, var0 = result.statistic, result.null_variance
     a = y - beta * d
     assert stat == pytest.approx(a[z == 1].mean() - a[z == 0].mean(), abs=1e-10)
     assert var0 >= -1e-12
+    s = ivconf.iv_summary(z, d, y, 0.05)
+    form2 = s.tau_hat_y - beta * s.tau_hat_d
+    assert abs(stat - form2) <= 1e-10 * max(1.0, abs(stat), abs(form2))
+    s2_a = s.s2_y + beta**2 * s.s2_d - 2.0 * beta * s.s_yd
+    assert var0 == pytest.approx(n / (s.n1 * s.n0) * s2_a, rel=1e-12)
 
 
 def test_iv_inputs_are_validated():
@@ -202,14 +217,14 @@ def test_exact_proportionality_pins_the_ratio():
     z = np.array([1] * 10 + [0] * 10)
     d = z.astype(float)
     y = 2.0 * d
-    result = ivconf.iv_confidence_set(z, d, y, 0.05)
+    result = ivconf.iv_summary(z, d, y, 0.05).confidence_set
     assert result.kind == "point"
     assert result.endpoints[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_strong_instrument_gives_interval_around_ratio():
     z, d, y = _random_instance(3, n=40)
-    result = ivconf.iv_confidence_set(z, d, y, 0.05)
+    result = ivconf.iv_summary(z, d, y, 0.05).confidence_set
     assert result.kind == "interval"
     s = ivconf.iv_summary(z, d, y, 0.05)
     ratio = s.tau_hat_y / s.tau_hat_d
@@ -219,7 +234,7 @@ def test_strong_instrument_gives_interval_around_ratio():
 
 def test_weak_instrument_gives_unbounded_set():
     z, d, y = _random_instance(5, n=12, weak=True)
-    result = ivconf.iv_confidence_set(z, d, y, 0.05)
+    result = ivconf.iv_summary(z, d, y, 0.05).confidence_set
     assert result.kind in ("complement", "whole_line", "half_line_up", "half_line_down")
 
 
@@ -231,15 +246,15 @@ def test_ratio_estimate_always_belongs_to_the_set():
         s = ivconf.iv_summary(z, d, y, 0.05)
         if s.tau_hat_d == 0.0:
             continue
-        result = ivconf.iv_confidence_set(z, d, y, 0.05)
+        result = ivconf.iv_summary(z, d, y, 0.05).confidence_set
         assert result.contains(s.tau_hat_y / s.tau_hat_d, tol=1e-9)
 
 
 def test_confidence_set_scale_and_shift_equivariance():
     z, d, y = _random_instance(8, n=30)
-    base = ivconf.iv_confidence_set(z, d, y, 0.05)
-    scaled = ivconf.iv_confidence_set(z, d, 3.0 * y, 0.05)
-    shifted = ivconf.iv_confidence_set(z, d, y + 11.0, 0.05)
+    base = ivconf.iv_summary(z, d, y, 0.05).confidence_set
+    scaled = ivconf.iv_summary(z, d, 3.0 * y, 0.05).confidence_set
+    shifted = ivconf.iv_summary(z, d, y + 11.0, 0.05).confidence_set
     assert base.kind == scaled.kind == shifted.kind == "interval"
     assert scaled.endpoints == pytest.approx(
         tuple(3.0 * e for e in base.endpoints), rel=1e-10
@@ -251,9 +266,10 @@ def test_confidence_set_matches_direct_test_inversion():
     z975 = distlib.std_normal_quantile(0.975)
     for seed in range(5):
         z, d, y = _random_instance(seed + 50, n=24, weak=(seed == 4))
-        result = ivconf.iv_confidence_set(z, d, y, 0.05)
+        result = ivconf.iv_summary(z, d, y, 0.05).confidence_set
         for beta in np.linspace(-15.0, 15.0, 301):
-            stat, var0 = ivconf.adjusted_stat(z, d, y, float(beta))
+            test = _adjusted(z, d, y, float(beta))
+            stat, var0 = test.statistic, test.null_variance
             if var0 <= 0.0:
                 continue
             margin = abs(stat) - z975 * np.sqrt(var0)
@@ -267,8 +283,8 @@ def test_confidence_set_matches_direct_test_inversion():
 
 def test_wider_alpha_nests_the_set():
     z, d, y = _random_instance(9, n=30)
-    narrow = ivconf.iv_confidence_set(z, d, y, 0.10)
-    wide = ivconf.iv_confidence_set(z, d, y, 0.01)
+    narrow = ivconf.iv_summary(z, d, y, 0.10).confidence_set
+    wide = ivconf.iv_summary(z, d, y, 0.01).confidence_set
     assert narrow.kind == wide.kind == "interval"
     assert wide.endpoints[0] <= narrow.endpoints[0]
     assert wide.endpoints[1] >= narrow.endpoints[1]
@@ -281,8 +297,8 @@ def test_wider_alpha_nests_the_set():
 
 def test_condition_stat_hand_formula():
     z, d, y = _random_instance(12, n=10)
-    result = ivconf.iv_condition_stat(z, d, y)
-    assert not result.degenerate
+    result = ivconf.iv_summary(z, d, y, 0.05).condition
+    assert result is not None
     s2_y, s2_d = np.var(y, ddof=1), np.var(d, ddof=1)
     s_yd = float((y - y.mean()) @ (d - d.mean()) / (y.size - 1))
     m_y = np.max((y - y.mean()) ** 2)
@@ -290,18 +306,15 @@ def test_condition_stat_hand_formula():
     expected = (
         m_y / (s2_y - s_yd**2 / s2_d) + m_d / (s2_d - s_yd**2 / s2_y)
     ) / 5.0
-    assert result.value == pytest.approx(expected, rel=1e-12)
+    assert result == pytest.approx(expected, rel=1e-12)
 
 
 def test_condition_stat_flags_proportional_series():
     z = np.array([1, 1, 0, 0, 1, 0])
     y = np.array([1.0, 4.0, 2.0, 0.0, 3.0, 5.0])
-    result = ivconf.iv_condition_stat(z, 2.0 * y, y)
-    assert result.degenerate
-    assert np.isnan(result.value)
+    assert ivconf.iv_summary(z, 2.0 * y, y, 0.05).condition is None
 
 
 def test_condition_stat_flags_constant_series():
     z = np.array([1, 0, 1, 0])
-    result = ivconf.iv_condition_stat(z, np.ones(4), np.arange(4.0))
-    assert result.degenerate
+    assert ivconf.iv_summary(z, np.ones(4), np.arange(4.0), 0.05).condition is None
