@@ -149,6 +149,22 @@ def _unrank_partitions(sizes: list[int], count: int, ranks: np.ndarray) -> np.nd
     return np.ascontiguousarray(out.T)
 
 
+def _enumeration_count(sizes, cap) -> int:
+    """The number of assignments with these arm sizes, refused up front when
+    it exceeds the cap, a whole number >= 1 that defaults to
+    DEFAULT_ENUM_CAP; every exhaustive enumeration checks its count here."""
+    sizes = _check_sizes(sizes)
+    cap = DEFAULT_ENUM_CAP if cap is None else _whole(cap, "enumeration caps")
+    if cap < 1:
+        raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
+    count = multinomial_count(sizes)
+    # the per-position sub-counts times an arm size must fit in int64
+    cap_value = min(cap, np.iinfo(np.int64).max // sum(sizes))
+    if count > cap_value:
+        raise EnumerationCapError(count, cap_value)
+    return count
+
+
 def enumerate_partition_blocks(
     sizes, cap: int | None = None, block: int = 4096
 ) -> Iterator[np.ndarray]:
@@ -160,14 +176,7 @@ def enumerate_partition_blocks(
     is a fresh array, so callers may keep or modify it.
     """
     sizes = _check_sizes(sizes)
-    cap = DEFAULT_ENUM_CAP if cap is None else _whole(cap, "enumeration caps")
-    if cap < 1:
-        raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
-    count = multinomial_count(sizes)
-    # the per-position sub-counts times an arm size must fit in int64
-    cap_value = min(cap, np.iinfo(np.int64).max // sum(sizes))
-    if count > cap_value:
-        raise EnumerationCapError(count, cap_value)
+    count = _enumeration_count(sizes, cap)
     block = int(block)
     if block < 1:
         raise ValidationError(f"block size must be >= 1, got {block}")

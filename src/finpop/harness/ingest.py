@@ -245,14 +245,17 @@ def _read_columns(path: str, required: tuple[str, ...], optional: tuple[str, ...
 
 
 def _check_contiguous(values: np.ndarray, path: str, what: str) -> None:
-    present = np.unique(values)
+    # numpy's plain `unique` imports numpy.ma on its first call; the counts
+    # form takes the sorting path and imports nothing
+    present = np.unique(values, return_counts=True)[0]
     top = int(present[-1])
     n_missing = top - present.size
     if n_missing:
         # at most present.size of 1..present.size + k are present, so that
         # range holds the first k missing values
         upto = min(top, present.size + _MISSING_SHOWN)
-        missing = np.setdiff1d(np.arange(1, upto + 1), present)[:_MISSING_SHOWN].tolist()
+        missing = np.setdiff1d(np.arange(1, upto + 1), present,
+                               assume_unique=True)[:_MISSING_SHOWN].tolist()
         more = f" and {n_missing - len(missing)} more" if n_missing > len(missing) else ""
         raise ValidationError(
             f"{path}: {what} must be contiguous 1..{top}; no rows carry {missing}{more}"

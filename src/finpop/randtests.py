@@ -10,8 +10,11 @@ the three reference-distribution engines.
 Every statistic the CLI tests is a reduction of the Q arm sums of columns
 that do not change across assignments (the outcomes, their ranks, or both).
 `designs.ArmBlock` computes those sums for a whole block of assignments at
-once, and `SumStatistic` pairs it with the reduction, so the exact and Monte
-Carlo engines evaluate a block of assignments per call instead of one.
+once, and `SumStatistic` pairs it with the reduction, so the Monte Carlo
+engine evaluates a block of drawn assignments per call instead of one. The
+exact engine never builds a full label row: it splits the units into two
+halves, enumerates the arm sums of each half's assignments, and reduces the
+sums of every pair of half assignments that make up one full assignment.
 
 The normal reference needs only the statistic's values and the arm sizes:
 by the finite-population central limit theorem the arm sums of any fixed
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -40,6 +44,7 @@ from . import distlib
 from .designs import (
     ArmBlock,
     _check_sizes,
+    _enumeration_count,
     as_rng,
     draw_partition_batch,
     enumerate_partition_blocks,
@@ -84,10 +89,9 @@ TEST_STATISTICS = {
 }
 TEST_METHODS = ("normal", "exact", "mc")
 _MC_CHUNK = 1024
-_EXACT_BLOCK = 4096
-# label cells per exact-enumeration block (8 MB of int64); caps the block
-# rows for large N so block temporaries stay small
-_EXACT_BLOCK_CELLS = 1 << 20
+# reference statistics per exact-engine block: the pairs of half-sample arm
+# sums added and reduced at once
+_PAIR_CHUNK = 1 << 16
 # a reference statistic within this distance of the observed one, relative
 # to max(1, |observed|), counts as a tie: statistics that are equal in exact
 # arithmetic can differ by round-off, and dropping them is anti-conservative
@@ -489,11 +493,11 @@ def _seeded_chunks(b: int, seed, draw):
     return (draw(min(_MC_CHUNK, b - start), rng) for start in range(0, b, _MC_CHUNK))
 
 
-def _engine_count(statistic, labels, alternative: str, label_blocks) -> tuple[float, int, int]:
+def _engine_count(statistic, labels, alternative: str, references) -> tuple[float, int, int]:
     """(observed statistic, reference rows as or more extreme, reference rows)
-    of a SumStatistic over the label blocks `label_blocks(sizes)` yields for
-    the arm sizes of `labels`. The observed assignment is a block of one row
-    through the same kernel as the references."""
+    of a SumStatistic over the blocks of reference statistics
+    `references(sizes)` yields for the arm sizes of `labels`. The observed
+    assignment is a block of one row through `SumStatistic.block`."""
     if not isinstance(statistic, SumStatistic):
         raise ValidationError("the engines take a sum_statistic(kind, values, q) or a "
                               f"SumStatistic(values, q, reduce), got {type(statistic).__name__}")
@@ -501,8 +505,47 @@ def _engine_count(statistic, labels, alternative: str, label_blocks) -> tuple[fl
     labels = np.asarray(labels)
     sizes = arm_sizes(labels, statistic.q)
     observed = float(statistic.block(labels[np.newaxis], sizes)[0])
-    blocks = (statistic.block(block, sizes) for block in label_blocks(sizes.tolist()))
-    return (observed, *_tail_count(observed, alternative, blocks))
+    return (observed, *_tail_count(observed, alternative, references(sizes.tolist())))
+
+
+def _half_sums(values: np.ndarray, counts: np.ndarray, q: int, cap: int) -> np.ndarray:
+    """(rows, q, k) arm sums of `values`, one row per assignment of its units
+    with arm counts `counts`. Arms with a zero count are left out of the
+    enumeration and their labels mapped back; no units is one zero row."""
+    arms = np.flatnonzero(counts) + 1
+    if arms.size == 0:
+        return np.zeros((1, q, values.shape[1]))
+    return np.concatenate([ArmBlock(arms[block - 1], q).sums(values)
+                           for block in enumerate_partition_blocks(counts[arms - 1], cap)])
+
+
+def _split_references(statistic: SumStatistic, sizes: list[int], count: int):
+    """The statistic of each of the `count` assignments with these arm sizes,
+    in blocks of at most 2^16 rows, from the arm sums of two halves of the
+    units (the split of Horowitz and Sahni, J. ACM 21, 1974).
+
+    An assignment puts c_q of the first N // 2 units in arm q and n_q - c_q
+    of the rest, and its arm sums are the sums over the first half plus
+    those over the second. So for each count vector c every pair of a
+    first-half and a second-half assignment is one full assignment, and
+    every full assignment is one such pair. No half has more assignments
+    than the whole, so `count` caps the half enumerations."""
+    values, q = statistic.values, statistic.q
+    half = sum(sizes) // 2
+    total = np.asarray(sizes)
+    float_sizes = total.astype(float)
+    for head in product(*(range(size + 1) for size in sizes[:-1])):
+        counts = np.array([*head, half - sum(head)])
+        if not 0 <= counts[-1] <= sizes[-1]:
+            continue
+        first = _half_sums(values[:half], counts, q, count)
+        second = _half_sums(values[half:], total - counts, q, count)
+        step_second = min(len(second), _PAIR_CHUNK)
+        step_first = max(1, _PAIR_CHUNK // step_second)
+        for i in range(0, len(first), step_first):
+            for j in range(0, len(second), step_second):
+                pairs = first[i:i + step_first, np.newaxis] + second[np.newaxis, j:j + step_second]
+                yield statistic.reduce(pairs.reshape(-1, q, values.shape[1]), float_sizes)
 
 
 def mc_randomization_pvalue(
@@ -522,7 +565,8 @@ def mc_randomization_pvalue(
     """
     observed, count, rows = _engine_count(
         statistic, labels, alternative,
-        lambda sizes: _seeded_chunks(b, seed, partial(draw_partition_batch, sizes)))
+        lambda sizes: (statistic.block(block, sizes) for block in
+                       _seeded_chunks(b, seed, partial(draw_partition_batch, sizes))))
     seed_tag = seed if isinstance(seed, (int, np.integer)) else "external"
     return TestResult(
         statistic=observed,
@@ -538,17 +582,26 @@ def exact_randomization_pvalue(
     """Exact randomization p-value: the proportion of all assignments whose
     statistic is as or more extreme than the observed one.
 
-    Assignments are enumerated in blocks of at most 4096 rows (fewer when
-    N > 256, keeping a block near 2^20 labels) by
-    `enumerate_partition_blocks`, which refuses counts above the cap. A
-    reference statistic within 1e-12 (relative to max(1, |observed|)) of
-    the observed one counts as a tie, so the observed assignment always
-    counts itself and p >= 1 / #assignments.
+    A count of assignments above the cap is refused before any is
+    enumerated, by the rule of `enumerate_partition_blocks`. The reference
+    statistics are reductions of arm sums, never of label rows: the units
+    split into a first half of N // 2 and the rest, `enumerate_partition_blocks`
+    and `ArmBlock.sums` give the arm sums of every assignment of each half
+    with each arm-count vector, and every pair of half sums with
+    complementary counts is one assignment, reduced in blocks of at most
+    2^16 pairs. Memory is bounded by one block and the half sums, about the
+    square root of the count.
+
+    A reference sum adds two partial sums, so it can differ from the
+    observed statistic's unit-order sum in the last bits. A reference
+    statistic within 1e-12 (relative to max(1, |observed|)) of the observed
+    one counts as a tie, so the observed assignment always counts itself and
+    p >= 1 / #assignments.
     """
-    block = max(1, min(_EXACT_BLOCK, _EXACT_BLOCK_CELLS // np.size(labels)))
-    observed, count, total = _engine_count(
-        statistic, labels, alternative,
-        lambda sizes: enumerate_partition_blocks(sizes, cap, block))
+    def references(sizes):
+        return _split_references(statistic, sizes, _enumeration_count(sizes, cap))
+
+    observed, count, total = _engine_count(statistic, labels, alternative, references)
     return TestResult(
         statistic=observed,
         p_value=count / total,

@@ -16,7 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import diff_in_means_stat, dose_rank_stat, extreme_rank_stats, wilcoxon_stat
 from finpop import designs, distlib, estimators, randtests
-from finpop.errors import DegenerateInputError, InternalCheckError, TieError, ValidationError
+from finpop.errors import (
+    DegenerateInputError,
+    EnumerationCapError,
+    InternalCheckError,
+    TieError,
+    ValidationError,
+)
 
 # mpmath, dps=40
 CHI2_SF_24_1 = 0.12133525035848214653
@@ -990,3 +996,112 @@ def test_exact_diff_matches_rational_enumeration(data, sizes, alternative):
     result = randtests.exact_randomization_pvalue(
         randtests.sum_statistic("diff", y_arr), lab_arr, alternative)
     assert result.p_value == want
+
+
+def _enumerated_count(statistic, labels, alternative):
+    """(as or more extreme, assignments) with every label row of
+    `enumerate_partition_blocks` through `SumStatistic.block`: the label
+    enumeration the exact engine replaced, counted by its tail rule."""
+    sizes = estimators.arm_sizes(labels, statistic.q)
+    observed = float(statistic.block(labels[np.newaxis], sizes)[0])
+    count = total = 0
+    for block in designs.enumerate_partition_blocks(sizes.tolist()):
+        ref = statistic.block(block, sizes)
+        count += int(np.count_nonzero(randtests._is_extreme(ref, observed, alternative)))
+        total += ref.shape[0]
+    return count, total
+
+
+@st.composite
+def _split_cases(draw):
+    """(kind, arm sizes) with Q <= 4 and N <= 12; diff, wilcoxon and joint
+    take two arms."""
+    kind = draw(st.sampled_from(["diff", "wilcoxon", "kw", "max", "range", "dose", "joint"]))
+    q = 2 if kind in ("diff", "wilcoxon", "joint") else draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 12 // q), min_size=q, max_size=q))
+    return kind, tuple(sizes)
+
+
+# the first N // 2 units leave an arm empty in some half: (1, N - 1) puts
+# its one unit of arm 1 in one half only
+@given(case=_split_cases(), data=st.data())
+@example(case=("diff", (1, 1)), data=None)
+@example(case=("wilcoxon", (1, 11)), data=None)
+@example(case=("joint", (1, 11)), data=None)
+@example(case=("kw", (1, 1, 1)), data=None)
+@example(case=("range", (1, 1, 10)), data=None)
+@example(case=("dose", (1, 1, 10)), data=None)
+@example(case=("max", (3, 3, 3, 3)), data=None)
+@settings(max_examples=60, deadline=None)
+def test_exact_engine_equals_label_enumeration(case, data):
+    kind, sizes = case
+    q, n = len(sizes), sum(sizes)
+    rng = np.random.default_rng(sum(sizes) * 7 + q)
+    if data is None:
+        labels = designs.draw_partition_batch(sizes, 1, rng)[0]
+        y = np.round(rng.normal(size=n), 1)
+        doses = np.linspace(-1.0, 2.0, q)
+    else:
+        labels = np.array(data.draw(st.permutations(np.repeat(np.arange(1, q + 1), sizes))))
+        y = np.array(data.draw(st.lists(st.floats(-2.0, 2.0).map(lambda v: round(v, 1)),
+                                        min_size=n, max_size=n)))
+        doses = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q)), float)
+    if kind == "joint" and y.min() == y.max():
+        y[0] += 0.1  # joint refuses a constant column
+    ranks = randtests.rank_transform(y, "midrank")
+    values = {"diff": y, "joint": np.column_stack([y, ranks])}.get(kind, ranks)
+    statistic = randtests.sum_statistic("diff" if kind == "wilcoxon" else kind, values, q,
+                                        doses if kind == "dose" else None)
+    for alternative in ("two_sided", "greater", "less"):
+        count, total = _enumerated_count(statistic, labels, alternative)
+        result = randtests.exact_randomization_pvalue(statistic, labels, alternative)
+        assert result.method == f"exact(count={total})"
+        assert result.p_value == count / total
+
+
+def _rank_sum_counts(n: int, k: int) -> list[int]:
+    """ways[s]: the k-subsets of the ranks 1..n with sum s, by the recursion
+    on the largest rank (in the subset or not), in integers."""
+    top = n * (n + 1) // 2
+    ways = [[0] * (top + 1) for _ in range(k + 1)]
+    ways[0][0] = 1
+    for rank in range(1, n + 1):
+        for size in range(min(rank, k), 0, -1):
+            for s in range(top, rank - 1, -1):
+                ways[size][s] += ways[size - 1][s - rank]
+    return ways[k]
+
+
+def test_exact_wilcoxon_past_the_old_enumeration_cost():
+    # (13, 13) has 10,400,600 assignments, above the default cap; label
+    # enumeration took about 7 s for them
+    sizes = (13, 13)
+    labels = designs.draw_partition_batch(sizes, 1, 41)[0]
+    y = np.random.default_rng(41).normal(size=26)
+    ranks = randtests.rank_transform(y)
+    ways = _rank_sum_counts(26, 13)
+    total = comb(26, 13)
+    assert sum(ways) == total == 10_400_600
+    # the rank-mean difference is (2 R_1 - 351) / 13 for the rank sum R_1 of arm 1
+    observed = int(ranks[labels == 1].sum())
+    tails = {
+        "greater": sum(ways[observed:]),
+        "less": sum(ways[:observed + 1]),
+        "two_sided": sum(w for s, w in enumerate(ways) if abs(2 * s - 351) >= abs(2 * observed - 351)),
+    }
+    for alternative, count in tails.items():
+        result = randtests.randomization_test("wilcoxon", labels, y, "exact", alternative,
+                                              cap=11_000_000)
+        assert result.method == "exact(count=10400600)"
+        assert result.p_value == count / total
+
+
+def test_exact_engine_refuses_the_cap_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(randtests, "enumerate_partition_blocks", no_enumeration)
+    statistic = randtests.sum_statistic("diff", np.arange(10.0))
+    with pytest.raises(EnumerationCapError) as info:
+        randtests.exact_randomization_pvalue(statistic, np.repeat([1, 2], 5), cap=10)
+    assert (info.value.count, info.value.cap) == (252, 10)

@@ -87,6 +87,36 @@ def test_cli_calls_without_the_joint_test_load_no_scipy(tmp_path):
     assert out == "[]"
 
 
+def test_ingesting_cli_calls_leave_numpy_ma_unloaded(tmp_path):
+    # numpy's plain `unique` imports numpy.ma, 8-13 ms on every call that
+    # checked its arm labels that way
+    three_arm = tmp_path / "three.csv"
+    three_arm.write_text("arm,y\n" + "".join(
+        f"{arm},{0.7 * i + arm}\n" for i, arm in enumerate((1, 2, 3) * 4)
+    ))
+    two_arm = tmp_path / "two.csv"
+    two_arm.write_text("arm,y\n" + "".join(
+        f"{arm},{0.3 * i - arm}\n" for i, arm in enumerate((1, 2) * 5)
+    ))
+    calls = [
+        ["estimate", "--data", str(three_arm)],
+        ["estimate", "--data", str(two_arm)],
+        ["test", "--data", str(three_arm), "--stat", "kw", "--method", "normal"],
+        ["test", "--data", str(two_arm), "--stat", "diff", "--method", "normal"],
+        ["test", "--data", str(three_arm), "--stat", "kw", "--method", "exact"],
+        ["test", "--data", str(two_arm), "--stat", "diff", "--method", "exact"],
+    ]
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from finpop.harness import cli\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print('numpy.ma' in sys.modules)"
+    )
+    assert out.splitlines() == ["False"] * len(calls)
+
+
 def test_library_and_cli_run_with_scipy_blocked(tmp_path):
     two_arm = tmp_path / "two.csv"
     two_arm.write_text("arm,y\n" + "".join(
