@@ -532,14 +532,14 @@ def _split_references(statistic: SumStatistic, sizes: list[int], count: int):
     than the whole, so `count` caps the half enumerations."""
     values, q = statistic.values, statistic.q
     half = sum(sizes) // 2
-    total = np.asarray(sizes)
-    float_sizes = total.astype(float)
+    sizes = np.asarray(sizes)
+    float_sizes = sizes.astype(float)
     for head in product(*(range(size + 1) for size in sizes[:-1])):
         counts = np.array([*head, half - sum(head)])
         if not 0 <= counts[-1] <= sizes[-1]:
             continue
         first = _half_sums(values[:half], counts, q, count)
-        second = _half_sums(values[half:], total - counts, q, count)
+        second = _half_sums(values[half:], sizes - counts, q, count)
         step_second = min(len(second), _PAIR_CHUNK)
         step_first = max(1, _PAIR_CHUNK // step_second)
         for i in range(0, len(first), step_first):
