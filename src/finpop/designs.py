@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
@@ -33,6 +34,7 @@ __all__ = [
     "enumerate_partition_blocks",
     "ArmBlock",
     "indicator_cov",
+    "null_factor",
     "FactorialSpec",
     "factorial_contrasts",
     "inv_sqrt_psd",
@@ -261,6 +263,24 @@ def indicator_cov(sizes, i: int, j: int, q: int, r: int) -> float:
     if q == r:
         return -n_q * (n_total - n_q) / (n_sq * (n_total - 1))
     return n_q * n_r / (n_sq * (n_total - 1))
+
+
+def null_factor(contrast, sizes) -> np.ndarray:
+    """The (K, K) sharp-null factor C'(diag(1/n) - 11'/N)C of a (Q, K)
+    contrast C (a length-Q vector is one column) at arm sizes n: the contrast
+    of the arm means of any fixed vector with variance S^2 has covariance S^2
+    times it, N / (n_1 n_0) for diff. Each entry is an exact rational, an
+    integer over lcm(n, N) d^2 with d the common denominator of C, rounded once."""
+    sizes = _check_sizes(sizes)
+    c = np.asarray(contrast, dtype=float)
+    if c.ndim > 2 or c.shape[:1] != (len(sizes),) or not np.all(np.isfinite(c)):
+        raise ValidationError(f"need a finite contrast with one row per arm, got {contrast!r}")
+    entries = [Fraction(w) for w in c.ravel().tolist()]
+    d = math.lcm(*(w.denominator for w in entries))
+    a = np.array([int(w * d) for w in entries], dtype=object).reshape(len(sizes), -1)
+    scale = math.lcm(sum(sizes), *sizes)
+    m = np.diag(np.array([scale // s for s in sizes], dtype=object)) - scale // sum(sizes)
+    return (a.T @ m @ a / (scale * d * d)).astype(float)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import distlib
-from .designs import ArmBlock, FactorialSpec, _check_sizes, _singular, check_centered
+from .designs import ArmBlock, FactorialSpec, _check_sizes, _singular, check_centered, null_factor
 from .errors import SingularMatrixError, ValidationError
 from .popstats import as_contrast, as_table, pot_cov_structure, sample_cov
 
@@ -313,24 +313,15 @@ def cluster_adjusted(
 
 
 def factorial_null_moments(v_n: float, sizes, spec: FactorialSpec):
-    """Sharp-null moments of the factorial effect estimates.
-
-    Under the sharp null every arm sees the same fixed population with
-    variance v_n, so
+    """Sharp-null moments of the factorial effect estimates: every arm sees
+    the same fixed population with variance v_n, so the effects have
+    covariance v_n F, F = `designs.null_factor(spec.contrast, sizes)`:
         Var_0(tau_hat_k) = 2^{-2(K-1)} v_n sum_q 1/n_q        (same for all k)
         Corr_0(tau_hat_k, tau_hat_m)
             = sum_q g_kq g_mq / n_q  /  sum_q 1/n_q.
-    Returns (variances, correlations).
-    """
+    Returns (variances, correlations)."""
     if v_n < 0.0:
         raise ValidationError(f"population variance must be >= 0, got {v_n}")
-    sizes = np.asarray(_check_sizes(sizes), dtype=float)
-    if sizes.shape != (spec.q_arms,):
-        raise ValidationError(f"need {spec.q_arms} arm sizes, got {sizes.size}")
-    inv = 1.0 / sizes
-    total = float(inv.sum())
-    n_effects = spec.q_arms - 1
-    variances = np.full(n_effects, 2.0 ** (-2 * (spec.k - 1)) * v_n * total)
-    g = spec.generators.astype(float)
-    correlations = (g.T * inv) @ g / total
-    return variances, correlations
+    factor = null_factor(spec.contrast, sizes)
+    variances = np.diag(factor)
+    return v_n * variances, factor / np.sqrt(np.outer(variances, variances))

@@ -33,7 +33,6 @@ Kruskal-Wallis result computed from them is tagged ties_adjusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import comb
@@ -48,6 +47,7 @@ from .designs import (
     as_rng,
     draw_partition_batch,
     enumerate_partition_blocks,
+    null_factor,
 )
 from .errors import (
     DegenerateInputError,
@@ -140,16 +140,19 @@ class SumStatistic:
     `reduce(ArmBlock(block, q).sums(values), sizes)` with `sizes` the float arm
     sizes the rows share; `reduce` returns a length-B vector. Calling the
     object evaluates one assignment through the same kernel. `sum_statistic`
-    builds the CLI statistics, each with its normal tail; a custom one, say
-    a studentized difference in means, is a reduction of the arm sums of
-    the columns [y, y^2] and has only the exact and Monte Carlo references.
+    builds the CLI statistics, each declaring its normal reference `tail`
+    and for kw a `check` of the observed value; a custom one, say a
+    studentized difference in means, is a reduction of the arm sums of the
+    columns [y, y^2] and has only the exact and Monte Carlo references.
     """
 
-    def __init__(self, values, q: int, reduce):
+    def __init__(self, values, q: int, reduce, tail=None, check=None):
         values = np.asarray(values, dtype=float)
         self.values = values[:, np.newaxis] if values.ndim == 1 else values
         self.q = int(q)
         self.reduce = reduce
+        self.tail = tail
+        self.check = check
 
     def block(self, label_block, sizes) -> np.ndarray:
         """The statistic of every row of a label block with the given sizes."""
@@ -182,7 +185,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
     Here vbar_q is the mean of `values` over the units of arm q. Only
     'dose' takes doses.
 
-    Each kind also sets its normal tail, the p-value of an observed value
+    Each kind also declares its normal tail, the p-value of an observed value
     at given arm sizes. Under the sharp null the arm sums of the centered
     values v are asymptotically jointly normal with covariance
     S^2 (diag(n) - n n'/N), S^2 = v'v / (N - 1), whatever v is (outcomes,
@@ -190,8 +193,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
 
     - the linear kinds, sum_q d_q vbar_q ('diff' with d = (1, -1), 'dose'
       with d the doses): Phi(-z) in closed form, with null variance S^2 c
-      and c = `_linear_factor(d, sizes)`, so diff's c is N / (n_1 n_0) to
-      the bit;
+      and c = `designs.null_factor(d, sizes)`;
     - 'kw', a quadratic form in them: the chi-square (Q - 1) upper tail,
       tagged ties_adjusted for tied midranks and degenerate for constant
       values; an observed value of untied ranks is checked against its equal
@@ -242,7 +244,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             return sums[:, :, 0] / sizes @ doses + offset
 
         def tail(observed, sizes, alternative, b, seed):
-            var0 = _linear_factor(doses.tolist(), sizes) * s2
+            var0 = null_factor(doses, sizes)[0, 0] * s2
             if var0 <= 0.0:
                 raise ValidationError("the null variance is zero (constant outcomes, "
                                       "or doses proportional to the arm sizes)")
@@ -296,7 +298,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
 
         def reduce(sums, sizes):
             diffs = sums[:, 0] / sizes[0] - sums[:, 1] / sizes[1]
-            return (diffs / np.sqrt(_linear_factor((1, -1), sizes) * variances)).max(axis=1)
+            return (diffs / np.sqrt(null_factor((1, -1), sizes) * variances)).max(axis=1)
 
         def tail(observed, sizes, alternative, b, seed):
             # 1 - (orthant at m) would round to 0 far out
@@ -338,9 +340,7 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
         raise ValidationError(
             f"kind must be 'diff', 'kw', 'max', 'range', 'dose' or 'joint', got {kind!r}"
         )
-    statistic = SumStatistic(centered, q, reduce)
-    statistic._normal_tail, statistic._check_observed = tail, check
-    return statistic
+    return SumStatistic(centered, q, reduce, tail, check)
 
 
 def standardized_rank_means(labels, ranks) -> np.ndarray:
@@ -445,15 +445,6 @@ def _normal_p_value(shift: float, sd: float, alternative: str, correction: float
     return 1.0 if gap <= 0.0 else min(1.0, 2.0 * distlib.std_normal_cdf(-gap / sd))
 
 
-def _linear_factor(weights, sizes) -> float:
-    """c = sum_q d_q^2 / n_q - (sum_q d_q)^2 / N for the weights d and arm
-    sizes n, in exact rationals rounded once: sum_q d_q vbar_q has null
-    variance S^2 c."""
-    d = [Fraction(w) for w in weights]
-    n = [int(s) for s in sizes]
-    return float(sum(w * w / m for w, m in zip(d, n)) - sum(d) ** 2 / sum(n))
-
-
 def _check_alternative(alternative: str) -> None:
     if not isinstance(alternative, str) or alternative not in _ALTERNATIVES:
         raise ValidationError(f"unknown alternative {alternative!r}")
@@ -499,8 +490,8 @@ def _engine_count(statistic, labels, alternative: str, references) -> tuple[floa
     `references(sizes)` yields for the arm sizes of `labels`. The observed
     assignment is a block of one row through `SumStatistic.block`."""
     if not isinstance(statistic, SumStatistic):
-        raise ValidationError("the engines take a sum_statistic(kind, values, q) or a "
-                              f"SumStatistic(values, q, reduce), got {type(statistic).__name__}")
+        raise ValidationError("the engines take a SumStatistic(values, q, reduce, tail=None, "
+                              f"check=None), got {type(statistic).__name__}")
     _check_alternative(alternative)
     labels = np.asarray(labels)
     sizes = arm_sizes(labels, statistic.q)
@@ -651,10 +642,10 @@ def randomization_test(
               for column in columns]
     statistic = sum_statistic(kind, values[0] if len(values) == 1 else np.column_stack(values),
                               sizes.size, doses)
-    if statistic._check_observed is not None:
-        statistic._check_observed(labels, statistic(labels))
+    if statistic.check is not None:
+        statistic.check(labels, statistic(labels))
     if method == "exact":
         return exact_randomization_pvalue(statistic, labels, alternative, cap)
     if method == "mc":
         return mc_randomization_pvalue(statistic, labels, b, seed, alternative)
-    return statistic._normal_tail(statistic(labels), sizes, alternative, b, seed)
+    return statistic.tail(statistic(labels), sizes, alternative, b, seed)

@@ -6,9 +6,11 @@ counts against the multinomial coefficient; Monte Carlo draws against exact
 frequencies at loose tolerances. Everything random is seeded.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finpop import designs, estimators, popstats, randtests
 from finpop.errors import EnumerationCapError, ValidationError
@@ -220,6 +222,64 @@ def test_indicator_cov_validates_indices():
         designs.indicator_cov((2, 2), 4, 0, 1, 1)
     with pytest.raises(ValidationError):
         designs.indicator_cov((2, 2), 0, 1, 3, 1)
+
+
+@st.composite
+def _small_designs(draw):
+    """(sizes, contrast, y): 2 to 4 arms of 1 to 5 units with N <= 10, so at
+    most 25,200 assignments; an integer (Q, K) contrast with K <= 3; and
+    integer outcomes."""
+    q = draw(st.integers(2, 4))
+    sizes = []
+    for arm in range(q):
+        room = 10 - sum(sizes) - (q - arm - 1)
+        sizes.append(draw(st.integers(1, min(5, room))))
+    k = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    contrast = draw(st.lists(row, min_size=q, max_size=q))
+    y = draw(st.lists(st.integers(-3, 3), min_size=sum(sizes), max_size=sum(sizes)))
+    return tuple(sizes), contrast, y
+
+
+def _correlation(cov):
+    variances = np.diag(cov)
+    return cov / np.sqrt(np.outer(variances, variances))
+
+
+# diff's factor is N / (n_1 n_0) and the dose (0, 1, 2) factor at (3, 3, 3)
+# is 2/3, each to the bit; a design too large to enumerate has no outcomes
+@given(_small_designs())
+@example(((612_307, 998_101), [[1], [-1]], None))
+@example(((1, 999_983), [[1], [-1]], None))
+@example(((3, 3, 3), [[0], [1], [2]], [2, -1, 0, 3, 1, -3, 0, 2, 1]))
+@settings(max_examples=60, deadline=None)
+def test_null_factor_is_the_exact_sharp_null_covariance_of_contrast_means(design):
+    sizes, contrast, y = design
+    factor = designs.null_factor(contrast, sizes)
+    # each entry is its rational value rounded once
+    n = sum(sizes)
+    columns = [[Fraction(w) for w in column] for column in zip(*contrast)]
+    exact = [[sum(u_q * v_q / n_q for u_q, v_q, n_q in zip(u, v, sizes)) - sum(u) * sum(v) / n
+              for v in columns] for u in columns]
+    assert factor.tolist() == [[float(entry) for entry in row] for row in exact]
+    # S^2 times the factor is the covariance of the contrast's arm means
+    # over every assignment
+    if y is not None:
+        labels = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+        y = np.asarray(y, dtype=float)
+        sums = designs.ArmBlock(labels, len(sizes)).sums(y[:, np.newaxis])[:, :, 0]
+        effects = sums / np.asarray(sizes, dtype=float) @ np.asarray(contrast, dtype=float)
+        dev = effects - effects.mean(axis=0)
+        assert np.max(np.abs(dev.T @ dev / len(labels) - y.var(ddof=1) * factor)) <= 1e-12
+    # the views: factorial moments and the correlation of the arm means
+    if len(sizes) in (2, 4):
+        spec = designs.factorial_contrasts(len(sizes).bit_length() - 1)
+        view = designs.null_factor(spec.contrast, sizes)
+        variances, correlations = estimators.factorial_null_moments(2.5, sizes, spec)
+        assert variances.tolist() == (2.5 * np.diag(view)).tolist()
+        assert correlations.tolist() == _correlation(view).tolist()
+    arm_means = _correlation(designs.null_factor(np.eye(len(sizes)), sizes))
+    assert np.max(np.abs(randtests.rank_null_cov(sizes) - arm_means)) <= 4e-16
 
 
 # =========================================================================

@@ -224,7 +224,7 @@ def _joint_normal(labels, columns):
     observed assignment: two outcomes reach it only through the library."""
     statistic = randtests.sum_statistic("joint", columns)
     sizes = estimators.arm_sizes(labels).astype(float)
-    return statistic._normal_tail(statistic(labels), sizes, "greater", 1, None)
+    return statistic.tail(statistic(labels), sizes, "greater", 1, None)
 
 
 def test_joint_test_rank_mode_perfectly_correlated():
@@ -351,7 +351,7 @@ def _simulated_normal(sizes, observed, kind, b, seed):
     `observed`."""
     n = float(sum(sizes))
     statistic = randtests.sum_statistic(kind, np.arange(1.0, n + 1.0), len(sizes))
-    return statistic._normal_tail(observed, np.asarray(sizes, dtype=float), "greater", b, seed)
+    return statistic.tail(observed, np.asarray(sizes, dtype=float), "greater", b, seed)
 
 
 def test_rank_stat_normal_pvalue_is_seeded_and_bounded():
@@ -425,13 +425,6 @@ def test_dose_normal_reference_is_the_closed_form():
     assert result.method == "normal_approx"
     assert result.null_variance == pytest.approx(var0, rel=1e-12)
     assert result.p_value == pytest.approx(distlib.std_normal_cdf(-shift / var0**0.5), rel=1e-9)
-
-
-def test_linear_factor_of_diff_is_n_over_n1_n0_to_the_bit():
-    rng = np.random.default_rng(20)
-    for n1, n0 in rng.integers(1, 10**6, size=(5000, 2)).tolist():
-        assert randtests._linear_factor((1, -1), (n1, n0)) == (n1 + n0) / (n1 * n0)
-    assert randtests._linear_factor((0.0, 1.0, 2.0), (3, 3, 3)) == 2 / 3
 
 
 @pytest.mark.parametrize("method", ["normal", "exact", "mc"])
@@ -705,7 +698,7 @@ def test_engines_reject_bad_arguments():
 
 @pytest.mark.parametrize("stat_fn", [diff_in_means_stat, lambda lab, y: 0.0])
 def test_engines_take_a_sum_statistic_only(stat_fn):
-    message = r"sum_statistic\(kind, values, q\) or a SumStatistic\(values, q, reduce\)"
+    message = r"SumStatistic\(values, q, reduce, tail=None, check=None\), got"
     with pytest.raises(ValidationError, match=message):
         randtests.exact_randomization_pvalue(stat_fn, _LAB4)
     with pytest.raises(ValidationError, match=message):

@@ -155,7 +155,7 @@ def test_library_and_cli_run_with_scipy_blocked(tmp_path):
         "print(repr(distlib.solve_gamma_c(-0.4, 0.01)))\n"
         f"print(repr(randtests.randomization_test('joint', {labels!r}, {y!r}).p_value))\n"
         f"pair = randtests.sum_statistic('joint', {pair!r})\n"
-        f"print(repr(pair._normal_tail(pair({labels!r}), np.array([4.0, 4.0]), 'greater', 1, None).p_value))\n"
+        f"print(repr(pair.tail(pair({labels!r}), np.array([4.0, 4.0]), 'greater', 1, None).p_value))\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
@@ -165,6 +165,6 @@ def test_library_and_cli_run_with_scipy_blocked(tmp_path):
     assert out.splitlines() == [
         repr(distlib.solve_gamma_c(-0.4, 0.01)),
         repr(randtests.randomization_test("joint", labels, y).p_value),
-        repr(joint._normal_tail(joint(labels), np.array([4.0, 4.0]), "greater", 1, None).p_value),
+        repr(joint.tail(joint(labels), np.array([4.0, 4.0]), "greater", 1, None).p_value),
         "[]",
     ]
