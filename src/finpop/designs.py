@@ -266,21 +266,23 @@ def indicator_cov(sizes, i: int, j: int, q: int, r: int) -> float:
 
 
 def null_factor(contrast, sizes) -> np.ndarray:
-    """The (K, K) sharp-null factor C'(diag(1/n) - 11'/N)C of a (Q, K)
-    contrast C (a length-Q vector is one column) at arm sizes n: the contrast
-    of the arm means of any fixed vector with variance S^2 has covariance S^2
-    times it, N / (n_1 n_0) for diff. Each entry is an exact rational, an
-    integer over lcm(n, N) d^2 with d the common denominator of C, rounded once."""
+    """The (K, K) sharp-null factor C'(diag(1/n) - 11'/N)C of a (Q, K) contrast C
+    (a vector is one column) at arm sizes n: contrasts of the arm means of a fixed
+    vector with variance S^2 have covariance S^2 times it, N / (n_1 n_0) for diff.
+    Each entry, an integer over lcm(n, N) d^2 for C's common denominator d, is rounded once."""
     sizes = _check_sizes(sizes)
     c = np.asarray(contrast, dtype=float)
-    if c.ndim > 2 or c.shape[:1] != (len(sizes),) or not np.all(np.isfinite(c)):
-        raise ValidationError(f"need a finite contrast with one row per arm, got {contrast!r}")
+    if c.ndim not in (1, 2) or not np.all(np.isfinite(c)):
+        raise ValidationError(f"need a finite contrast vector or matrix, got {contrast!r}")
+    if len(sizes) != len(c):
+        raise ValidationError(f"need {len(c)} arm sizes, got {sizes}")
     entries = [Fraction(w) for w in c.ravel().tolist()]
     d = math.lcm(*(w.denominator for w in entries))
     a = np.array([int(w * d) for w in entries], dtype=object).reshape(len(sizes), -1)
-    scale = math.lcm(sum(sizes), *sizes)
-    m = np.diag(np.array([scale // s for s in sizes], dtype=object)) - scale // sum(sizes)
-    return (a.T @ m @ a / (scale * d * d)).astype(float)
+    scale, colsum = math.lcm(sum(sizes), *sizes), a.sum(axis=0)
+    weighted = a.T * np.array([scale // s for s in sizes], dtype=object)
+    return ((weighted @ a - scale // sum(sizes) * np.outer(colsum, colsum))
+            / (scale * d * d)).astype(float)
 
 
 @dataclass(frozen=True)

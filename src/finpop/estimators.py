@@ -314,14 +314,16 @@ def cluster_adjusted(
 
 def factorial_null_moments(v_n: float, sizes, spec: FactorialSpec):
     """Sharp-null moments of the factorial effect estimates: every arm sees
-    the same fixed population with variance v_n, so the effects have
-    covariance v_n F, F = `designs.null_factor(spec.contrast, sizes)`:
+    the same fixed population with variance v_n, so
         Var_0(tau_hat_k) = 2^{-2(K-1)} v_n sum_q 1/n_q        (same for all k)
         Corr_0(tau_hat_k, tau_hat_m)
             = sum_q g_kq g_mq / n_q  /  sum_q 1/n_q.
-    Returns (variances, correlations)."""
+    The variance is v_n times the exact `designs.null_factor` of one effect's
+    column; the correlations stay one float product, since the exact (Q - 1)^2
+    factor costs about Q^3 integer operations. Returns (variances, correlations)."""
     if v_n < 0.0:
         raise ValidationError(f"population variance must be >= 0, got {v_n}")
-    factor = null_factor(spec.contrast, sizes)
-    variances = np.diag(factor)
-    return v_n * variances, factor / np.sqrt(np.outer(variances, variances))
+    variance = v_n * null_factor(2.0 ** (1 - spec.k) * spec.generators[:, 0], sizes)[0, 0]
+    inv = 1.0 / np.asarray(sizes, dtype=float)
+    g = spec.generators.astype(float)
+    return np.full(spec.q_arms - 1, variance), (g.T * inv) @ g / inv.sum()

@@ -151,8 +151,7 @@ class SumStatistic:
         self.values = values[:, np.newaxis] if values.ndim == 1 else values
         self.q = int(q)
         self.reduce = reduce
-        self.tail = tail
-        self.check = check
+        self.tail, self.check = tail, check
 
     def block(self, label_block, sizes) -> np.ndarray:
         """The statistic of every row of a label block with the given sizes."""

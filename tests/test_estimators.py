@@ -542,6 +542,11 @@ def test_factorial_null_moments_match_enumeration_balanced():
     assert empirical / np.outer(d, d) == pytest.approx(correlations, abs=1e-12)
 
 
+def test_factorial_null_moments_name_the_arm_sizes_it_refuses():
+    with pytest.raises(ValidationError, match=r"need 4 arm sizes, got \[2, 3, 2\]"):
+        estimators.factorial_null_moments(1.0, (2, 3, 2), designs.factorial_contrasts(2))
+
+
 def test_factorial_effects_rejects_wrong_arm_count():
     spec = designs.factorial_contrasts(2)
     with pytest.raises(ValidationError):
