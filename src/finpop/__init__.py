@@ -43,11 +43,8 @@ from .ivconf import IVSummary, QuadraticSet, classify_quadratic, iv_summary
 from .popstats import (
     CovStructure,
     CREConditionStats,
-    PopMoments,
     cre_condition_stats,
-    hajek_condition_stat,
     partition_condition_stat,
-    pop_moments,
     pot_cov_structure,
     srs_mean_var,
     unit_contrasts,
@@ -56,7 +53,6 @@ from .randtests import (
     SumStatistic,
     TestResult,
     exact_randomization_pvalue,
-    hypergeom_test,
     mc_randomization_pvalue,
     randomization_test,
     rank_null_cov,
@@ -78,12 +74,9 @@ __all__ = [
     "EnumerationCapError",
     "InternalCheckError",
     # population statistics
-    "PopMoments",
     "CovStructure",
     "CREConditionStats",
-    "pop_moments",
     "srs_mean_var",
-    "hajek_condition_stat",
     "partition_condition_stat",
     "unit_contrasts",
     "pot_cov_structure",
@@ -118,7 +111,6 @@ __all__ = [
     "sum_statistic",
     "standardized_rank_means",
     "rank_null_cov",
-    "hypergeom_test",
     "mc_randomization_pvalue",
     "exact_randomization_pvalue",
     "randomization_test",

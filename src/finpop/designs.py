@@ -281,8 +281,12 @@ def null_factor(contrast, sizes) -> np.ndarray:
     a = np.array([int(w * d) for w in entries], dtype=object).reshape(len(sizes), -1)
     scale, colsum = math.lcm(sum(sizes), *sizes), a.sum(axis=0)
     weighted = a.T * np.array([scale // s for s in sizes], dtype=object)
-    return ((weighted @ a - scale // sum(sizes) * np.outer(colsum, colsum))
-            / (scale * d * d)).astype(float)
+    try:
+        return ((weighted @ a - scale // sum(sizes) * np.outer(colsum, colsum))
+                / (scale * d * d)).astype(float)
+    except OverflowError:
+        raise ValidationError(f"the null factor of contrast {c.tolist()} overflows "
+                              "the float range") from None
 
 
 @dataclass(frozen=True)
@@ -358,11 +362,11 @@ def inv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
-def check_centered(x: np.ndarray, what: str = "covariates") -> None:
+def check_centered(x: np.ndarray) -> None:
     """Raise unless every column mean of x is within 1e-8 max(1, max |x|) of 0."""
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(x.mean(axis=0))) > 1e-8 * scale:
-        raise ValidationError(f"{what} must be centered (column means zero)")
+        raise ValidationError("covariates must be centered (column means zero)")
 
 
 def compute_delta(labels, x) -> np.ndarray:

@@ -124,7 +124,10 @@ def _arm_scatter(arms: ArmBlock, y, means) -> np.ndarray:
     np.subtract(y, dev, out=dev)
     p = dev.shape[-1]
     rows, cols = np.triu_indices(p)
-    upper = arms.sums(dev[:, :, rows] * dev[:, :, cols])
+    with np.errstate(over="ignore"):
+        upper = arms.sums(dev[:, :, rows] * dev[:, :, cols])
+    if not np.all(np.isfinite(upper)):
+        raise ValidationError("the squared deviations from the arm means overflow")
     out = np.empty(arms.counts.shape + (p, p))
     out[:, :, rows, cols] = upper
     out[:, :, cols, rows] = upper

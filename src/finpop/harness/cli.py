@@ -290,7 +290,7 @@ def _cmd_factorial(args) -> tuple[dict, int]:
     sizes = estimators.arm_sizes(data.labels, spec.q_arms)
     _check_design(args.design, sizes)
     effects = estimators.tau_hat(data.labels, data.y, spec.contrast)
-    v_n = popstats.pop_moments(data.y).variance
+    v_n = popstats.sample_cov(data.y)
     variances, correlation = estimators.factorial_null_moments(v_n, sizes, spec)
     payload = {
         "factors": args.factors,

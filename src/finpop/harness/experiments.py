@@ -217,7 +217,7 @@ def _pop_cov(values: np.ndarray) -> np.ndarray:
     return dev.T @ dev / values.shape[0]
 
 
-def _moment_metrics(metrics, table, sizes, contrast, prefix=""):
+def _moment_metrics(metrics, table, sizes, contrast):
     n = np.asarray(table).shape[0]
     with_vhat = all(int(s) >= 2 for s in sizes)
     taus, vhats = _enumerated_estimates(table, sizes, contrast, with_vhat)
@@ -225,11 +225,11 @@ def _moment_metrics(metrics, table, sizes, contrast, prefix=""):
     truth_cov = estimators.neyman_cov_true(table, contrast, sizes)
     cov_gap = np.max(np.abs(_pop_cov(taus) - truth_cov))
     metrics.append(_gap_metric(
-        prefix + "estimator_mean_gap", mean_gap, _GAP_TOL,
+        "estimator_mean_gap", mean_gap, _GAP_TOL,
         "mean of the contrast estimate over all assignments vs the population contrast",
     ))
     metrics.append(_gap_metric(
-        prefix + "estimator_cov_gap", cov_gap, _GAP_TOL,
+        "estimator_cov_gap", cov_gap, _GAP_TOL,
         "covariance of the contrast estimate over all assignments vs the "
         "closed-form arm-variance combination",
     ))
@@ -237,7 +237,7 @@ def _moment_metrics(metrics, table, sizes, contrast, prefix=""):
         s2_tau = popstats.pot_cov_structure(table, contrast).s2_tau
         bias_gap = np.max(np.abs(vhats.mean(axis=0) - truth_cov - s2_tau / n))
         metrics.append(_gap_metric(
-            prefix + "vhat_bias_gap", bias_gap, _GAP_TOL,
+            "vhat_bias_gap", bias_gap, _GAP_TOL,
             "mean of the variance estimator minus the true covariance vs the "
             "effect-heterogeneity term S2_tau / N",
         ))
@@ -442,7 +442,7 @@ def _srs_standardized(pop: np.ndarray, n: int, reps: int, seed: int,
 def _srs_rung(config: ExperimentConfig, n_index: int, n_total: int):
     pop = synthetic_population(config.population, n_total)
     n = n_total // 2
-    condition = popstats.hajek_condition_stat(pop, n)
+    condition = popstats.partition_condition_stat(pop, (n, n_total - n))
     stats = _srs_standardized(pop, n, config.reps, config.seed, n_index)
     return stats, distlib.std_normal_cdf, condition, []
 
@@ -454,7 +454,8 @@ def _rerand_rung(config: ExperimentConfig, n_index: int, n_total: int):
     n1 = n_total // 2
     q_stats = _drawn((n1, n_total - n1), config.reps, config.seed, n_index,
                      lambda labels: np.square(designs.compute_delta(labels, x)).sum(axis=1))
-    condition = max(popstats.hajek_condition_stat(x[:, j], n1) for j in range(_N_COVARIATES))
+    condition = max(popstats.partition_condition_stat(x[:, j], (n1, n_total - n1))
+                    for j in range(_N_COVARIATES))
     threshold = distlib.chi2_quantile(_N_COVARIATES, _ACCEPT_TARGET)
     accept_rate = float(np.mean(q_stats <= threshold))
     gate = _gap_metric(

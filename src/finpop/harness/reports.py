@@ -24,7 +24,7 @@ def as_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
+        return obj if math.isfinite(obj) else repr(float(obj))
     if isinstance(obj, np.ndarray):
         return as_jsonable(obj.tolist())
     if isinstance(obj, np.integer):

@@ -17,27 +17,15 @@ from .designs import _check_sizes
 from .errors import DegenerateInputError, ValidationError
 
 __all__ = [
-    "PopMoments",
     "CovStructure",
     "CREConditionStats",
-    "pop_moments",
     "sample_cov",
     "srs_mean_var",
-    "hajek_condition_stat",
     "partition_condition_stat",
     "unit_contrasts",
     "pot_cov_structure",
     "cre_condition_stats",
 ]
-
-
-@dataclass(frozen=True)
-class PopMoments:
-    """Mean, variance (divisor N - 1), and maximum squared deviation."""
-
-    mean: float
-    variance: float
-    max_sq_dev: float
 
 
 @dataclass(frozen=True)
@@ -86,28 +74,17 @@ def _as_population(values) -> np.ndarray:
     return y
 
 
-def pop_moments(values) -> PopMoments:
-    """Population mean, variance with divisor N - 1, and max squared deviation.
-
-    A single-unit population has variance 0 by convention.
-    """
-    y = _as_population(values)
-    n = y.size
-    mean = float(y.mean())
-    dev = y - mean
-    if n == 1:
-        return PopMoments(mean=mean, variance=0.0, max_sq_dev=0.0)
-    variance = float(dev @ dev / (n - 1))
-    return PopMoments(mean=mean, variance=variance, max_sq_dev=float(np.max(dev * dev)))
-
-
 def sample_cov(u, v=None):
     """Covariance (divisor N - 1) of the columns of u with those of v
     (default u): an array for (N, K) inputs, a float for two vectors."""
     u = np.asarray(u, dtype=float)
-    dev_u = u - u.mean(axis=0)
-    dev_v = dev_u if v is None else np.asarray(v, dtype=float) - np.mean(v, axis=0)
-    out = dev_u.T @ dev_v / (u.shape[0] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev_u = u - u.mean(axis=0)
+        dev_v = dev_u if v is None else np.asarray(v, dtype=float) - np.mean(v, axis=0)
+        out = dev_u.T @ dev_v / (u.shape[0] - 1)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError("the covariance is not finite: the values are not finite, "
+                              "or their squared deviations overflow")
     return float(out) if out.ndim == 0 else out
 
 
@@ -118,40 +95,32 @@ def srs_mean_var(values, n: int) -> tuple[float, float]:
     big_n = y.size
     if not 1 <= n <= big_n:
         raise ValidationError(f"sample size must satisfy 1 <= n <= {big_n}, got {n}")
-    m = pop_moments(y)
-    return m.mean, (1.0 / n - 1.0 / big_n) * m.variance
-
-
-def hajek_condition_stat(values, n: int) -> float:
-    """Normality diagnostic for the sample mean under simple random sampling:
-    (1 / min(n, N - n)) * (m_N / v_N).
-
-    A sequence of (population, n) pairs admits a normal limit for the
-    standardized sample mean exactly when this ratio tends to zero. A single
-    call just reports the finite-N value; no direction is encoded.
-    """
-    y = _as_population(values)
-    big_n = y.size
-    if not 1 <= n <= big_n - 1:
-        raise ValidationError(
-            f"sample size must satisfy 1 <= n <= N - 1 = {big_n - 1}, got {n}"
-        )
-    return partition_condition_stat(y, (n, big_n - n))
+    mean = float(y.mean())
+    if big_n == 1:
+        return mean, 0.0
+    return mean, (1.0 / n - 1.0 / big_n) * sample_cov(y)
 
 
 def partition_condition_stat(values, sizes) -> float:
     """Joint-normality diagnostic for the arm means of a random partition:
-    (1 / min_q n_q) * (m_N / v_N)."""
+    (1 / min_q n_q) * (m_N / v_N), with m_N the maximum squared deviation.
+    For the mean of a size-n simple random sample the sizes are (n, N - n).
+
+    A sequence of (population, sizes) pairs admits a normal limit for the
+    standardized arm means when this ratio tends to zero. A single call just
+    reports the finite-N value; no direction is encoded.
+    """
     y = _as_population(values)
     sizes = _check_sizes(sizes)
     if sum(sizes) != y.size:
         raise ValidationError(
             f"arm sizes {sizes} sum to {sum(sizes)}, expected N = {y.size}"
         )
-    m = pop_moments(y)
-    if m.variance == 0.0:
+    variance = sample_cov(y) if y.size > 1 else 0.0
+    if variance == 0.0:
         raise DegenerateInputError("constant population: m_N / v_N is undefined")
-    return (1.0 / min(sizes)) * (m.max_sq_dev / m.variance)
+    dev = y - y.mean()
+    return (1.0 / min(sizes)) * (float(np.max(dev * dev)) / variance)
 
 
 def as_table(table) -> np.ndarray:

@@ -67,7 +67,6 @@ __all__ = [
     "sum_statistic",
     "standardized_rank_means",
     "rank_null_cov",
-    "hypergeom_test",
     "mc_randomization_pvalue",
     "exact_randomization_pvalue",
 ]
@@ -218,10 +217,13 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
         raise ValidationError("statistic values must be finite")
     if doses is not None and kind != "dose":
         raise ValidationError(f"only the 'dose' statistic takes doses, not {kind!r}")
-    center = values.mean(axis=0)
-    centered = values - center
     # the centered sum of squares; the 2 x 2 cross products for 'joint'
-    gram = centered.T @ centered
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = values.mean(axis=0)
+        centered = values - center
+        gram = centered.T @ centered
+    if not np.all(np.isfinite(gram)):
+        raise ValidationError("the squared deviations of the statistic values overflow")
     s2 = gram / max(values.shape[0] - 1, 1)
     constant = values.min() == values.max()
     check = None
@@ -243,10 +245,12 @@ def sum_statistic(kind: str, values, q: int = 2, doses=None) -> SumStatistic:
             return sums[:, :, 0] / sizes @ doses + offset
 
         def tail(observed, sizes, alternative, b, seed):
-            var0 = null_factor(doses, sizes)[0, 0] * s2
-            if var0 <= 0.0:
-                raise ValidationError("the null variance is zero (constant outcomes, "
-                                      "or doses proportional to the arm sizes)")
+            with np.errstate(over="ignore"):
+                var0 = null_factor(doses, sizes)[0, 0] * s2
+            if not 0.0 < var0 < np.inf:
+                raise ValidationError("the null variance is zero or overflows (constant "
+                                      "outcomes, doses proportional to the arm sizes, or "
+                                      "squares beyond the float range)")
             return TestResult(
                 statistic=observed,
                 p_value=_normal_p_value(observed - offset, np.sqrt(var0), alternative),
@@ -378,18 +382,17 @@ def rank_null_cov(sizes) -> np.ndarray:
     return cov
 
 
-def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided") -> TestResult:
+def _hypergeom(labels, y, method: str, alternative: str) -> TestResult:
     """Count test for a binary outcome in a two-arm experiment.
 
     The statistic is the number of ones in arm 1. Under the sharp null it is
     hypergeometric with mean n N_1 / N and variance
-    N_1 (N - N_1) n (N - n) / (N^2 (N - 1)). Mode 'exact' sums the
+    N_1 (N - N_1) n (N - n) / (N^2 (N - 1)). Method 'exact' sums the
     hypergeometric law in integers, selecting x by `_is_extreme` on x - mean;
-    mode 'normal' applies the normal approximation with a 0.5 continuity
+    method 'normal' applies the normal approximation with a 0.5 continuity
     correction, which is used precisely because the statistic is
     lattice-valued.
     """
-    labels = np.asarray(labels)
     y_arr = np.asarray(y)
     if not np.isin(y_arr, (0, 1)).all():
         raise ValidationError("outcome must be binary with values 0 and 1")
@@ -398,7 +401,6 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     n, n_total = int(counts[0]), int(labels.size)
     ones_total = int(y_arr.sum())
     observed = int(y_arr[labels == 1].sum())
-    _check_alternative(alternative)
     null_mean = n * ones_total / n_total
     null_var = (
         ones_total * (n_total - ones_total) * n * (n_total - n)
@@ -406,7 +408,7 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
     )
     lo = max(0, n - (n_total - ones_total))
     hi = min(n, ones_total)
-    if mode == "exact":
+    if method == "exact":
         extreme = _is_extreme(np.arange(lo, hi + 1) - null_mean, observed - null_mean, alternative)
         # w(x) = C(N_1, x) C(N - N_1, n - x), each from the last by its exact ratio
         w, weight = comb(ones_total, lo) * comb(n_total - ones_total, n - lo), 0
@@ -415,13 +417,10 @@ def hypergeom_test(labels, y, mode: str = "exact", alternative: str = "two_sided
                 weight += w
             w = w * (ones_total - x) * (n - x) // ((x + 1) * (n_total - ones_total - n + x + 1))
         p_value = weight / comb(n_total, n)
-        method = "exact"
-    elif mode == "normal":
+    else:
         sd = float(np.sqrt(null_var))
         p_value = 1.0 if sd == 0.0 else _normal_p_value(observed - null_mean, sd, alternative, 0.5)
         method = "normal_approx"
-    else:
-        raise ValidationError(f"mode must be 'exact' or 'normal', got {mode!r}")
     return TestResult(
         statistic=float(observed),
         p_value=p_value,
@@ -636,7 +635,7 @@ def randomization_test(
     if kind is None:
         if method == "mc":
             raise ValidationError(f"{stat!r} has the exact and normal references only")
-        return hypergeom_test(labels, y, mode=method, alternative=alternative)
+        return _hypergeom(labels, y, method, alternative)
     values = [rank_transform(y, ties) if column == "ranks" else np.asarray(y, dtype=float)
               for column in columns]
     statistic = sum_statistic(kind, values[0] if len(values) == 1 else np.column_stack(values),

@@ -425,7 +425,7 @@ def test_criterion_11_factorial_null_moments(capsys):
     var_gap = corr_gap = 0.0
     unbalanced_corr = None
     for sizes, y in cases:
-        v_n = popstats.pop_moments(y).variance
+        v_n = popstats.sample_cov(y)
         var_pred, corr_pred = estimators.factorial_null_moments(v_n, sizes, spec)
         effects = np.array([
             estimators.tau_hat(lab, y, spec.contrast)

@@ -527,7 +527,7 @@ def test_factorial_null_moments_match_enumeration_balanced():
     # sharp null: the same outcome vector is seen whatever the assignment
     spec = designs.factorial_contrasts(2)
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    v_n = popstats.pop_moments(y).variance
+    v_n = popstats.sample_cov(y)
     variances, correlations = estimators.factorial_null_moments(v_n, (1, 1, 1, 1), spec)
     draws = np.array(
         [

@@ -417,9 +417,12 @@ def test_as_jsonable_converts_numpy_and_nonfinite():
             "d": np.bool_(True),
             "e": float("nan"),
             "f": (1, 2),
+            "g": np.float64("inf"),
+            "h": np.float32("nan"),
         }
     )
-    assert payload == {"a": 3, "b": 2.5, "c": [1.0, 2.0], "d": True, "e": "nan", "f": [1, 2]}
+    assert payload == {"a": 3, "b": 2.5, "c": [1.0, 2.0], "d": True, "e": "nan", "f": [1, 2],
+                       "g": "inf", "h": "nan"}
     json.dumps(payload)  # fully serializable
 
 
@@ -1103,6 +1106,55 @@ def test_cli_factorial_effects(tmp_path, capsys):
 def test_cli_factorial_rejects_wrong_arm_count(tmp_path, capsys):
     path = _write(tmp_path / "f.csv", "arm,y\n1,1.0\n2,2.0\n3,3.0\n")
     assert main(["factorial", "--data", path, "--factors", "2"]) == 1
+
+
+# outcomes near 1e200 whose squares overflow; arm 1 of s.csv is above arm 2
+_OVERFLOW_FILES = {
+    "s.csv": "arm,y\n" + "".join(f"{arm},{sign}{k}e200\n" for arm, sign in ((1, ""), (2, "-"))
+                                 for k in range(1, 7)),
+    "x.csv": "arm,y,x1\n" + "".join(f"{1 + i % 2},{i + 1}e200,{i % 5 - 2}\n" for i in range(16)),
+    "c.csv": "arm,y,cluster\n" + "".join(f"{1 + i // 2 % 2},{i + 1}e200,{i // 2 + 1}\n"
+                                         for i in range(16)),
+    "f.csv": "arm,y\n" + "".join(f"{1 + i % 4},{i + 1}e200\n" for i in range(16)),
+    "iv.csv": "z,d,y\n" + "".join(f"{i % 2},{i // 2 % 2},{i + 1}e200\n" for i in range(12)),
+    "big.csv": "arm,y\n" + "".join(f"{1 + i % 2},{'-' if i % 3 else ''}1e308\n"
+                                   for i in range(12)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, call", [
+    ("s.csv", "test --stat diff"),
+    ("s.csv", "test --stat diff --method exact"),
+    ("s.csv", "test --stat diff --method mc --seed 1 --reps 99"),
+    ("x.csv", "test --stat joint"),
+    ("s.csv", "test --stat dose --doses 1e154,-1e154"),
+    ("s.csv", "test --stat dose --doses 1e200,0"),
+    ("big.csv", "test --stat diff"),
+    ("s.csv", "estimate"),
+    ("x.csv", "estimate"),
+    ("c.csv", "estimate"),
+    ("f.csv", "factorial --factors 2"),
+    ("iv.csv", "iv-ci"),
+])
+def test_cli_refuses_outcomes_whose_squares_overflow(tmp_path, capsys, name, call):
+    # each printed an infinite variance, a p-value from ranks alone, or a
+    # NaN statistic with exit 0, and iv-ci and a dose of 1e200 died with an
+    # OverflowError
+    command, *options = call.split()
+    path = _write(tmp_path / name, _OVERFLOW_FILES[name])
+    assert main([command, "--data", path, *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
+    assert error.startswith("error: ") and "overflow" in error
+
+
+def test_cli_rank_statistics_run_on_outcomes_whose_squares_overflow(tmp_path, capsys):
+    path = _write(tmp_path / "s.csv", _OVERFLOW_FILES["s.csv"])
+    assert main(["test", "--data", path, "--stat", "wilcoxon"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p_value"] == 0.003947751856903459
 
 
 def test_cli_verify_oracle_passes(tmp_path, capsys):

@@ -21,13 +21,15 @@ _finite_arrays = st.lists(
 
 
 def _mvm(values):
-    """(mean, variance, max squared deviation) triple."""
-    stats = popstats.pop_moments(values)
-    return stats.mean, stats.variance, stats.max_sq_dev
+    """(mean, variance, max squared deviation) triple: the variance from
+    `sample_cov`, the other two from numpy."""
+    values = np.asarray(values, dtype=float)
+    mean = float(np.mean(values))
+    return mean, popstats.sample_cov(values), float(np.max((values - mean) ** 2))
 
 
 # =========================================================================
-# pop_moments / srs_mean_var
+# sample_cov / srs_mean_var
 # =========================================================================
 
 
@@ -39,15 +41,19 @@ def test_pop_moments_worked_example():
 
 
 def test_pop_moments_single_unit():
-    mean, v, m = _mvm([7.0])
-    assert mean == 7.0 and v == 0.0 and m == 0.0
+    # one unit: the sample mean is the unit, with variance 0, and the
+    # condition's m_N / v_N is undefined
+    assert popstats.srs_mean_var([7.0], 1) == (7.0, 0.0)
+    with pytest.raises(DegenerateInputError):
+        popstats.partition_condition_stat([7.0], (1,))
 
 
 def test_pop_moments_rejects_empty_and_nonfinite():
-    with pytest.raises(ValidationError):
-        popstats.pop_moments([])
-    with pytest.raises(ValidationError):
-        popstats.pop_moments([1.0, np.nan])
+    for values in ([], [1.0, np.nan]):
+        with pytest.raises(ValidationError):
+            popstats.srs_mean_var(values, 1)
+        with pytest.raises(ValidationError):
+            popstats.partition_condition_stat(values, (1, 1))
 
 
 @given(_finite_arrays)
@@ -92,19 +98,19 @@ def test_srs_rejects_bad_sample_size():
 
 def test_hajek_condition_worked_example():
     # N=4, n=2: (1/2) * m/v = 0.5 * 2.25 / (5/3)
-    value = popstats.hajek_condition_stat([1.0, 2.0, 3.0, 4.0], 2)
+    value = popstats.partition_condition_stat([1.0, 2.0, 3.0, 4.0], (2, 2))
     assert value == pytest.approx(0.675, abs=1e-15)
 
 
 def test_hajek_condition_rejects_constant_population():
     with pytest.raises(DegenerateInputError):
-        popstats.hajek_condition_stat([2.0, 2.0, 2.0], 1)
+        popstats.partition_condition_stat([2.0, 2.0, 2.0], (1, 2))
 
 
 def test_hajek_condition_scale_invariant():
     pop = np.array([0.3, -1.2, 4.0, 2.2, -0.4])
-    a = popstats.hajek_condition_stat(pop, 2)
-    b = popstats.hajek_condition_stat(5.0 * pop + 3.0, 2)
+    a = popstats.partition_condition_stat(pop, (2, 3))
+    b = popstats.partition_condition_stat(5.0 * pop + 3.0, (2, 3))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -113,13 +119,6 @@ def test_partition_condition_uses_smallest_arm():
     _, v, m = _mvm(pop)
     value = popstats.partition_condition_stat(pop, (1, 2, 3))
     assert value == pytest.approx(m / v / 1.0, rel=1e-12)
-
-
-def test_partition_condition_matches_hajek_for_two_arms():
-    pop = np.array([1.0, 2.0, 3.0, 4.0])
-    assert popstats.partition_condition_stat(pop, (2, 2)) == pytest.approx(
-        popstats.hajek_condition_stat(pop, 2), rel=1e-12
-    )
 
 
 # =========================================================================
@@ -253,12 +252,6 @@ def test_partition_condition_stat_refuses_fractional_sizes():
     # truncated, (2.5, 3.9) would run as (2, 3), which sums to N = 5
     with pytest.raises(ValidationError, match="whole numbers, got 2.5"):
         popstats.partition_condition_stat([1.0, 4.0, 2.0, 8.0, 3.0], (2.5, 3.9))
-
-
-def test_hajek_condition_stat_names_a_fractional_sample_size():
-    with pytest.raises(ValidationError) as info:
-        popstats.hajek_condition_stat([1, 2, 3, 4], 2.5)
-    assert "2.5" in str(info.value)
 
 
 def test_cre_condition_stats_rejects_size_mismatch():

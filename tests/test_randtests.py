@@ -522,7 +522,7 @@ def test_hypergeom_null_moments_hand_values():
     # N=4, n=2, two ones: mean 1, variance 1/3
     labels = np.array([1, 1, 2, 2])
     y = np.array([1, 0, 1, 0])
-    result = randtests.hypergeom_test(labels, y)
+    result = randtests.randomization_test("hyper", labels, y, "exact")
     assert result.null_mean == pytest.approx(1.0)
     assert result.null_variance == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -530,11 +530,11 @@ def test_hypergeom_null_moments_hand_values():
 def test_hypergeom_exact_tail_fractions():
     labels = np.array([1, 1, 2, 2])
     y_obs2 = np.array([1, 1, 0, 0])  # both ones in arm 1
-    two_sided = randtests.hypergeom_test(labels, y_obs2)
+    two_sided = randtests.randomization_test("hyper", labels, y_obs2, "exact")
     assert two_sided.p_value == pytest.approx(1.0 / 3.0, abs=1e-15)  # {0,2} of 6
-    greater = randtests.hypergeom_test(labels, y_obs2, alternative="greater")
+    greater = randtests.randomization_test("hyper", labels, y_obs2, "exact", "greater")
     assert greater.p_value == pytest.approx(1.0 / 6.0, abs=1e-15)
-    centered = randtests.hypergeom_test(labels, np.array([1, 0, 1, 0]))
+    centered = randtests.randomization_test("hyper", labels, np.array([1, 0, 1, 0]), "exact")
     assert centered.p_value == 1.0  # observed at the null mean
 
 
@@ -572,7 +572,7 @@ def test_hypergeom_exact_matches_rational_comb_loop(n1, n0, ones1, ones0, altern
     ones1, ones0 = min(ones1, n1), min(ones0, n0)
     labels = np.repeat([1, 2], [n1, n0])
     y = np.concatenate([np.arange(n1) < ones1, np.arange(n0) < ones0]).astype(int)
-    result = randtests.hypergeom_test(labels, y, alternative=alternative)
+    result = randtests.randomization_test("hyper", labels, y, "exact", alternative)
     want = _hypergeom_fraction_pvalue(n1, n1 + n0, ones1 + ones0, ones1, alternative)
     assert result.p_value == want
 
@@ -580,7 +580,7 @@ def test_hypergeom_exact_matches_rational_comb_loop(n1, n0, ones1, ones0, altern
 def test_hypergeom_normal_mode_continuity_correction():
     labels = np.array([1, 1, 2, 2])
     y = np.array([1, 1, 0, 0])
-    result = randtests.hypergeom_test(labels, y, mode="normal")
+    result = randtests.randomization_test("hyper", labels, y, "normal")
     assert result.p_value == pytest.approx(HYPER_NORMAL_P, abs=1e-12)
 
 
@@ -591,7 +591,7 @@ def test_normal_reference_p_values_far_in_the_upper_tail(mp):
     ones = np.concatenate([np.arange(500) < 300, np.arange(500) < 150]).astype(int)
     y = np.sin(np.arange(1000.0)) + 0.36 * (labels == 1)
     for alternative in ("two_sided", "greater"):
-        count = randtests.hypergeom_test(labels, ones, mode="normal", alternative=alternative)
+        count = randtests.randomization_test("hyper", labels, ones, "normal", alternative)
         shift = count.statistic - count.null_mean - 0.5
         sides = 2 if alternative == "two_sided" else 1
         ref = sides * mp.ncdf(-shift / mp.sqrt(count.null_variance))
@@ -607,12 +607,12 @@ def test_normal_reference_p_values_far_in_the_upper_tail(mp):
 def test_hypergeom_all_ones_is_degenerate():
     labels = np.array([1, 1, 2, 2])
     for mode in ("exact", "normal"):
-        assert randtests.hypergeom_test(labels, np.ones(4), mode=mode).p_value == 1.0
+        assert randtests.randomization_test("hyper", labels, np.ones(4), mode).p_value == 1.0
 
 
 def test_hypergeom_rejects_nonbinary_outcome():
     with pytest.raises(ValidationError):
-        randtests.hypergeom_test(np.array([1, 2]), np.array([0.5, 1.0]))
+        randtests.randomization_test("hyper", np.array([1, 2]), np.array([0.5, 1.0]), "exact")
 
 
 # =========================================================================
