@@ -11,7 +11,8 @@ from .designs import (
     compute_delta,
     derive_rng,
     draw_partition_batch,
-    enumerate_partition_blocks,
+    enumerate_arm_sums,
+    enumerate_assignments,
     factorial_contrasts,
     indicator_cov,
     multinomial_count,
@@ -86,7 +87,8 @@ __all__ = [
     "derive_rng",
     "draw_partition_batch",
     "multinomial_count",
-    "enumerate_partition_blocks",
+    "enumerate_arm_sums",
+    "enumerate_assignments",
     "indicator_cov",
     "FactorialSpec",
     "factorial_contrasts",

@@ -1,7 +1,8 @@
 """Assignment mechanisms: random partitions into Q arms (a simple random
 sample is arm 1 of a two-arm partition), the covariate imbalance of a
 two-arm assignment, factorial contrast matrices, and the exhaustive
-enumeration oracle used to verify closed-form moments.
+enumeration of every assignment: its arm sums serve the exact randomization
+engine, its label rows the oracle that verifies closed-form moments.
 
 Conventions used across the package:
   - arm labels are 1..Q; `sizes[q-1]` is the number of units in arm q;
@@ -19,7 +20,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +31,8 @@ __all__ = [
     "as_rng",
     "draw_partition_batch",
     "multinomial_count",
-    "enumerate_partition_blocks",
+    "enumerate_arm_sums",
+    "enumerate_assignments",
     "ArmBlock",
     "indicator_cov",
     "null_factor",
@@ -84,11 +85,11 @@ def _seed(value) -> int:
     return seed
 
 
-def _check_sizes(sizes) -> list[int]:
-    """The arm sizes as ints, each by the `_whole` rule."""
+def _check_sizes(sizes, least: int = 1) -> list[int]:
+    """The arm sizes as ints, each by the `_whole` rule and at least `least`."""
     sizes = [_whole(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValidationError(f"arm sizes must be a non-empty list of positive counts, got {sizes}")
+    if not sizes or any(s < least for s in sizes):
+        raise ValidationError(f"arm sizes must be a non-empty list of counts >= {least}, got {sizes}")
     return sizes
 
 
@@ -113,82 +114,71 @@ def draw_partition_batch(sizes, b: int, seed) -> np.ndarray:
 def multinomial_count(sizes) -> int:
     """N! / (n_1! ... n_Q!), the number of distinct assignments."""
     sizes = _check_sizes(sizes)
-    count = math.factorial(sum(sizes))
-    for s in sizes:
-        count //= math.factorial(s)
-    return count
-
-
-def _unrank_partitions(sizes: list[int], count: int, ranks: np.ndarray) -> np.ndarray:
-    """The assignments at the given 0-based lexicographic ranks, one row each.
-
-    This is the recursion on the first label, taken one position at a time:
-    the assignments that start with label q come after those starting with
-    1..q-1, and there are count * n_q / N of them, so the first label is the
-    one whose cumulative range holds the rank, and the rest is the rank
-    within that sub-enumeration.
-    """
-    b, n = ranks.size, sum(sizes)
-    rank = ranks.astype(np.int64)
-    # (Q, B) layout: every step below is a whole-row operation over B
-    remaining = np.repeat(np.asarray(sizes, dtype=np.int64)[:, np.newaxis], b, axis=1)
-    sub_count = np.full(b, count, dtype=np.int64)
-    arms = np.arange(len(sizes))[:, np.newaxis]
-    out = np.empty((n, b), dtype=np.int64)
-    for pos in range(n):
-        per_label = sub_count * remaining
-        per_label //= n - pos
-        upper = per_label.copy()
-        for q in range(1, len(sizes)):
-            upper[q] += upper[q - 1]
-        below = upper <= rank
-        label = np.count_nonzero(below, axis=0)
-        chosen = arms == label
-        rank -= (per_label * below).sum(axis=0)
-        sub_count = (per_label * chosen).sum(axis=0)
-        remaining -= chosen
-        out[pos] = label + 1
-    return np.ascontiguousarray(out.T)
+    return math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
 
 
 def _enumeration_count(sizes, cap) -> int:
     """The number of assignments with these arm sizes, refused up front when
     it exceeds the cap, a whole number >= 1 that defaults to
     DEFAULT_ENUM_CAP; every exhaustive enumeration checks its count here."""
-    sizes = _check_sizes(sizes)
     cap = DEFAULT_ENUM_CAP if cap is None else _whole(cap, "enumeration caps")
     if cap < 1:
         raise ValidationError(f"enumeration cap must be >= 1, got {cap}")
     count = multinomial_count(sizes)
-    # the per-position sub-counts times an arm size must fit in int64
-    cap_value = min(cap, np.iinfo(np.int64).max // sum(sizes))
-    if count > cap_value:
-        raise EnumerationCapError(count, cap_value)
+    if count > cap:
+        raise EnumerationCapError(count, cap)
     return count
 
 
-def enumerate_partition_blocks(
-    sizes, cap: int | None = None, block: int = 4096
-) -> Iterator[np.ndarray]:
-    """Yield every assignment exactly once as (B, N) label blocks of at most
-    `block` rows, rows in lexicographic label order across blocks.
+def _branches(sizes: list[int]):
+    """The assignments of these arm sizes, built one unit at a time: for each
+    unit in order, (prefix, arm) gives every new row the row of the previous
+    step it extends and the 0-based arm its unit joins. Each prefix branches
+    into every arm with room left, in arm order, so the rows are in
+    lexicographic label order at every step. The counts left per arm are
+    kept in the smallest dtype that holds the sizes."""
+    left = np.array([sizes], dtype=np.min_scalar_type(max(sizes)))
+    for _ in range(sum(sizes)):
+        prefix, arm = np.nonzero(left)
+        left = left[prefix]
+        left[np.arange(prefix.size), arm] -= 1
+        yield prefix, arm
 
-    Refuses up front (with the exact count) when the multinomial count exceeds
-    the cap, a whole number >= 1 that defaults to DEFAULT_ENUM_CAP. Each block
-    is a fresh array, so callers may keep or modify it.
+
+def enumerate_arm_sums(sizes, values, cap: int | None = None) -> np.ndarray:
+    """(count, Q, k) arm sums of the fixed (N, k) `values` under every
+    assignment with these arm sizes, rows in lexicographic label order.
+
+    An arm size may be 0. Each sum accumulates in unit order, as
+    `ArmBlock.sums` does, so the bits match. A count above the cap, a whole
+    number >= 1 that defaults to DEFAULT_ENUM_CAP, is refused before any
+    assignment is built.
     """
+    sizes = _check_sizes(sizes, least=0)
+    # an empty arm takes no unit, so it leaves the count as it is
+    _enumeration_count([size for size in sizes if size] or [1], cap)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != sum(sizes):
+        raise ValidationError(f"need ({sum(sizes)}, k) values for arm sizes {sizes}, "
+                              f"got shape {values.shape}")
+    sums = np.zeros((1, len(sizes), values.shape[1]))
+    for row, (prefix, arm) in zip(values, _branches(sizes)):
+        sums = sums[prefix]
+        sums[np.arange(prefix.size), arm] += row
+    return sums
+
+
+def enumerate_assignments(sizes, cap: int | None = None) -> np.ndarray:
+    """Every assignment with these positive arm sizes exactly once, as one
+    (count, N) block of labels 1..Q, built by the loop of `enumerate_arm_sums`
+    and in its lexicographic row order, refused above the cap by its rule."""
     sizes = _check_sizes(sizes)
-    count = _enumeration_count(sizes, cap)
-    block = int(block)
-    if block < 1:
-        raise ValidationError(f"block size must be >= 1, got {block}")
-
-    def generate() -> Iterator[np.ndarray]:
-        for start in range(0, count, block):
-            ranks = np.arange(start, min(start + block, count))
-            yield _unrank_partitions(sizes, count, ranks)
-
-    return generate()
+    _enumeration_count(sizes, cap)
+    labels = np.zeros((1, sum(sizes)), dtype=np.min_scalar_type(len(sizes)))
+    for unit, (prefix, arm) in enumerate(_branches(sizes)):
+        labels = labels[prefix]
+        labels[:, unit] = arm + 1
+    return labels.astype(np.int64)
 
 
 class ArmBlock:

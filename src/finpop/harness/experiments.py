@@ -21,10 +21,10 @@ suite derive from it. The runners:
 
 The campaigns check the code that ships: every estimate, variance estimate
 and imbalance is computed by `estimators`, `designs` or `randtests` on whole
-blocks of assignments from `_enumerated` or `_drawn` (their block forms
-reduce arm sums through `designs.ArmBlock`), never by a copy of the formula
-here; coverage counts the intervals of `estimators.normal_interval` at the
-estimates of `estimators.neyman_estimate`.
+blocks of assignments from `designs.enumerate_assignments` or `_drawn`
+(their block forms reduce arm sums through `designs.ArmBlock`), never by a
+copy of the formula here; coverage counts the intervals of
+`estimators.normal_interval` at the estimates of `estimators.neyman_estimate`.
 
 Randomness is drawn from generators derived as (seed, stream ints) per chunk
 of at most 4096 replicates, so any chunk is reproducible in isolation. The
@@ -196,15 +196,10 @@ def _observed(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return table.ravel()[labels + (q_arms * np.arange(n) - 1)]
 
 
-def _enumerated(sizes) -> np.ndarray:
-    """Every assignment of the design, stacked as one (count, N) label block."""
-    return np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
-
-
 def _enumerated_estimates(table, sizes, contrast, with_vhat: bool):
     """tau_hat and, if with_vhat, the variance estimate (else None) under
     every assignment of the design."""
-    labels = _enumerated(sizes)
+    labels = designs.enumerate_assignments(sizes)
     arms = designs.ArmBlock(labels, len(sizes))
     y = _observed(np.asarray(table, dtype=float), labels)
     if with_vhat:
@@ -247,7 +242,7 @@ def _indicator_metric(metrics, sizes):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     q_arms = len(sizes)
-    labels = _enumerated(sizes)
+    labels = designs.enumerate_assignments(sizes)
     inds = (labels[:, :, np.newaxis] == np.arange(1, q_arms + 1)).astype(float)  # (count, N, Q)
     count = inds.shape[0]
     emp_mean = inds.mean(axis=0)
@@ -269,7 +264,7 @@ def _rank_cov_metric(metrics, sizes):
     sizes = tuple(int(s) for s in sizes)
     n = sum(sizes)
     ranks = np.arange(1.0, n + 1.0)  # sharp null: ranks are fixed over assignments
-    stats = randtests.standardized_rank_means(_enumerated(sizes), ranks)
+    stats = randtests.standardized_rank_means(designs.enumerate_assignments(sizes), ranks)
     mean_gap = np.max(np.abs(stats.mean(axis=0)))
     cov_gap = np.max(np.abs(_pop_cov(stats) - randtests.rank_null_cov(sizes)))
     metrics.append(_gap_metric(
@@ -286,7 +281,7 @@ def _regression_metric(metrics):
         estimators.finite_pop_ls(table[:, 0], x),
         estimators.finite_pop_ls(table[:, 1], x),
     )
-    labels = _enumerated((3, 3))
+    labels = designs.enumerate_assignments((3, 3))
     arms = designs.ArmBlock(labels, 2)
     observed = _observed(table, labels)
     fixed_vals, opt_vals = (estimators.regression_adjusted(arms, observed, x, *beta)[0][:, 0]

@@ -64,15 +64,15 @@ class IVSummary:
             + (tau_Y^2 - eta s2_Y) <= 0.
         """
         return classify_quadratic(
-            self.tau_hat_d**2 - self.eta * self.s2_d,
+            _square(self.tau_hat_d, "the dose effect") - self.eta * self.s2_d,
             self.tau_hat_d * self.tau_hat_y - self.eta * self.s_yd,
-            self.tau_hat_y**2 - self.eta * self.s2_y,
+            _square(self.tau_hat_y, "the response effect") - self.eta * self.s2_y,
         )
 
 
 @dataclass(frozen=True)
 class QuadraticSet:
-    """Solution set of a quadratic inequality a b^2 - 2 b x + c <= 0 in x.
+    """Solution set of a quadratic inequality a x^2 - 2 b x + c <= 0 in x.
 
     kind is one of empty, point, interval, half_line_up, half_line_down,
     complement, whole_line. endpoints holds () for empty/whole_line, (c,) for
@@ -117,11 +117,20 @@ def _check_iv(z, d, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     return z.astype(bool), d, y, n1, n0
 
 
+def _square(x: float, what: str) -> float:
+    """x**2, refused where it overflows the float range."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValidationError(f"the square of {what} overflows the float range") from None
+
+
 def _condition(y, d, s2_y, s2_d, s_yd, n_min) -> float | None:
     if s2_y == 0.0 or s2_d == 0.0:
         return None
-    den_y = s2_y - s_yd**2 / s2_d
-    den_d = s2_d - s_yd**2 / s2_y
+    cross = _square(s_yd, "the y-d covariance")
+    den_y = s2_y - cross / s2_d
+    den_d = s2_d - cross / s2_y
     if den_y <= 0.0 or den_d <= 0.0:
         return None
     m_y = float(np.max((y - y.mean()) ** 2))
@@ -173,6 +182,8 @@ def classify_quadratic(a: float, b: float, c: float) -> QuadraticSet:
             return QuadraticSet(kind="empty", endpoints=())
         return QuadraticSet(kind="whole_line", endpoints=())
     disc = b * b - a * c
+    if not np.isfinite(disc):
+        raise ValidationError("the discriminant b^2 - a c overflows the float range")
     if abs(disc) <= _DISC_RTOL * max(b * b, abs(a * c)):
         disc = 0.0
     if a > 0.0:

@@ -62,7 +62,7 @@ def _observed(table, labels):
 def _enumerated_estimates(table, sizes, contrast):
     return np.array([
         estimators.tau_hat(lab, _observed(table, lab), contrast)
-        for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+        for lab in designs.enumerate_assignments(sizes)
     ])
 
 
@@ -113,7 +113,7 @@ def test_criterion_02_variance_estimator_bias(capsys):
         n = table.shape[0]
         vhats = np.array([
             estimators.neyman_estimate(lab, _observed(table, lab), contrast)[1]
-            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+            for lab in designs.enumerate_assignments(sizes)
         ])
         ests = _enumerated_estimates(table, sizes, contrast)
         bias = vhats.mean(axis=0) - _cov0(ests)
@@ -131,7 +131,7 @@ def test_criterion_02_variance_estimator_bias(capsys):
 def test_criterion_03_indicator_covariances(capsys):
     gaps = {"i=j,q=r": 0.0, "i=j,q!=r": 0.0, "i!=j,q=r": 0.0, "i!=j,q!=r": 0.0}
     for sizes in ((2, 2, 2), (1, 2, 3), (1, 1, 4)):
-        labelings = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+        labelings = designs.enumerate_assignments(sizes)
         q_arms = len(sizes)
         ind = (labelings[:, :, None] == np.arange(1, q_arms + 1)).astype(float)
         m = ind.mean(axis=0)  # (N, Q)
@@ -165,7 +165,7 @@ def test_criterion_04_standardized_rank_mean_cov(capsys):
         ranks = np.arange(1.0, n + 1.0)
         tilde = np.array([
             randtests.standardized_rank_means(lab, ranks)
-            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+            for lab in designs.enumerate_assignments(sizes)
         ])
         # closed-form null covariance: unit diagonal, off-diagonals
         # -sqrt(n_q n_r / ((N - n_q)(N - n_r)))
@@ -279,7 +279,7 @@ def test_criterion_09_regression_optimality(capsys):
     y0 = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 2.5, 4.0, 3.0])
     beta1_opt = estimators.finite_pop_ls(y1, x)
     beta0_opt = estimators.finite_pop_ls(y0, x)
-    labelings = np.concatenate(list(designs.enumerate_partition_blocks((4, 4))))
+    labelings = designs.enumerate_assignments((4, 4))
 
     def estimates(b1, b0):
         out = []
@@ -429,7 +429,7 @@ def test_criterion_11_factorial_null_moments(capsys):
         var_pred, corr_pred = estimators.factorial_null_moments(v_n, sizes, spec)
         effects = np.array([
             estimators.tau_hat(lab, y, spec.contrast)
-            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+            for lab in designs.enumerate_assignments(sizes)
         ])
         cov_emp = _cov0(effects)
         sd = np.sqrt(np.diag(cov_emp))

@@ -54,7 +54,7 @@ def test_multinomial_count_worked_examples():
 
 def test_enumerate_partitions_complete_and_lexicographic():
     sizes = (1, 2, 1)
-    seen = [tuple(lab) for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))]
+    seen = [tuple(lab) for lab in designs.enumerate_assignments(sizes)]
     assert len(seen) == designs.multinomial_count(sizes) == 12
     assert len(set(seen)) == 12
     assert seen == sorted(seen)
@@ -83,15 +83,9 @@ def _next_permutation_rows(sizes):
         a[i + 1 :] = a[:i:-1]
 
 
-@pytest.mark.parametrize(
-    "sizes, block",
-    [(s, 4096) for s in [(1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 4), (10, 10)]]
-    + [((3, 1, 2), 1), ((4, 4), 7), ((10, 10), 1000)],
-)
-def test_enumerate_partition_blocks_match_row_walk(sizes, block):
-    blocks = list(designs.enumerate_partition_blocks(sizes, block=block))
-    assert all(1 <= b.shape[0] <= block for b in blocks)
-    rows = [tuple(row) for b in blocks for row in b.tolist()]
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 4), (10, 10)])
+def test_enumerate_partition_blocks_match_row_walk(sizes):
+    rows = [tuple(row) for row in designs.enumerate_assignments(sizes).tolist()]
     assert rows == list(_next_permutation_rows(sizes))
 
 
@@ -99,7 +93,7 @@ def test_enumerate_partition_blocks_match_row_walk(sizes, block):
 def test_enumeration_cap_is_refused_unless_whole(cap):
     # a cap of 6.5 on the 6 assignments of (2, 2) was truncated to 6 and ran
     with pytest.raises(ValidationError, match="enumeration caps must be whole numbers"):
-        designs.enumerate_partition_blocks((2, 2), cap=cap)
+        designs.enumerate_assignments((2, 2), cap=cap)
     statistic = randtests.sum_statistic("diff", np.arange(4.0))
     with pytest.raises(ValidationError, match="enumeration caps must be whole numbers"):
         randtests.exact_randomization_pvalue(statistic, np.array([1, 1, 2, 2]), cap=cap)
@@ -107,16 +101,66 @@ def test_enumeration_cap_is_refused_unless_whole(cap):
 
 @pytest.mark.parametrize("cap", [6, 6.0, np.int64(6), np.uint8(6)])
 def test_enumeration_cap_accepts_whole_floats_and_numpy_integers(cap):
-    assert sum(len(block) for block in designs.enumerate_partition_blocks((2, 2), cap)) == 6
+    assert len(designs.enumerate_assignments((2, 2), cap)) == 6
 
 
 def test_enumerate_partition_blocks_cap_before_first_block():
-    with pytest.raises(EnumerationCapError) as info:
-        designs.enumerate_partition_blocks((5, 5), cap=10)  # raises on the call
-    assert info.value.count == 252
-    assert info.value.cap == 10
+    for enumerate_ in (lambda: designs.enumerate_assignments((5, 5), cap=10),
+                       lambda: designs.enumerate_arm_sums((5, 5), np.eye(10), cap=10)):
+        with pytest.raises(EnumerationCapError) as info:
+            enumerate_()
+        assert (info.value.count, info.value.cap) == (252, 10)
+
+
+_MAGNITUDES = st.floats(-3.0, 7.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _arm_sum_cases(draw):
+    """(sizes, (N, k) values): Q 2-4 arms of 1-4 units, values signed and
+    spread over ten orders of magnitude, so a change of summation order shows."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)
+                 .filter(lambda s: designs.multinomial_count(s) <= 10_000))
+    k = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDES),
+                         min_size=sum(sizes) * k, max_size=sum(sizes) * k))
+    return tuple(sizes), np.array([s * m for s, m in flat]).reshape(sum(sizes), k)
+
+
+@given(case=_arm_sum_cases())
+@settings(max_examples=60, deadline=None)
+def test_enumerate_arm_sums_equals_arm_block_sums_bit_for_bit(case):
+    sizes, values = case
+    want = designs.ArmBlock(designs.enumerate_assignments(sizes), len(sizes)).sums(values)
+    got = designs.enumerate_arm_sums(sizes, values)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("sizes", [(3, 0, 2), (0, 4), (2, 0, 0, 1), (0, 0)])
+def test_enumerate_arm_sums_leaves_empty_arms_at_zero(sizes):
+    # the arm sums of the nonzero arms alone, placed back in their slots;
+    # no units at all is one zero row
+    values = np.random.default_rng(len(sizes)).normal(size=(sum(sizes), 2)) * 1e5
+    arms = [q for q, size in enumerate(sizes) if size]
+    want = np.zeros((1, len(sizes), 2))
+    if arms:
+        nonzero = [sizes[q] for q in arms]
+        want = np.zeros((designs.multinomial_count(nonzero), len(sizes), 2))
+        want[:, arms] = designs.ArmBlock(designs.enumerate_assignments(nonzero),
+                                         len(arms)).sums(values)
+    got = designs.enumerate_arm_sums(sizes, values)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_enumerate_arm_sums_refuses_values_of_another_length():
+    with pytest.raises(ValidationError, match=r"need \(5, k\) values"):
+        designs.enumerate_arm_sums((3, 2), np.ones((4, 1)))
     with pytest.raises(ValidationError):
-        designs.enumerate_partition_blocks((2, 2), block=0)
+        designs.enumerate_arm_sums((3, -1), np.ones((2, 1)))
+    with pytest.raises(ValidationError):
+        designs.enumerate_assignments((3, 0))
 
 
 # =========================================================================
@@ -192,7 +236,7 @@ def test_draw_partition_batch_rows_are_partitions():
 
 
 def _empirical_indicator_cov(sizes, i, j, q, r):
-    labs = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+    labs = designs.enumerate_assignments(sizes)
     zi = (labs[:, i] == q).astype(float)
     zj = (labs[:, j] == r).astype(float)
     return float(np.mean(zi * zj) - np.mean(zi) * np.mean(zj))
@@ -265,7 +309,7 @@ def test_null_factor_is_the_exact_sharp_null_covariance_of_contrast_means(design
     # S^2 times the factor is the covariance of the contrast's arm means
     # over every assignment
     if y is not None:
-        labels = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+        labels = designs.enumerate_assignments(sizes)
         y = np.asarray(y, dtype=float)
         sums = designs.ArmBlock(labels, len(sizes)).sums(y[:, np.newaxis])[:, :, 0]
         effects = sums / np.asarray(sizes, dtype=float) @ np.asarray(contrast, dtype=float)
@@ -346,7 +390,7 @@ def test_compute_delta_mean_zero_over_enumeration():
     x = _center(rng.normal(size=(6, 2)))
     deltas = [
         designs.compute_delta(np.asarray(lab), x)
-        for lab in np.concatenate(list(designs.enumerate_partition_blocks((3, 3))))
+        for lab in designs.enumerate_assignments((3, 3))
     ]
     assert np.mean(deltas, axis=0) == pytest.approx(np.zeros(2), abs=1e-12)
 
@@ -369,7 +413,7 @@ def test_compute_delta_block_equals_per_assignment_loop():
     # assignment at a time
     x = _center(np.random.default_rng(44).normal(size=(8, 3)))
     root = designs.inv_sqrt_psd(8 / 16 * (x.T @ x / 7))
-    block = np.concatenate(list(designs.enumerate_partition_blocks((4, 4), block=9)))
+    block = designs.enumerate_assignments((4, 4))
     deltas = designs.compute_delta(block, x)
     assert deltas.shape == (70, 3)
     for labels, delta in zip(block, deltas):
@@ -412,7 +456,7 @@ def test_random_draw_lies_in_enumeration(sizes):
     sizes = tuple(sizes)
     if designs.multinomial_count(sizes) > 2000:
         return
-    rows = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+    rows = designs.enumerate_assignments(sizes)
     universe = {tuple(lab) for lab in rows}
     lab = designs.draw_partition_batch(sizes, 1, 3)[0]
     assert tuple(lab) in universe

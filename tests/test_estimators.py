@@ -33,7 +33,7 @@ def _enumerated_estimates(table, sizes, contrast):
     """tau_hat over every assignment, one row per assignment."""
     table = popstats.as_table(table)
     rows = []
-    for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes))):
+    for lab in designs.enumerate_assignments(sizes):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
         rows.append(estimators.tau_hat(lab, observed, contrast))
@@ -44,7 +44,7 @@ def _enumerated_cov_estimates(table, sizes, contrast):
     """The covariance estimate of neyman_estimate over every assignment."""
     table = popstats.as_table(table)
     rows = []
-    for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes))):
+    for lab in designs.enumerate_assignments(sizes):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
         rows.append(estimators.neyman_estimate(lab, observed, contrast)[1])
@@ -107,10 +107,6 @@ def test_cov_estimator_bias_is_s2_tau_over_n():
     assert expected_vhat - truth == pytest.approx(structure.s2_tau / n, abs=1e-12)
 
 
-def _enumerated_block(sizes):
-    return np.concatenate(list(designs.enumerate_partition_blocks(sizes, block=97)))
-
-
 @pytest.mark.parametrize("sizes", [(3, 3, 2), (4, 4)])
 def test_block_forms_equal_per_assignment_loop(sizes):
     # reference: masked arm means and two-pass arm covariances, one
@@ -119,7 +115,7 @@ def test_block_forms_equal_per_assignment_loop(sizes):
     q, n = len(sizes), sum(sizes)
     table = rng.normal(size=(n, q, 2))
     contrast = rng.normal(size=(q, 3, 2))
-    block = _enumerated_block(sizes)
+    block = designs.enumerate_assignments(sizes)
     y = table[np.arange(n), block - 1]  # (B, N, p)
     taus, covs = estimators.neyman_estimate(block, y, contrast)
     assert np.array_equal(taus, estimators.tau_hat(block, y, contrast))
@@ -264,7 +260,7 @@ _REG_SIZES = (3, 3)
 
 def _enumerated_adjusted(table, x, sizes, beta1, beta0):
     estimates = []
-    for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes))):
+    for lab in designs.enumerate_assignments(sizes):
         lab = np.asarray(lab)
         observed = table[np.arange(table.shape[0]), lab - 1]
         point, _ = estimators.regression_adjusted(lab, observed, x, beta1, beta0)
@@ -457,7 +453,7 @@ def test_cluster_adjusted_unbiased_by_enumeration():
     gamma1, gamma0 = np.array([0.6]), np.array([-0.2])
     target = (m / n_units) * (totals[:, 0].mean() - totals[:, 1].mean())
     estimates = []
-    for lab in np.concatenate(list(designs.enumerate_partition_blocks((2, 2)))):
+    for lab in designs.enumerate_assignments((2, 2)):
         lab = np.asarray(lab)
         observed = totals[np.arange(m), lab - 1]
         point, _ = estimators.cluster_adjusted(
@@ -532,7 +528,7 @@ def test_factorial_null_moments_match_enumeration_balanced():
     draws = np.array(
         [
             estimators.tau_hat(np.asarray(lab), y, spec.contrast)
-            for lab in np.concatenate(list(designs.enumerate_partition_blocks((1, 1, 1, 1))))
+            for lab in designs.enumerate_assignments((1, 1, 1, 1))
         ]
     )
     dev = draws - draws.mean(axis=0)

@@ -1117,6 +1117,12 @@ _OVERFLOW_FILES = {
                                          for i in range(16)),
     "f.csv": "arm,y\n" + "".join(f"{1 + i % 4},{i + 1}e200\n" for i in range(16)),
     "iv.csv": "z,d,y\n" + "".join(f"{i % 2},{i // 2 % 2},{i + 1}e200\n" for i in range(12)),
+    # the variances are finite, the square of the y-d covariance is not
+    "ivd.csv": "z,d,y\n" + "".join(f"{i % 2},{i // 2 % 2 * 10**10 + i},{i + 1}e150\n"
+                                    for i in range(12)),
+    # one treated unit: the variance of y is finite, the square of its effect is not
+    "ivy.csv": "z,d,y\n" + "".join(f"{int(i == 0)},{i},{1.38e154 if i == 0 else 0.0}\n"
+                                    for i in range(12)),
     "big.csv": "arm,y\n" + "".join(f"{1 + i % 2},{'-' if i % 3 else ''}1e308\n"
                                    for i in range(12)),
 }
@@ -1136,6 +1142,8 @@ _OVERFLOW_FILES = {
     ("c.csv", "estimate"),
     ("f.csv", "factorial --factors 2"),
     ("iv.csv", "iv-ci"),
+    ("ivd.csv", "iv-ci"),
+    ("ivy.csv", "iv-ci"),
 ])
 def test_cli_refuses_outcomes_whose_squares_overflow(tmp_path, capsys, name, call):
     # each printed an infinite variance, a p-value from ranks alone, or a

@@ -318,3 +318,11 @@ def test_condition_stat_flags_proportional_series():
 def test_condition_stat_flags_constant_series():
     z = np.array([1, 0, 1, 0])
     assert ivconf.iv_summary(z, np.ones(4), np.arange(4.0), 0.05).condition is None
+
+
+def test_classify_refuses_an_overflowing_discriminant():
+    # b^2 and a c overflow for finite coefficients; the roots came out as
+    # infinities, or as NaN where both did
+    for a, b, c in [(-1.0, 1e160, 1.0), (1e160, 0.0, -1e160), (1e160, 1e160, 1e160)]:
+        with pytest.raises(ValidationError, match="discriminant .* overflows"):
+            ivconf.classify_quadratic(a, b, c)

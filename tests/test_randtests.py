@@ -104,7 +104,7 @@ def test_standardized_rank_means_rejects_non_permutation():
 def test_standardized_rank_means_block_equals_per_assignment_loop(sizes):
     n = sum(sizes)
     ranks = np.random.default_rng(n).permutation(np.arange(1.0, n + 1.0))
-    block = np.concatenate(list(designs.enumerate_partition_blocks(sizes, block=97)))
+    block = designs.enumerate_assignments(sizes)
     stats = randtests.standardized_rank_means(block, ranks)
     per_row = randtests.standardized_rank_means(block, np.tile(ranks, (block.shape[0], 1)))
     assert stats.shape == (block.shape[0], len(sizes))
@@ -124,7 +124,7 @@ def test_standardized_rank_means_null_moments_by_enumeration():
     draws = np.array(
         [
             randtests.standardized_rank_means(np.asarray(lab), ranks)
-            for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+            for lab in designs.enumerate_assignments(sizes)
         ]
     )
     assert draws.mean(axis=0) == pytest.approx(np.zeros(2), abs=1e-12)
@@ -781,7 +781,7 @@ def test_block_kernel_equals_scalar_statistic_on_every_assignment(stat, sizes, t
     if ties == "midrank":
         y = np.round(rng.normal(size=n))  # a handful of distinct values
     scalar, kernel = _scalar_and_kernel(stat, y, len(sizes), ties)
-    labs = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+    labs = designs.enumerate_assignments(sizes)
     got = kernel.block(labs, sizes)
     want = np.array([scalar(lab, y) for lab in labs])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -819,7 +819,7 @@ def _per_row_pvalues(stat_fn, labels, y, alternative, b, seed):
         refs = np.array([stat_fn(row, y) for row in rows])
         return int(np.count_nonzero(randtests._is_extreme(refs, observed, alternative)))
 
-    enumerated = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+    enumerated = designs.enumerate_assignments(sizes)
     drawn = _drawn_assignments(sizes, b, seed)
     return count(enumerated) / len(enumerated), (1 + count(drawn)) / (b + 1)
 
@@ -916,7 +916,7 @@ def _studentized_order_key(labels, y, alternative):
 def test_studentized_difference_is_a_two_column_sum_statistic(y, has_round_off_tie):
     sizes = (4, 3) if len(y) == 7 else (3, 3)
     statistic = _studentized_diff(y)
-    assignments = np.concatenate(list(designs.enumerate_partition_blocks(sizes)))
+    assignments = designs.enumerate_assignments(sizes)
     t = statistic.block(assignments, sizes)
     y_arr = np.array(y)
     welch = [(y_arr[lab == 1].mean() - y_arr[lab == 2].mean())
@@ -963,7 +963,7 @@ def _fraction_oracle_pvalue(labels, y, alternative):
         return arm1 / sizes[0] - arm2 / sizes[1]
 
     observed = diff(labels)
-    refs = [diff(lab) for lab in np.concatenate(list(designs.enumerate_partition_blocks(sizes)))]
+    refs = [diff(lab) for lab in designs.enumerate_assignments(sizes)]
     if alternative == "greater":
         count = sum(r >= observed for r in refs)
     elif alternative == "less":
@@ -993,16 +993,12 @@ def test_exact_diff_matches_rational_enumeration(data, sizes, alternative):
 
 def _enumerated_count(statistic, labels, alternative):
     """(as or more extreme, assignments) with every label row of
-    `enumerate_partition_blocks` through `SumStatistic.block`: the label
+    `enumerate_assignments` through `SumStatistic.block`: the label
     enumeration the exact engine replaced, counted by its tail rule."""
     sizes = estimators.arm_sizes(labels, statistic.q)
     observed = float(statistic.block(labels[np.newaxis], sizes)[0])
-    count = total = 0
-    for block in designs.enumerate_partition_blocks(sizes.tolist()):
-        ref = statistic.block(block, sizes)
-        count += int(np.count_nonzero(randtests._is_extreme(ref, observed, alternative)))
-        total += ref.shape[0]
-    return count, total
+    ref = statistic.block(designs.enumerate_assignments(sizes.tolist()), sizes)
+    return int(np.count_nonzero(randtests._is_extreme(ref, observed, alternative))), ref.shape[0]
 
 
 @st.composite
@@ -1093,7 +1089,7 @@ def test_exact_engine_refuses_the_cap_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated past the cap")
 
-    monkeypatch.setattr(randtests, "enumerate_partition_blocks", no_enumeration)
+    monkeypatch.setattr(randtests, "enumerate_arm_sums", no_enumeration)
     statistic = randtests.sum_statistic("diff", np.arange(10.0))
     with pytest.raises(EnumerationCapError) as info:
         randtests.exact_randomization_pvalue(statistic, np.repeat([1, 2], 5), cap=10)
